@@ -65,7 +65,6 @@ from .words import (
     connected_sum_word,
     exponent_sum,
     free_reduce,
-    gens,
     invert,
     make_word,
     markov_destabilize,

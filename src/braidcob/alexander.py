@@ -1,32 +1,44 @@
 """
 One-variable Alexander polynomials of braid closures.
 
-alexander(w) is the symmetrized Seifert determinant det(t^{1/2}V -
-t^{-1/2}V^T), stored as the integer coefficient vector of det(tV - V^T)
-with unit factors t^k cleared and the top coefficient made positive. For
-knots this is the Alexander polynomial; for links it is the determinant
-form of the surface, which still vanishes exactly at the signature jumps.
+alexander(w) uses Birman's closed-braid formula: for w in B_n with reduced
+Burau matrix psi(w),
 
-The determinant over Z[t] is computed by evaluation at h+1 integer points
-followed by exact interpolation. Small matrices are eliminated over the
-rationals directly. Large ones are evaluated modulo 30-bit primes with
-numpy and reconstructed by CRT: primes are added until the symmetric lifts
-are stable twice in a row, then the Hadamard bound caps the worst case, so
-the result is exact.
+    Delta(t) * (1 + t + ... + t^{n-1})  =  det(I - psi(w))  up to +-t^k.
+
+One pass over the word builds M = t^s psi(w) over Z[t]. A letter acts by
+right multiplication, which changes only the three columns next to its
+generator. An inverse letter brings in t^{-1}; instead the whole matrix is
+multiplied by t and the shift s goes up by one, so every entry stays in
+Z[t]. det(t^s I - M) then differs from det(I - psi(w)) by the unit
+t^{s(n-1)}.
+
+The determinant is taken by fraction-free Bareiss elimination (Bareiss
+1968): each entry after step k is a (k+1)-minor, and the division by the
+previous pivot is exact in Z[t]. A row whose entry in the pivot column is
+zero would only be rescaled by p_{k+1}/p_k (p_k the leading k x k minor).
+Such a row is left as it is and remembers the step it was last brought up
+to; when it is next used it is rescaled once by p_K/p_L, again an exact
+division. Words whose letters climb the generators in order, such as
+connected sums, give a nearly Hessenberg matrix, on which most rows wait
+out most steps.
+
+The determinant is divided exactly by 1 + t + ... + t^{n-1}, then unit
+factors t^k are cleared and the top coefficient is made positive. For a
+knot the result is the Alexander polynomial. For a link it is the
+one-variable Alexander polynomial, equal up to units to det(tV - V^T) for
+the Seifert matrix V of a connected Seifert surface; the Levine-Tristram
+signature can jump only at its roots on the unit circle. A split closure,
+for instance a word that never uses some generator, gives the zero
+polynomial (0,).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 
-import numpy as np
-
-from .seifert import SeifertMatrix, seifert_matrix
 from .words import BraidWord
-
-_SMALL_SIZE = 48
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,172 +91,125 @@ def _normalize(coeffs: list[int]) -> AlexanderPolynomial:
     return AlexanderPolynomial(tuple(out))
 
 
-def _det_fraction(M: list[list[Fraction]]) -> Fraction:
-    """Plain fraction Gaussian elimination; exact."""
-    h = len(M)
-    det = Fraction(1)
-    M = [row[:] for row in M]
-    for k in range(h):
-        piv = next((r for r in range(k, h) if M[r][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            det = -det
-        det *= M[k][k]
-        inv = 1 / M[k][k]
-        for r in range(k + 1, h):
-            f = M[r][k] * inv
-            if f:
-                row, base = M[r], M[k]
-                for c in range(k + 1, h):
-                    row[c] -= f * base[c]
-                row[k] = Fraction(0)
-    return det
+# Polynomials in Z[t] are coefficient lists, lowest degree first, with no
+# trailing zeros; [] is zero.
 
 
-def _det_mod_p(M: np.ndarray, p: int, width: int | None = None) -> int:
+def _add(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for b dividing a in Z[t]; raises if the division is not exact."""
+    if not a:
+        return []
+    a = a[:]
+    lead, db = b[-1], len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = a[i + db]
+        if c:
+            qi, rem = divmod(c, lead)
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
+            q[i] = qi
+            for j, y in enumerate(b, i):
+                a[j] -= qi * y
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _burau_columns(w: BraidWord) -> tuple[list[list[list[int]]], int]:
     """
-    Gaussian elimination mod a 30-bit prime; int64 stays in range. When the
-    matrix has bandwidth `width`, pivoting keeps the column support within
-    width+1 rows and the row support within 2*width+1 columns, so the
-    elimination only touches that window.
+    Columns of M = t^s psi(w) and the shift s, for the reduced Burau
+    representation in which sigma_i replaces row i-1 of the identity (rows
+    and columns counted from 0) by (t, -t, 1) in columns i-2, i-1, i.
     """
-    M = M % p
-    h = M.shape[0]
-    det = 1
-    for k in range(h):
-        rhi = h if width is None else min(h, k + width + 2)
-        chi = h if width is None else min(h, k + 2 * width + 2)
-        nz = np.nonzero(M[k:rhi, k])[0]
-        if nz.size == 0:
-            return 0
-        piv = k + int(nz[0])
-        if piv != k:
-            M[[k, piv]] = M[[piv, k]]
-            det = p - det
-        d = int(M[k, k])
-        det = (det * d) % p
-        if k + 1 < rhi:
-            dinv = pow(d, p - 2, p)
-            factors = (M[k + 1:rhi, k] * dinv) % p
-            M[k + 1:rhi, k + 1:chi] = (
-                M[k + 1:rhi, k + 1:chi]
-                - factors[:, None] * M[k, k + 1:chi][None, :]
-            ) % p
-    return det
+    m = w.strands - 1
+    cols = [[[1] if r == c else [] for r in range(m)] for c in range(m)]
+    s = 0
+    for k in w.letters:
+        j = abs(k) - 1
+        pivot = cols[j]
+        t_pivot = [[0] + y if y else [] for y in pivot]
+        if k < 0:
+            # t psi(sigma_i^{-1}) has t on the diagonal and (t, -1, 1) in
+            # row i-1, where psi(sigma_i) has 1 and (t, -t, 1)
+            cols = [[[0] + y if y else [] for y in col] for col in cols]
+            s += 1
+        if j > 0:
+            cols[j - 1] = [_add(x, y) for x, y in zip(cols[j - 1], t_pivot)]
+        if j + 1 < m:
+            cols[j + 1] = [_add(x, y) for x, y in zip(cols[j + 1], pivot)]
+        cols[j] = [[-c for c in y] for y in (t_pivot if k > 0 else pivot)]
+    return cols, s
 
 
-def _primes_30bit():
-    n = (1 << 30) - 35
-    while True:
-        n += 2
-        for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            if n % q == 0:
-                break
-        else:
-            if all(
-                pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7, 11, 13, 17)
-            ):
-                yield n
+def _det(a: list[list[list[int]]]) -> list[int]:
+    """
+    Bareiss determinant over Z[t] up to sign (row swaps are not counted,
+    since the result is normalized); rows of a are consumed. level[i] is the
+    elimination step row i was last brought up to, and pivots[k] is the
+    leading k x k minor, so a waiting row catches up by pivots[K]/pivots[L].
+    """
+    n = len(a)
+    pivots = [[1]]
+    level = [0] * n
 
+    def catch_up(i: int, k: int) -> list[list[int]]:
+        if level[i] != k:
+            num, den = pivots[k], pivots[level[i]]
+            a[i] = [[]] * k + [_div(_mul(x, num), den) for x in a[i][k:]]
+            level[i] = k
+        return a[i]
 
-def _hadamard_log2(V: np.ndarray, tmax: int) -> float:
-    A = np.abs(tmax * V.astype(float)) + np.abs(V.T.astype(float))
-    norms = np.sqrt((A * A).sum(axis=1))
-    norms[norms == 0] = 1.0
-    return float(np.log2(norms).sum())
-
-
-def _symmetric_bandwidth(V: np.ndarray) -> int:
-    idx = np.nonzero(V + V.T + np.eye(V.shape[0], dtype=V.dtype))
-    return int(np.max(np.abs(idx[0] - idx[1]))) if idx[0].size else 0
-
-
-def _det_values_exact(V: np.ndarray, points: list[int]) -> list[int]:
-    """det(t*V - V^T) at each integer point, exact via CRT over primes."""
-    h = V.shape[0]
-    width = _symmetric_bandwidth(V)
-    if 3 * width >= h:
-        width = None
-    bound_bits = _hadamard_log2(V, max(abs(t) for t in points) or 1) + 2
-    residues = [0] * len(points)
-    modulus = 1
-    stable = 0
-    lifted: list[int] | None = None
-    for p in _primes_30bit():
-        vals = []
-        for t in points:
-            M = (t * V - V.T).astype(np.int64)
-            vals.append(_det_mod_p(M, p, width))
-        new_res = []
-        for r, v in zip(residues, vals):
-            # CRT combine r (mod modulus) with v (mod p)
-            inc = ((v - r) * pow(modulus % p, p - 2, p)) % p
-            new_res.append(r + modulus * inc)
-        residues = new_res
-        modulus *= p
-        new_lifted = [
-            r if r <= modulus // 2 else r - modulus for r in residues
-        ]
-        stable = stable + 1 if new_lifted == lifted else 0
-        lifted = new_lifted
-        if stable >= 2 or math.log2(modulus) > bound_bits + 1:
-            return lifted
-    raise AssertionError("unreachable")
-
-
-def _interpolate_int(points: list[int], values: list[int]) -> list[int]:
-    """Exact Newton interpolation; the result must be an integer polynomial."""
-    m = len(points)
-    dd = [Fraction(v) for v in values]
-    for lvl in range(1, m):
-        for i in range(m - 1, lvl - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (points[i] - points[i - lvl])
-    coeffs = [Fraction(0)] * m
-    basis = [Fraction(1)]
-    for k in range(m):
-        for d, c in enumerate(basis):
-            coeffs[d] += dd[k] * c
-        if k + 1 < m:
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d + 1] += c
-                new[d] -= points[k] * c
-            basis = new
-    assert all(c.denominator == 1 for c in coeffs), "non-integer determinant"
-    return [int(c) for c in coeffs]
-
-
-def seifert_determinant_polynomial(V: SeifertMatrix) -> AlexanderPolynomial:
-    """Normalized det(tV - V^T) for a prebuilt Seifert matrix."""
-    if V.pieces > 1:
-        # tubing the surface pieces together adds zero rows, so any split
-        # closure has vanishing determinant polynomial
-        return AlexanderPolynomial((0,))
-    h = V.size
-    if h == 0:
-        return AlexanderPolynomial((1,))
-    points = list(range(-(h // 2), h - (h // 2) + 1))
-    rows = V.rows()
-    if len(V.loop_starts) == h:
-        # simultaneous row/column permutation to time-major order keeps the
-        # determinant and makes the matrix banded
-        order = sorted(range(h), key=lambda i: V.loop_starts[i])
-        rows = [[rows[i][j] for j in order] for i in order]
-    if h <= _SMALL_SIZE:
-        values = []
-        for t in points:
-            M = [
-                [Fraction(t * rows[i][j] - rows[j][i]) for j in range(h)]
-                for i in range(h)
+    for k in range(n):
+        r = next((r for r in range(k, n) if a[r][k]), None)
+        if r is None:
+            return []
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            level[k], level[r] = level[r], level[k]
+        top = catch_up(k, k)
+        p = top[k]
+        for i in range(k + 1, n):
+            if not a[i][k]:
+                continue
+            row = catch_up(i, k)
+            minus_f = [-c for c in row[k]]
+            a[i] = [[]] * (k + 1) + [
+                _div(_add(_mul(p, x), _mul(minus_f, y)), pivots[k])
+                for x, y in zip(row[k + 1:], top[k + 1:])
             ]
-            values.append(int(_det_fraction(M)))
-    else:
-        values = _det_values_exact(np.array(rows, dtype=np.int64), points)
-    return _normalize(_interpolate_int(points, values))
+            level[i] = k + 1
+        pivots.append(p)
+    return pivots[n]
 
 
 def alexander(w: BraidWord) -> AlexanderPolynomial:
-    """Symmetrized Seifert determinant of the closure of w, normalized."""
-    return seifert_determinant_polynomial(seifert_matrix(w))
+    """Alexander polynomial of the closure of w, normalized."""
+    cols, s = _burau_columns(w)
+    # eliminate on the rows of t^s I - M, not on the columns built above:
+    # when M is nearly upper Hessenberg, a pivot column then reaches few
+    # rows below the pivot
+    rows = [[[-x for x in y] for y in row] for row in zip(*cols)]
+    for i, row in enumerate(rows):
+        row[i] = _add(row[i], [0] * s + [1])
+    return _normalize(_div(_det(rows), [1] * w.strands))

@@ -252,7 +252,8 @@ def apply_step(state: FormalLink, step: Step) -> FormalLink:
                 f"malformed t3-cube: gen={step.generator} sign={step.sign}"
             )
         cube = (step.sign * step.generator,) * 3
-        if w.letters[step.position: step.position + 3] != cube:
+        if (not 0 <= step.position <= len(w.letters) - 3
+                or w.letters[step.position: step.position + 3] != cube):
             raise StepError(
                 f"t3-cube substring {list(cube)} absent at position "
                 f"{step.position} of {list(w.letters)}"
@@ -368,9 +369,12 @@ class CobordismCertificate:
 
     @staticmethod
     def from_json(data: dict) -> "CobordismCertificate":
+        steps = data["steps"]
+        if not isinstance(steps, list):
+            raise TypeError(f'"steps" must be a list, got {steps!r}')
         return CobordismCertificate(
             start=FormalLink.from_json(data["start"]),
-            steps=tuple(_step_from_json(s) for s in data["steps"]),
+            steps=tuple(_step_from_json(s) for s in steps),
             end=FormalLink.from_json(data["end"]),
             metadata=str(data.get("meta", "")),
         )
@@ -423,6 +427,8 @@ def _step_to_json(step: Step) -> dict:
 
 
 def _step_from_json(data: dict) -> Step:
+    if not isinstance(data, dict):
+        raise TypeError(f"a step must be an object, got {data!r}")
     op = data.get("op")
     if op == "equiv":
         return Equivalence(int(data["closure"]),

@@ -28,10 +28,6 @@ class CanonicalBraid:
     infimum: int
     factors: tuple[tuple[int, ...], ...]
 
-    @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def factor_permutations(self) -> tuple[Permutation, ...]:
         """The factors as 1-based permutations of {1..n}."""
         return tuple(

@@ -38,10 +38,6 @@ class SeifertMatrix:
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
-    def transposed_rows(self) -> list[list[int]]:
-        return [[self.entries[j][i] for j in range(self.size)]
-                for i in range(self.size)]
-
 
 def _surface_pieces(w: BraidWord) -> int:
     """Connected pieces of the surface: strands glued along used columns."""

@@ -14,7 +14,7 @@ first. Closure components are the cycles of that permutation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class WordError(ValueError):
@@ -222,8 +222,3 @@ def connected_sum_word(w1: BraidWord, w2: BraidWord) -> BraidWord:
     return compose(
         BraidWord(n, w1.letters), shift(w2, w1.strands - 1, n)
     )
-
-
-def gens(n: int) -> Sequence[BraidWord]:
-    """The n-1 generators of B_n as one-letter words."""
-    return [BraidWord(n, (i,)) for i in range(1, n)]

@@ -1,16 +1,14 @@
 """
-Alexander polynomial fixtures against an independent reduced-Burau oracle,
-plus internal consistency of the modular determinant path.
+Alexander polynomial fixtures against two independent oracles: a cofactor
+reduced-Burau determinant over Q[t, 1/t], and the Seifert determinant
+det(tV - V^T) of the closed-braid surface.
 """
 
 import random
 from fractions import Fraction
 
-import importlib
-
 from braidcob.alexander import alexander
-
-alexander_mod = importlib.import_module("braidcob.alexander")
+from braidcob.seifert import seifert_matrix
 from braidcob.words import (
     components,
     conjugate,
@@ -224,16 +222,55 @@ def test_symmetry_of_coefficients():
         )
 
 
-def test_modular_path_matches_exact_path():
-    w = torus_word(3, 26)  # size 50 exceeds the small-path threshold
-    big = alexander(w).coefficients
-    saved = alexander_mod._SMALL_SIZE
-    try:
-        alexander_mod._SMALL_SIZE = 10_000
-        exact = alexander(w).coefficients
-    finally:
-        alexander_mod._SMALL_SIZE = saved
-    assert big == exact
+def _seifert_alexander(w):
+    """
+    Normalized det(tV - V^T) by Laplace expansion along the rows, memoized
+    on the set of columns used (2^h states, so small h only). A surface in
+    several pieces is tubed together by zero rows, so it gives zero.
+    """
+    V = seifert_matrix(w)
+    if V.pieces > 1:
+        return (0,)
+    h = V.size
+    A = [[_Poly({1: V.entries[i][j], 0: -V.entries[j][i]}) for j in range(h)]
+         for i in range(h)]
+    memo = {}
+
+    def minor(used):
+        # determinant of rows popcount(used).. and the columns not in used
+        i = bin(used).count("1")
+        if i == h:
+            return _Poly({0: 1})
+        if used not in memo:
+            total, sign = _Poly(), 1
+            for j in range(h):
+                if used >> j & 1:
+                    continue
+                if A[i][j].c:
+                    term = A[i][j] * minor(used | 1 << j)
+                    total = total + term if sign > 0 else total - term
+                sign = -sign
+            memo[used] = total
+        return memo[used]
+
+    return minor(0).normalized_tuple()
+
+
+def test_against_seifert_determinant():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(120):
+        n = rng.randrange(1, 7)
+        length = rng.randrange(0, 13) if n > 1 else 0
+        w = make_word(
+            n, [rng.choice([1, -1]) * rng.randrange(1, n)
+                for _ in range(length)]
+        )
+        want = _seifert_alexander(w)
+        assert alexander(w).coefficients == want, (w, want)
+        kinds.add((components(w) > 1, want == (0,)))
+    # knots, non-split links and split closures all occur
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_evaluation_helper():

@@ -55,6 +55,12 @@ def test_tcube_requires_literal_substring():
         apply_step(state(make_word(3, [1, 2, 1])), TCube(0, 0, 1, 1))
     with pytest.raises(StepError, match="absent"):
         apply_step(state(tre()), TCube(0, 1, 1, 1))
+    # a position must lie in the word; as a slice index, -6 would find the
+    # first cube of [1,1,1,2,2,2]
+    w = make_word(3, [1, 1, 1, 2, 2, 2])
+    for pos, gen in ((-6, 1), (-1, 2), (4, 2)):
+        with pytest.raises(StepError, match="absent"):
+            apply_step(state(w), TCube(0, pos, gen, 1))
 
 
 def test_negative_tcube_counts_negative_trefoil():

@@ -135,6 +135,19 @@ def test_cert_verify_rejects_malformed_file(tmp_path, capsys):
     assert "unknown step op" in err
 
 
+@pytest.mark.parametrize("steps", ['"xx"', '["xx"]', '[1]', '[[]]', "{}"])
+def test_cert_verify_rejects_steps_that_are_not_objects(
+        tmp_path, capsys, steps):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"start": {"closures": [{"n": 2, "w": [1, 1, 1]}]}, '
+        f'"steps": {steps}, "end": {{}}}}'
+    )
+    code, _, err = run(capsys, "cert", "verify", str(path))
+    assert code == 2
+    assert "cannot read certificate" in err
+
+
 def test_cert_verify_reports_broken_certificate(tmp_path, capsys):
     cert = {
         "start": {"closures": [{"n": 2, "w": [1, 1, 1]}],
