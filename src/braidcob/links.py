@@ -34,6 +34,9 @@ class AssertedSummand:
 
     @staticmethod
     def from_json(data: dict) -> "AssertedSummand":
+        if not isinstance(data, dict):
+            raise TypeError(f"an asserted summand must be an object, got "
+                            f"{data!r}")
         raw = data.get("sigma6", "unknown")
         return AssertedSummand(
             label=str(data["label"]),
@@ -76,6 +79,8 @@ class FormalLink:
 
     @staticmethod
     def from_json(data: dict) -> "FormalLink":
+        if not isinstance(data, dict):
+            raise TypeError(f"a formal link must be an object, got {data!r}")
         return FormalLink(
             closures=tuple(
                 BraidWord.from_json(c) for c in data.get("closures", [])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .words import BraidWord
+from .words import BraidWord, make_word
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,3 +103,42 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
         euler_char=w.strands - len(w.letters),
         loop_starts=tuple(p1 for _c, p1, _p2, _e1, _e2 in loops),
     )
+
+
+def seifert_blocks(w: BraidWord) -> list[BraidWord]:
+    """
+    The sub-braids over which seifert_matrix(w) is block-diagonal, in column
+    order. A block is a maximal run of generator columns that carry loops,
+    in which every two neighbouring columns carry interleaving loops; by the
+    local rules above no loop of one block links a loop of another. A block
+    keeps the letters of its columns in order, relabelled so that its first
+    column is 1, so seifert_matrix(block) is its diagonal block of
+    seifert_matrix(w), and its surface is connected.
+    """
+    uses: dict[int, int] = {}
+    # neighbouring columns lo, lo+1 carry interleaving loops exactly when
+    # their letters, read in time order, switch column at least three times
+    last: dict[int, int] = {}
+    switches: dict[int, int] = {}
+    for k in w.letters:
+        c = abs(k)
+        uses[c] = uses.get(c, 0) + 1
+        for lo in (c - 1, c):
+            if last.get(lo, c) != c:
+                switches[lo] = switches.get(lo, 0) + 1
+            last[lo] = c
+
+    runs: list[list[int]] = []
+    for c in sorted(c for c, n in uses.items() if n > 1):
+        if runs and runs[-1][-1] == c - 1 and switches.get(c - 1, 0) >= 3:
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    return [
+        make_word(
+            run[-1] - run[0] + 2,
+            [k - run[0] + 1 if k > 0 else k + run[0] - 1
+             for k in w.letters if run[0] <= abs(k) <= run[-1]],
+        )
+        for run in runs
+    ]

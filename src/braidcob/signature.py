@@ -10,9 +10,18 @@ positive trefoil summand as +2 and each negative one as -2.
 Numerical policy: the Hermitian form (1-w)V + (1-conj(w))V^T is factored by
 a pivoted LDL^T at a working precision in bits, the inertia read off the
 pivots, and the whole computation repeated at doubled precision; only a
-reproduced count is returned. The limit at theta = 1/6 is taken through
-rational offsets delta = 2^-10, 2^-11, ... until three consecutive
-evaluations agree with zero nullity.
+reproduced count is returned.
+
+The limit at theta = 1/6 is certified, not searched for. The Seifert matrix
+is block-diagonal over the blocks of seifert_blocks, each with a connected
+surface, so the form at w = e^{2 pi i theta} is singular exactly at the roots
+of the block's Alexander polynomial Delta. With Phi6 = t^2 - t + 1 divided
+out, the quotient Q has Q(zeta6) = x + y*zeta6 for integers x, y, not both
+zero, so |Q(zeta6)|^2 = x^2 + xy + y^2 >= 1; and S = sum k|q_k| bounds |Q'|
+on the unit circle. Whenever 2*pi*delta*S < |Q(zeta6)|, Q has no root on the
+arc (1/6, 1/6 + delta], and neither has Phi6, so the block's signature is
+constant there: one evaluation at theta = 1/6 + delta gives its one-sided
+limit.
 """
 
 from __future__ import annotations
@@ -24,14 +33,16 @@ from math import gcd
 
 from mpmath import mp, mpc, mpf, workprec
 
+from .alexander import alexander
 from .links import FormalLink
-from .seifert import SeifertMatrix, seifert_matrix
+from .seifert import SeifertMatrix, seifert_blocks, seifert_matrix
 from .words import BraidWord
 
 DEFAULT_PRECISION_BITS = 128
 PRECISION_CAP_BITS = 4096
 SIGMA6_DELTA_START = Fraction(1, 1024)
-SIGMA6_MAX_HALVINGS = 20
+# zeta6^k = a + b*zeta6 for k mod 6, from zeta6^2 = zeta6 - 1
+_ZETA6_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
 class PrecisionError(RuntimeError):
@@ -39,7 +50,7 @@ class PrecisionError(RuntimeError):
 
 
 class Sigma6Error(RuntimeError):
-    """The one-sided limit did not stabilize, or a summand is opaque."""
+    """The one-sided limit is undefined, or a summand is opaque."""
 
 
 def precision_default() -> int:
@@ -243,32 +254,73 @@ def torus_signature_oracle(p: int, q: int, theta: Fraction) -> int:
     return total
 
 
+def _at_zeta6(coeffs: list[int]) -> tuple[int, int]:
+    """(x, y) with sum c_k zeta6^k = x + y*zeta6."""
+    x = y = 0
+    for k, c in enumerate(coeffs):
+        a, b = _ZETA6_POWERS[k % 6]
+        x += a * c
+        y += b * c
+    return x, y
+
+
+def _certified_offset(coeffs: tuple[int, ...], delta_start: Fraction
+                      ) -> Fraction:
+    """
+    The largest power of two delta <= delta_start for which the nonzero
+    polynomial with these coefficients has no root on the arc
+    (1/6, 1/6 + delta] of the unit circle (see the module docstring).
+    """
+    q = list(coeffs)
+    x, y = _at_zeta6(q)
+    while x == y == 0:
+        # divide out the monic Phi6 = t^2 - t + 1, top coefficient first
+        quot = [0] * (len(q) - 2)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = q[k + 2]
+            q[k + 1] += c
+            q[k] -= c
+        q = quot
+        x, y = _at_zeta6(q)
+    norm = x * x + x * y + y * y  # |Q(zeta6)|^2, a positive integer
+    slope = sum(k * abs(c) for k, c in enumerate(q))
+    delta = Fraction(1)
+    while delta > delta_start:
+        delta /= 2
+    # 22/7 > pi, so this guarantees 2*pi*delta*slope < |Q(zeta6)|
+    while (2 * Fraction(22, 7) * delta * slope) ** 2 >= norm:
+        delta /= 2
+    return delta
+
+
 def _sigma6_of_word(
     w: BraidWord,
     precision_bits: int | None = None,
     delta_start: Fraction = SIGMA6_DELTA_START,
 ) -> int:
     """
-    Paper-convention sigma_6 of one closure: the negated standard signature
-    just past theta = 1/6, stabilized through delta-halving.
+    Paper-convention sigma_6 of one closure: minus the sum over its Seifert
+    blocks of the standard signature just past theta = 1/6, each taken by one
+    evaluation at an offset certified free of jumps.
     """
-    V = seifert_matrix(w)
-    window: list[int] = []
-    delta = delta_start
-    for _ in range(SIGMA6_MAX_HALVINGS + 1):
-        prof = signature_at(V, Fraction(1, 6) + delta, precision_bits)
-        if prof.nullity == V.pieces - 1:
-            # zero nullity beyond the split-surface convention
-            window.append(prof.signature)
-        else:
-            window = []
-        if len(window) >= 3 and window[-1] == window[-2] == window[-3]:
-            return -window[-1]
-        delta /= 2
-    raise Sigma6Error(
-        f"sigma6 did not stabilize for {w} within "
-        f"{SIGMA6_MAX_HALVINGS} delta-halvings"
-    )
+    total = 0
+    for block in seifert_blocks(w):
+        poly = alexander(block)
+        if poly.is_zero():
+            raise Sigma6Error(
+                f"sigma6 is undefined for {w}: block {block} has Alexander "
+                f"polynomial 0, so its form is singular at every theta"
+            )
+        delta = _certified_offset(poly.coefficients, delta_start)
+        theta = Fraction(1, 6) + delta
+        prof = signature_at(block, theta, precision_bits)
+        if prof.nullity:
+            raise Sigma6Error(
+                f"internal error: nullity {prof.nullity} for block {block} "
+                f"at theta={theta}, where its Alexander polynomial has no root"
+            )
+        total -= prof.signature
+    return total
 
 
 def sigma6(
@@ -280,9 +332,16 @@ def sigma6(
     The limit invariant at the sixth root of unity, paper convention:
     sigma6(positive trefoil) = +2, additive over summands, +2 per positive
     trefoil counter and -2 per negative one. Asserted summands must declare
-    their value. delta_start shifts the halving schedule; the result must
-    not depend on it.
+    their value. Each Seifert block of a closure is evaluated once, at
+    theta = 1/6 + delta with delta the largest power of two that is at most
+    delta_start and certified free of signature jumps; the result does not
+    depend on delta_start, which must lie in (0, 1/2]. Raises Sigma6Error
+    when a block's Alexander polynomial is 0.
     """
+    delta_start = Fraction(delta_start)
+    if not 0 < delta_start <= Fraction(1, 2):
+        raise ValueError(
+            f"delta_start must lie in (0, 1/2], got {delta_start}")
     if isinstance(link, BraidWord):
         link = FormalLink(closures=(link,))
     total = 2 * link.trefoils_pos - 2 * link.trefoils_neg

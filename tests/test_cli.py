@@ -148,6 +148,20 @@ def test_cert_verify_rejects_steps_that_are_not_objects(
     assert "cannot read certificate" in err
 
 
+@pytest.mark.parametrize("start, end", [
+    ('"x"', "{}"),
+    ("{}", "[1]"),
+    ('{"asserted": [1]}', "{}"),
+])
+def test_cert_verify_rejects_links_that_are_not_objects(
+        tmp_path, capsys, start, end):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"start": {start}, "steps": [], "end": {end}}}')
+    code, _, err = run(capsys, "cert", "verify", str(path))
+    assert code == 2
+    assert "cannot read certificate" in err
+
+
 def test_cert_verify_reports_broken_certificate(tmp_path, capsys):
     cert = {
         "start": {"closures": [{"n": 2, "w": [1, 1, 1]}],
