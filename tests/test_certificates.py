@@ -2,6 +2,7 @@
 Step semantics, replay, the lower-bound report, and the JSON wire format.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -353,6 +354,8 @@ def test_json_round_trip():
                 0, to_summand=AssertedSummand("x", 1, 3, "cited")
             ),
             SumMerge(0, 1, "connected"),
+            SumSplit(0, 1),
+            ConcordanceAssertion(0, to_word=make_word(2, ())),
         ),
         end=state(make_word(2, [1])),
         metadata="round trip",
@@ -361,6 +364,42 @@ def test_json_round_trip():
     back = CobordismCertificate.loads(text)
     assert back == cert
     assert json.loads(text)["steps"][6]["op"] == "tcube"
+    # an empty target word must still travel as a word, not as a summand
+    assert back.steps[-1].to_word == make_word(2, ())
+
+
+# sha256 prefixes of cert.dumps() and of the compact verify report
+GOLDEN = {
+    "fourstrand": ("4c85126726295523", "3919d473c27c8de6"),
+    "coxeter": ("314c4bf1227873e4", "6aee1d1bb04ee6ad"),
+    "sixstrand-2": ("e56ec6bc9b45a5e9", "95794ac72bf78cf2"),
+    "sixstrand-3": ("182aee6ee1252a8a", "ef595d789168baa9"),
+    "trefoils-2-6": ("fb711b08ade81e0a", "10066c9ca2b37d3e"),
+}
+
+
+def _generated(name):
+    from braidcob import replication as r
+
+    return {
+        "fourstrand": r.fourstrand_certificate,
+        "coxeter": r.coxeter_certificate,
+        "sixstrand-2": lambda: r.sixstrand_certificate(2),
+        "sixstrand-3": lambda: r.sixstrand_certificate(3),
+        "trefoils-2-6": lambda: r.trefoil_stack_certificate(2, 6),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_wire_output(name):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    cert = _generated(name)
+    text = cert.dumps()
+    report = json.dumps(verify(cert).to_json(), separators=(",", ":"))
+    assert (digest(text), digest(report)) == GOLDEN[name]
+    assert CobordismCertificate.loads(text) == cert
 
 
 def test_unknown_op_is_hard_error():
