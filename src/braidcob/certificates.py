@@ -8,12 +8,20 @@ problem, cube deletions require the exact substring at the cited position,
 and every step carries a fixed saddle cost. The verified total cost is an
 upper-bound witness for the cobordism distance; the report compares it with
 the lower bound |sigma6(start) - sigma6(end)|.
+
+Each step type is one frozen dataclass that owns its rule: OP (its wire
+name), COST (its saddles), WIRE (its (field, JSON key) pairs in wire order)
+and apply(state). The union Step lists the types once; apply_step and the
+JSON codec dispatch through the registry built from it. On the wire a step
+is {"op": OP, key: value, ...}; a key whose field has a default may be left
+out. Every integer must be a JSON integer (see words._wire_int).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 
 from .garside import equal
 from .links import AssertedSummand, FormalLink, same_link
@@ -21,6 +29,7 @@ from .signature import PrecisionError, Sigma6Error, sigma6
 from .words import (
     BraidWord,
     WordError,
+    _wire_int,
     components,
     compose,
     conjugate,
@@ -44,12 +53,35 @@ class CertificateError(ValueError):
     """The replayed end state does not match the declared one."""
 
 
+def _closure(state: FormalLink, index: int) -> BraidWord:
+    if not 0 <= index < len(state.closures):
+        raise StepError(
+            f"closure index {index} out of range "
+            f"(state has {len(state.closures)})"
+        )
+    return state.closures[index]
+
+
 @dataclasses.dataclass(frozen=True)
 class Equivalence:
     closure: int
     target: BraidWord
     COST = 0
     OP = "equiv"
+    WIRE = (("closure", "closure"), ("target", "target"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        try:
+            ok = equal(w, self.target)
+        except WordError as exc:
+            raise StepError(f"equivalence ill-formed: {exc}") from exc
+        if not ok:
+            raise StepError(
+                f"equivalence fails: {w} is not the same braid as "
+                f"{self.target}"
+            )
+        return state.replace_closure(self.closure, self.target)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,6 +90,14 @@ class Conjugation:
     by: BraidWord
     COST = 0
     OP = "conj"
+    WIRE = (("closure", "closure"), ("by", "g"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        try:
+            return state.replace_closure(self.closure, conjugate(w, self.by))
+        except WordError as exc:
+            raise StepError(f"conjugation ill-formed: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,6 +106,13 @@ class MarkovStab:
     sign: int = 1
     COST = 0
     OP = "stab"
+    WIRE = (("closure", "closure"), ("sign", "sign"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        return state.replace_closure(
+            self.closure, markov_stabilize(w, self.sign)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,6 +120,11 @@ class MarkovDestab:
     closure: int
     COST = 0
     OP = "destab"
+    WIRE = (("closure", "closure"),)
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        return state.replace_closure(self.closure, markov_destabilize(w))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,6 +133,19 @@ class SaddleDelete:
     position: int
     COST = 1
     OP = "saddle_del"
+    WIRE = (("closure", "closure"), ("position", "pos"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        if not 0 <= self.position < len(w.letters):
+            raise StepError(
+                f"saddle delete position {self.position} out of range "
+                f"(word has {len(w.letters)} letters)"
+            )
+        letters = w.letters[: self.position] + w.letters[self.position + 1:]
+        return state.replace_closure(
+            self.closure, BraidWord(w.strands, letters)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,6 +155,23 @@ class SaddleInsert:
     letter: int
     COST = 1
     OP = "saddle_ins"
+    WIRE = (("closure", "closure"), ("position", "pos"),
+            ("letter", "letter"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        if not 0 <= self.position <= len(w.letters):
+            raise StepError(
+                f"saddle insert position {self.position} out of range"
+            )
+        letters = (
+            w.letters[: self.position]
+            + (self.letter,)
+            + w.letters[self.position:]
+        )
+        return state.replace_closure(
+            self.closure, BraidWord(w.strands, letters)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,6 +184,31 @@ class TCube:
     sign: int
     COST = 1
     OP = "tcube"
+    WIRE = (("closure", "closure"), ("position", "pos"),
+            ("generator", "gen"), ("sign", "sign"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        if self.sign not in (1, -1) or self.generator < 1:
+            raise StepError(
+                f"malformed t3-cube: gen={self.generator} sign={self.sign}"
+            )
+        cube = (self.sign * self.generator,) * 3
+        if (not 0 <= self.position <= len(w.letters) - 3
+                or w.letters[self.position: self.position + 3] != cube):
+            raise StepError(
+                f"t3-cube substring {list(cube)} absent at position "
+                f"{self.position} of {list(w.letters)}"
+            )
+        letters = w.letters[: self.position] + w.letters[self.position + 3:]
+        state = state.replace_closure(
+            self.closure, BraidWord(w.strands, letters)
+        )
+        if self.sign > 0:
+            return dataclasses.replace(
+                state, trefoils_pos=state.trefoils_pos + 1
+            )
+        return dataclasses.replace(state, trefoils_neg=state.trefoils_neg + 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,6 +217,19 @@ class CrossingChange:
     position: int
     COST = 2
     OP = "crossing"
+    WIRE = (("closure", "closure"), ("position", "pos"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        if not 0 <= self.position < len(w.letters):
+            raise StepError(
+                f"crossing change position {self.position} out of range"
+            )
+        letters = list(w.letters)
+        letters[self.position] = -letters[self.position]
+        return state.replace_closure(
+            self.closure, BraidWord(w.strands, tuple(letters))
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,7 +237,9 @@ class ConcordanceAssertion:
     """
     Replace a closure by a concordant link taken on trust. The verifier
     checks component counts always and declared sigma6 agreement when both
-    sides are evaluable; the justification must cite the source.
+    sides are evaluable; the justification must cite the source. On the
+    wire, the target is the "to" key: a word object if it has a "w" key,
+    otherwise an asserted summand.
     """
 
     closure: int
@@ -126,6 +248,35 @@ class ConcordanceAssertion:
     justification: str = ""
     COST = 0
     OP = "assert_conc"
+    WIRE = (("closure", "closure"), ("justification", "justification"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        if (self.to_word is None) == (self.to_summand is None):
+            raise StepError(
+                "assertion needs exactly one of to_word / to_summand"
+            )
+        have = components(w)
+        if self.to_word is not None:
+            want = components(self.to_word)
+            if have != want:
+                raise StepError(
+                    f"assertion changes component count {have} -> {want}; "
+                    f"concordance preserves it"
+                )
+            return state.replace_closure(self.closure, self.to_word)
+        if have != self.to_summand.components:
+            raise StepError(
+                f"assertion changes component count {have} -> "
+                f"{self.to_summand.components}; concordance preserves it"
+            )
+        closures = list(state.closures)
+        closures.pop(self.closure)
+        return dataclasses.replace(
+            state,
+            closures=tuple(closures),
+            assertions=state.assertions + (self.to_summand,),
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,6 +287,28 @@ class SumSplit:
     at: int
     COST = 0
     OP = "sum_split"
+    WIRE = (("closure", "closure"), ("at", "at"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        w = _closure(state, self.closure)
+        if not 1 <= self.at < w.strands:
+            raise StepError(f"split strand {self.at} out of range")
+        lo, hi = [], []
+        for k in w.letters:
+            if abs(k) < self.at:
+                lo.append(k)
+            elif abs(k) > self.at:
+                hi.append(k - self.at if k > 0 else k + self.at)
+            else:
+                raise StepError(
+                    f"cannot split at strand {self.at}: column in use"
+                )
+        closures = list(state.closures)
+        closures[self.closure: self.closure + 1] = [
+            BraidWord(self.at, tuple(lo)),
+            BraidWord(w.strands - self.at, tuple(hi)),
+        ]
+        return dataclasses.replace(state, closures=tuple(closures))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,206 +320,69 @@ class SumMerge:
     mode: str = "disjoint"
     COST = 0
     OP = "sum_merge"
+    WIRE = (("closure", "closure"), ("other", "other"), ("mode", "mode"))
+
+    def apply(self, state: FormalLink) -> FormalLink:
+        if self.mode not in ("disjoint", "connected"):
+            raise StepError(f"unknown merge mode {self.mode!r}")
+        if self.closure == self.other:
+            raise StepError("cannot merge a closure with itself")
+        w1 = _closure(state, self.closure)
+        w2 = _closure(state, self.other)
+        offset = w1.strands if self.mode == "disjoint" else w1.strands - 1
+        n = w1.strands + w2.strands - (0 if self.mode == "disjoint" else 1)
+        merged = compose(BraidWord(n, w1.letters), shift(w2, offset, n))
+        closures = [
+            c for i, c in enumerate(state.closures)
+            if i not in (self.closure, self.other)
+        ]
+        closures.insert(min(self.closure, self.other), merged)
+        return dataclasses.replace(state, closures=tuple(closures))
 
 
-Step = (
-    Equivalence
-    | Conjugation
-    | MarkovStab
-    | MarkovDestab
-    | SaddleDelete
-    | SaddleInsert
-    | TCube
-    | CrossingChange
-    | ConcordanceAssertion
-    | SumSplit
-    | SumMerge
-)
+# every step type, listed once: the registry below is built from this union
+Step = (Equivalence | Conjugation | MarkovStab | MarkovDestab | SaddleDelete
+        | SaddleInsert | TCube | CrossingChange | ConcordanceAssertion
+        | SumSplit | SumMerge)
+
+# field type -> reader of that field's JSON value
+_READERS = {
+    "int": _wire_int,
+    "str": lambda value, key: str(value),
+    "BraidWord": lambda value, key: BraidWord.from_json(value),
+}
+
+
+def _decoding_plan(cls) -> tuple:
+    """(field, key, reader, required) for each pair of cls.WIRE."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    return tuple(
+        (name, key, _READERS[fields[name].type],
+         fields[name].default is dataclasses.MISSING)
+        for name, key in cls.WIRE
+    )
+
+
+_STEP_TYPES = typing.get_args(Step)
+# the registry: op -> (step class, its decoding plan), built once
+_STEPS = {cls.OP: (cls, _decoding_plan(cls)) for cls in _STEP_TYPES}
 
 
 def step_cost(step: Step) -> int:
     return step.COST
 
 
-def _closure(state: FormalLink, index: int) -> BraidWord:
-    if not 0 <= index < len(state.closures):
-        raise StepError(
-            f"closure index {index} out of range "
-            f"(state has {len(state.closures)})"
-        )
-    return state.closures[index]
-
-
 def apply_step(state: FormalLink, step: Step) -> FormalLink:
-    """Apply one step, checking its validity condition; pure function."""
-    if isinstance(step, Equivalence):
-        w = _closure(state, step.closure)
-        try:
-            ok = equal(w, step.target)
-        except WordError as exc:
-            raise StepError(f"equivalence ill-formed: {exc}") from exc
-        if not ok:
-            raise StepError(
-                f"equivalence fails: {w} is not the same braid as "
-                f"{step.target}"
-            )
-        return state.replace_closure(step.closure, step.target)
-
-    if isinstance(step, Conjugation):
-        w = _closure(state, step.closure)
-        try:
-            return state.replace_closure(step.closure, conjugate(w, step.by))
-        except WordError as exc:
-            raise StepError(f"conjugation ill-formed: {exc}") from exc
-
-    if isinstance(step, MarkovStab):
-        w = _closure(state, step.closure)
-        try:
-            return state.replace_closure(
-                step.closure, markov_stabilize(w, step.sign)
-            )
-        except WordError as exc:
-            raise StepError(str(exc)) from exc
-
-    if isinstance(step, MarkovDestab):
-        w = _closure(state, step.closure)
-        try:
-            return state.replace_closure(step.closure, markov_destabilize(w))
-        except WordError as exc:
-            raise StepError(str(exc)) from exc
-
-    if isinstance(step, SaddleDelete):
-        w = _closure(state, step.closure)
-        if not 0 <= step.position < len(w.letters):
-            raise StepError(
-                f"saddle delete position {step.position} out of range "
-                f"(word has {len(w.letters)} letters)"
-            )
-        letters = w.letters[: step.position] + w.letters[step.position + 1:]
-        return state.replace_closure(
-            step.closure, BraidWord(w.strands, letters)
-        )
-
-    if isinstance(step, SaddleInsert):
-        w = _closure(state, step.closure)
-        if not 0 <= step.position <= len(w.letters):
-            raise StepError(
-                f"saddle insert position {step.position} out of range"
-            )
-        letters = (
-            w.letters[: step.position]
-            + (step.letter,)
-            + w.letters[step.position:]
-        )
-        try:
-            return state.replace_closure(
-                step.closure, BraidWord(w.strands, letters)
-            )
-        except WordError as exc:
-            raise StepError(str(exc)) from exc
-
-    if isinstance(step, TCube):
-        w = _closure(state, step.closure)
-        if step.sign not in (1, -1) or step.generator < 1:
-            raise StepError(
-                f"malformed t3-cube: gen={step.generator} sign={step.sign}"
-            )
-        cube = (step.sign * step.generator,) * 3
-        if (not 0 <= step.position <= len(w.letters) - 3
-                or w.letters[step.position: step.position + 3] != cube):
-            raise StepError(
-                f"t3-cube substring {list(cube)} absent at position "
-                f"{step.position} of {list(w.letters)}"
-            )
-        letters = w.letters[: step.position] + w.letters[step.position + 3:]
-        state = state.replace_closure(
-            step.closure, BraidWord(w.strands, letters)
-        )
-        if step.sign > 0:
-            return dataclasses.replace(
-                state, trefoils_pos=state.trefoils_pos + 1
-            )
-        return dataclasses.replace(state, trefoils_neg=state.trefoils_neg + 1)
-
-    if isinstance(step, CrossingChange):
-        w = _closure(state, step.closure)
-        if not 0 <= step.position < len(w.letters):
-            raise StepError(
-                f"crossing change position {step.position} out of range"
-            )
-        letters = list(w.letters)
-        letters[step.position] = -letters[step.position]
-        return state.replace_closure(
-            step.closure, BraidWord(w.strands, tuple(letters))
-        )
-
-    if isinstance(step, ConcordanceAssertion):
-        w = _closure(state, step.closure)
-        if (step.to_word is None) == (step.to_summand is None):
-            raise StepError(
-                "assertion needs exactly one of to_word / to_summand"
-            )
-        have = components(w)
-        if step.to_word is not None:
-            want = components(step.to_word)
-            if have != want:
-                raise StepError(
-                    f"assertion changes component count {have} -> {want}; "
-                    f"concordance preserves it"
-                )
-            return state.replace_closure(step.closure, step.to_word)
-        if have != step.to_summand.components:
-            raise StepError(
-                f"assertion changes component count {have} -> "
-                f"{step.to_summand.components}; concordance preserves it"
-            )
-        closures = list(state.closures)
-        closures.pop(step.closure)
-        return dataclasses.replace(
-            state,
-            closures=tuple(closures),
-            assertions=state.assertions + (step.to_summand,),
-        )
-
-    if isinstance(step, SumSplit):
-        w = _closure(state, step.closure)
-        if not 1 <= step.at < w.strands:
-            raise StepError(f"split strand {step.at} out of range")
-        lo, hi = [], []
-        for k in w.letters:
-            if abs(k) < step.at:
-                lo.append(k)
-            elif abs(k) > step.at:
-                hi.append(k - step.at if k > 0 else k + step.at)
-            else:
-                raise StepError(
-                    f"cannot split at strand {step.at}: column in use"
-                )
-        closures = list(state.closures)
-        closures[step.closure: step.closure + 1] = [
-            BraidWord(step.at, tuple(lo)),
-            BraidWord(w.strands - step.at, tuple(hi)),
-        ]
-        return dataclasses.replace(state, closures=tuple(closures))
-
-    if isinstance(step, SumMerge):
-        if step.mode not in ("disjoint", "connected"):
-            raise StepError(f"unknown merge mode {step.mode!r}")
-        if step.closure == step.other:
-            raise StepError("cannot merge a closure with itself")
-        w1 = _closure(state, step.closure)
-        w2 = _closure(state, step.other)
-        offset = w1.strands if step.mode == "disjoint" else w1.strands - 1
-        n = w1.strands + w2.strands - (0 if step.mode == "disjoint" else 1)
-        merged = compose(BraidWord(n, w1.letters), shift(w2, offset, n))
-        closures = [
-            c for i, c in enumerate(state.closures)
-            if i not in (step.closure, step.other)
-        ]
-        closures.insert(min(step.closure, step.other), merged)
-        return dataclasses.replace(state, closures=tuple(closures))
-
-    raise StepError(f"unknown step type {type(step).__name__}")
+    """
+    Apply one step, checking its validity condition; pure function. A
+    WordError raised by the step's rule is reported as a StepError.
+    """
+    if type(step) not in _STEP_TYPES:
+        raise StepError(f"unknown step type {type(step).__name__}")
+    try:
+        return step.apply(state)
+    except WordError as exc:
+        raise StepError(str(exc)) from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -388,84 +424,37 @@ class CobordismCertificate:
 
 
 def _step_to_json(step: Step) -> dict:
-    if isinstance(step, Equivalence):
-        return {"op": "equiv", "closure": step.closure,
-                "target": step.target.to_json()}
-    if isinstance(step, Conjugation):
-        return {"op": "conj", "closure": step.closure,
-                "g": step.by.to_json()}
-    if isinstance(step, MarkovStab):
-        return {"op": "stab", "closure": step.closure, "sign": step.sign}
-    if isinstance(step, MarkovDestab):
-        return {"op": "destab", "closure": step.closure}
-    if isinstance(step, SaddleDelete):
-        return {"op": "saddle_del", "closure": step.closure,
-                "pos": step.position}
-    if isinstance(step, SaddleInsert):
-        return {"op": "saddle_ins", "closure": step.closure,
-                "pos": step.position, "letter": step.letter}
-    if isinstance(step, TCube):
-        return {"op": "tcube", "closure": step.closure, "pos": step.position,
-                "gen": step.generator, "sign": step.sign}
-    if isinstance(step, CrossingChange):
-        return {"op": "crossing", "closure": step.closure,
-                "pos": step.position}
-    if isinstance(step, ConcordanceAssertion):
-        out = {"op": "assert_conc", "closure": step.closure,
-               "justification": step.justification}
-        if step.to_word is not None:
-            out["to"] = step.to_word.to_json()
-        else:
-            out["to"] = step.to_summand.to_json()
-        return out
-    if isinstance(step, SumSplit):
-        return {"op": "sum_split", "closure": step.closure, "at": step.at}
-    if isinstance(step, SumMerge):
-        return {"op": "sum_merge", "closure": step.closure,
-                "other": step.other, "mode": step.mode}
-    raise StepError(f"unknown step type {type(step).__name__}")
+    if type(step) not in _STEP_TYPES:
+        raise StepError(f"unknown step type {type(step).__name__}")
+    out = {"op": step.OP}
+    for name, key in step.WIRE:
+        value = getattr(step, name)
+        out[key] = value.to_json() if isinstance(value, BraidWord) else value
+    if type(step) is ConcordanceAssertion:
+        to = step.to_word if step.to_word is not None else step.to_summand
+        out["to"] = to.to_json()
+    return out
 
 
 def _step_from_json(data: dict) -> Step:
     if not isinstance(data, dict):
         raise TypeError(f"a step must be an object, got {data!r}")
     op = data.get("op")
-    if op == "equiv":
-        return Equivalence(int(data["closure"]),
-                           BraidWord.from_json(data["target"]))
-    if op == "conj":
-        return Conjugation(int(data["closure"]),
-                           BraidWord.from_json(data["g"]))
-    if op == "stab":
-        return MarkovStab(int(data["closure"]), int(data.get("sign", 1)))
-    if op == "destab":
-        return MarkovDestab(int(data["closure"]))
-    if op == "saddle_del":
-        return SaddleDelete(int(data["closure"]), int(data["pos"]))
-    if op == "saddle_ins":
-        return SaddleInsert(int(data["closure"]), int(data["pos"]),
-                            int(data["letter"]))
-    if op == "tcube":
-        return TCube(int(data["closure"]), int(data["pos"]),
-                     int(data["gen"]), int(data["sign"]))
-    if op == "crossing":
-        return CrossingChange(int(data["closure"]), int(data["pos"]))
-    if op == "assert_conc":
+    entry = _STEPS.get(op) if isinstance(op, str) else None
+    if entry is None:
+        raise StepError(f"unknown step op {op!r}")
+    cls, plan = entry
+    kwargs = {}
+    for name, key, read, required in plan:
+        if required or key in data:
+            kwargs[name] = read(data[key], key)
+    if cls is ConcordanceAssertion:
         to = data["to"]
-        if "w" in to:
-            return ConcordanceAssertion(
-                int(data["closure"]), to_word=BraidWord.from_json(to),
-                justification=str(data.get("justification", "")))
-        return ConcordanceAssertion(
-            int(data["closure"]),
-            to_summand=AssertedSummand.from_json(to),
-            justification=str(data.get("justification", "")))
-    if op == "sum_split":
-        return SumSplit(int(data["closure"]), int(data["at"]))
-    if op == "sum_merge":
-        return SumMerge(int(data["closure"]), int(data["other"]),
-                        str(data.get("mode", "disjoint")))
-    raise StepError(f"unknown step op {op!r}")
+        if isinstance(to, dict) and "w" in to:
+            kwargs["to_word"] = BraidWord.from_json(to)
+        else:
+            kwargs["to_summand"] = AssertedSummand.from_json(to)
+    return cls(**kwargs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -486,17 +475,12 @@ class CertificateReport:
     step_log: tuple[StepRecord, ...]
 
     def to_json(self) -> dict:
-        ne = "not evaluated"
-        return {
-            "total_cost": self.total_cost,
-            "sigma6_start": ne if self.sigma6_start is None
-            else self.sigma6_start,
-            "sigma6_end": ne if self.sigma6_end is None else self.sigma6_end,
-            "lower_bound": ne if self.lower_bound is None
-            else self.lower_bound,
-            "bound_ok": ne if self.bound_ok is None else self.bound_ok,
-            "steps": [dataclasses.asdict(r) for r in self.step_log],
-        }
+        out = {"total_cost": self.total_cost}
+        for key in ("sigma6_start", "sigma6_end", "lower_bound", "bound_ok"):
+            value = getattr(self, key)
+            out[key] = "not evaluated" if value is None else value
+        out["steps"] = [dataclasses.asdict(r) for r in self.step_log]
+        return out
 
 
 def _try_sigma6(link: FormalLink, precision_bits):
@@ -590,17 +574,15 @@ def compose_certificates(
         )
     # Bridge literal spelling differences with free equivalence steps so the
     # replay of c2's position-addressed steps starts from its exact words.
-    bridge: list[Step] = []
-    if c1.end.closures != c2.start.closures:
-        for i, (got, want) in enumerate(
-            zip(c1.end.closures, c2.start.closures)
-        ):
-            if got.letters != want.letters or got.strands != want.strands:
-                bridge.append(Equivalence(i, want))
+    pairs = zip(c1.end.closures, c2.start.closures)
+    bridge = tuple(
+        Equivalence(i, want)
+        for i, (got, want) in enumerate(pairs) if got != want
+    )
     meta = "; ".join(x for x in (c1.metadata, c2.metadata) if x)
     return CobordismCertificate(
         start=c1.start,
-        steps=c1.steps + tuple(bridge) + c2.steps,
+        steps=c1.steps + bridge + c2.steps,
         end=c2.end,
         metadata=meta,
     )

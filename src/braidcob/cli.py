@@ -136,20 +136,20 @@ def _cmd_link_alexander(args):
 
 
 def _cmd_cert_gen(args):
-    if args.kind == "fourstrand":
-        cert = fourstrand_certificate()
-    elif args.kind == "coxeter":
-        cert = coxeter_certificate()
-    elif args.kind == "sixstrand":
-        if args.l is None:
-            raise CliError("cert gen sixstrand needs --l", 1)
-        cert = sixstrand_certificate(args.l)
-    elif args.kind == "trefoils":
-        if args.n is None or args.nprime is None:
-            raise CliError("cert gen trefoils needs --n and --nprime", 1)
-        cert = trefoil_stack_certificate(args.n, args.nprime)
-    else:
-        raise CliError(f"unknown certificate kind {args.kind!r}", 1)
+    if args.kind == "sixstrand" and args.l is None:
+        raise CliError("cert gen sixstrand needs --l", 1)
+    if args.kind == "trefoils" and (args.n is None or args.nprime is None):
+        raise CliError("cert gen trefoils needs --n and --nprime", 1)
+    generate = {
+        "fourstrand": fourstrand_certificate,
+        "coxeter": coxeter_certificate,
+        "sixstrand": lambda: sixstrand_certificate(args.l),
+        "trefoils": lambda: trefoil_stack_certificate(args.n, args.nprime),
+    }[args.kind]
+    try:
+        cert = generate()
+    except ValueError as exc:
+        raise CliError(str(exc), 1)
     print(cert.dumps())
 
 
@@ -197,9 +197,9 @@ def _cmd_paper_theorem_table(args):
     try:
         grid = [int(x) for x in args.grid.split(",")]
         offsets = [int(x) for x in args.offsets.split(",")]
+        reports = theorem_table(grid, grid, offsets)
     except ValueError as exc:
         raise CliError(f"bad grid: {exc}", 1)
-    reports = theorem_table(grid, grid, offsets)
     if args.json:
         print(json.dumps([r.to_json() for r in reports]))
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .words import BraidWord, components
+from .words import BraidWord, _wire_int, components
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,8 +40,8 @@ class AssertedSummand:
         raw = data.get("sigma6", "unknown")
         return AssertedSummand(
             label=str(data["label"]),
-            components=int(data["components"]),
-            sigma6=None if raw == "unknown" else int(raw),
+            components=_wire_int(data["components"], "components"),
+            sigma6=None if raw == "unknown" else _wire_int(raw, "sigma6"),
             justification=str(data.get("justification", "")),
         )
 
@@ -85,8 +85,8 @@ class FormalLink:
             closures=tuple(
                 BraidWord.from_json(c) for c in data.get("closures", [])
             ),
-            trefoils_pos=int(data.get("tpos", 0)),
-            trefoils_neg=int(data.get("tneg", 0)),
+            trefoils_pos=_wire_int(data.get("tpos", 0), "tpos"),
+            trefoils_neg=_wire_int(data.get("tneg", 0), "tneg"),
             assertions=tuple(
                 AssertedSummand.from_json(a) for a in data.get("asserted", [])
             ),

@@ -21,6 +21,16 @@ class WordError(ValueError):
     """Raised for malformed words or inapplicable word operations."""
 
 
+def _wire_int(value, key: str) -> int:
+    """
+    The one reader of integers in JSON input: a bool, a float (json reads
+    1e999 as inf) or a string raises TypeError instead of being coerced.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class BraidWord:
     """A word in the generators of the braid group B_n."""
@@ -48,7 +58,12 @@ class BraidWord:
 
     @staticmethod
     def from_json(data: dict) -> "BraidWord":
-        return make_word(int(data["n"]), [int(k) for k in data["w"]])
+        letters = data["w"]
+        if not isinstance(letters, list):
+            raise TypeError(f"w: expected a list, got {letters!r}")
+        return make_word(
+            _wire_int(data["n"], "n"), [_wire_int(k, "w") for k in letters]
+        )
 
 
 @dataclasses.dataclass(frozen=True)

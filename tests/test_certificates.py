@@ -402,6 +402,40 @@ def test_golden_wire_output(name):
     assert CobordismCertificate.loads(text) == cert
 
 
+def test_step_table_covers_every_field():
+    import dataclasses
+    import typing
+
+    from braidcob.certificates import Step
+
+    classes = typing.get_args(Step)
+    assert len({cls.OP for cls in classes}) == len(classes) == 11
+    for cls in classes:
+        fields = [f.name for f in dataclasses.fields(cls)]
+        if cls is ConcordanceAssertion:  # both travel under the "to" key
+            fields = [f for f in fields if f not in ("to_word", "to_summand")]
+        assert [name for name, _ in cls.WIRE] == fields
+        keys = [key for _, key in cls.WIRE]
+        assert len(set(keys)) == len(keys) and "op" not in keys
+
+
+def test_absent_optional_keys_take_the_defaults():
+    data = CobordismCertificate(
+        start=state(tre()), steps=(), end=state(tre())
+    ).to_json()
+    data["steps"] = [
+        {"op": "stab", "closure": 0},
+        {"op": "sum_merge", "closure": 0, "other": 1},
+        {"op": "assert_conc", "closure": 0, "to": {"n": 2, "w": []}},
+    ]
+    steps = CobordismCertificate.from_json(data).steps
+    assert steps == (MarkovStab(0, 1), SumMerge(0, 1, "disjoint"),
+                     ConcordanceAssertion(0, to_word=make_word(2, ())))
+    data["steps"] = [{"op": "tcube", "closure": 0, "pos": 0, "gen": 1}]
+    with pytest.raises(KeyError, match="sign"):
+        CobordismCertificate.from_json(data)
+
+
 def test_unknown_op_is_hard_error():
     cert = CobordismCertificate(
         start=state(tre()), steps=(), end=state(tre())

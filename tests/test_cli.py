@@ -202,3 +202,82 @@ def test_paper_theorem_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m,n,N,upper,lower,slack,window,pass"
     assert all(line.endswith("True") for line in lines[1:])
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "w": "111"}',
+    '{"n": 2.9, "w": [1.7, 1.2, 1]}',
+    '{"n": true, "w": []}',
+    '{"n": 1e999, "w": [1]}',
+    '{"n": 2, "w": [1, 1e999, 1]}',
+    '{"n": "2", "w": [1, 1, 1]}',
+])
+def test_word_file_needs_json_integers(tmp_path, capsys, text):
+    path = tmp_path / "word.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "link", "sigma", "--sigma6",
+                       "--file", str(path))
+    assert code == 2
+    assert "cannot read" in err
+
+
+# a trefoil and a positive t3-cube down to the unknot plus one trefoil
+# counter; each case swaps one integer of it for a value that is not one
+TREFOIL_CERT = (
+    '{"start": {"closures": [{"n": 2, "w": [1, 1, 1]}]},'
+    ' "steps": [{"op": "tcube", "closure": 0, "pos": 0, "gen": 1,'
+    ' "sign": 1}],'
+    ' "end": {"closures": [{"n": 2, "w": []}], "tpos": 1}}'
+)
+
+
+def test_trefoil_certificate_text_verifies(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(TREFOIL_CERT)
+    code, out, _ = run(capsys, "cert", "verify", str(path))
+    assert code == 0 and "PASS" in out
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"closure": 0', '"closure": "0"'),
+    ('"pos": 0', '"pos": 0.9'),
+    ('"gen": 1', '"gen": true'),
+    ('"sign": 1', '"sign": 1.0'),
+    ('"closure": 0', '"closure": 1e999'),
+    ('"tpos": 1', '"tpos": 1e999'),
+    ('"n": 2, "w": [1, 1, 1]', '"n": 1e999, "w": [1, 1, 1]'),
+    ('"w": [1, 1, 1]', '"w": [1, 1e999, 1]'),
+    ('"w": [1, 1, 1]', '"w": "111"'),
+])
+def test_cert_verify_needs_json_integers(tmp_path, capsys, old, new):
+    assert old in TREFOIL_CERT
+    path = tmp_path / "cert.json"
+    path.write_text(TREFOIL_CERT.replace(old, new, 1))
+    code, _, err = run(capsys, "cert", "verify", str(path))
+    assert code == 2
+    assert "cannot read" in err
+
+
+def test_asserted_sigma6_needs_a_json_integer(tmp_path, capsys):
+    # read as 2, a start asserting 2.5 would pass as the end asserting 2
+    summand = '{{"label": "k", "components": 1, "sigma6": {}}}'
+    path = tmp_path / "cert.json"
+    path.write_text(
+        f'{{"start": {{"asserted": [{summand.format("2.5")}]}}, '
+        f'"steps": [], "end": {{"asserted": [{summand.format("2")}]}}}}'
+    )
+    code, _, err = run(capsys, "cert", "verify", str(path))
+    assert code == 2
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("paper", "theorem-table", "--grid", "0"),
+    ("paper", "theorem-table", "--grid", "-3"),
+    ("cert", "gen", "sixstrand", "--l", "1"),
+    ("cert", "gen", "trefoils", "--n", "5", "--nprime", "2"),
+])
+def test_out_of_range_arguments_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and out == ""

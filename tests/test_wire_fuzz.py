@@ -1,0 +1,119 @@
+"""
+Hostile JSON on the wire: a mutated certificate or word file must end in
+exit code 0, 1 or 2 from the CLI, with no exception escaping cli.main.
+
+Mutants start from the fourstrand, coxeter and trefoil_stack_certificate(1, 3)
+JSON and from small word files. Each mutation replaces a random leaf with a
+random JSON value (small integers, 1e999, NaN, booleans, strings, null,
+lists, objects), deletes a key, or truncates a list.
+
+Integers stay small on purpose. Nothing bounds the strand count or the
+letters yet: a hostile "n": 10**9 is read as a valid word and makes
+normal_form allocate O(n), so such files cost unbounded work rather than
+crash. Bounding them is a separate item.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidcob.cli import main
+from braidcob.replication import (
+    coxeter_certificate,
+    fourstrand_certificate,
+    trefoil_stack_certificate,
+)
+
+CERTIFICATES = [
+    fourstrand_certificate().to_json(),
+    coxeter_certificate().to_json(),
+    trefoil_stack_certificate(1, 3).to_json(),
+]
+WORDS = [
+    {"n": 2, "w": [1, 1, 1]},
+    {"n": 3, "w": [1, -2, 1, -2]},
+    {"n": 4, "w": [1, 2, 3, 1, 2, 3]},
+    {"n": 1, "w": []},
+]
+WORD_COMMANDS = [
+    ("link", "sigma", "--sigma6", "--file"),
+    ("link", "alexander", "--file"),
+    ("braid", "nf", "--file"),
+]
+
+SMALL_INTS = st.integers(-3, 8)
+VALUES = st.one_of(
+    SMALL_INTS,
+    st.sampled_from([math.inf, math.nan, True, False, None]),
+    st.sampled_from(["", "0", "1", "w", "tcube", "unknown", "connected"]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["n", "w", "op", "closure", "label"]),
+                    st.integers(-2, 4), max_size=2),
+)
+
+
+def _slots(node):
+    """(container, key) for every value inside node, depth first."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+def _mutate(data, doc):
+    """Apply one to three random mutations to doc in place."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            return
+        node, key = slots[data.draw(st.integers(0, len(slots) - 1))]
+        kind = data.draw(st.sampled_from(
+            ["renumber", "replace", "delete", "truncate"]))
+        if kind == "delete" and isinstance(node, dict):
+            del node[key]
+        elif kind == "truncate" and isinstance(node[key], list):
+            del node[key][data.draw(st.integers(0, len(node[key]))):]
+        elif kind == "renumber":  # keeps the file readable: reaches replay
+            node[key] = data.draw(SMALL_INTS)
+        else:
+            node[key] = data.draw(VALUES)
+
+
+def _exit_code(tmp_dir, doc, argv):
+    path = tmp_dir / "mutant.json"
+    # json writes inf as Infinity; spell it 1e999, as a hostile file would
+    path.write_text(json.dumps(doc).replace("Infinity", "1e999"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main([*argv, str(path)])
+
+
+@pytest.fixture(scope="module")
+def tmp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_mutated_certificate_never_escapes(tmp_dir, data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(CERTIFICATES))))
+    _mutate(data, doc)
+    assert _exit_code(tmp_dir, doc, ["cert", "verify"]) in (0, 1, 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_mutated_word_file_never_escapes(tmp_dir, data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(WORDS))))
+    if data.draw(st.booleans()):
+        _mutate(data, doc)
+    else:  # or replace the whole file
+        doc = data.draw(VALUES)
+    argv = data.draw(st.sampled_from(WORD_COMMANDS))
+    assert _exit_code(tmp_dir, doc, argv) in (0, 1, 2)
