@@ -9,12 +9,10 @@ and every step carries a fixed saddle cost. The verified total cost is an
 upper-bound witness for the cobordism distance; the report compares it with
 the lower bound |sigma6(start) - sigma6(end)|.
 
-Each step type is one frozen dataclass that owns its rule: OP (its wire
-name), COST (its saddles), WIRE (its (field, JSON key) pairs in wire order)
-and apply(state). The union Step lists the types once; apply_step and the
-JSON codec dispatch through the registry built from it. On the wire a step
-is {"op": OP, key: value, ...}; a key whose field has a default may be left
-out. Every integer must be a JSON integer (see words._wire_int).
+Each step class owns its rule: OP (wire name), COST (saddles), WIRE (its
+(field, JSON key) pairs in wire order; a key whose field has a default may
+be left out) and apply(state). apply_step and the JSON codec dispatch
+through one registry built from the union Step, which lists each class once.
 """
 
 from __future__ import annotations
@@ -375,7 +373,7 @@ def step_cost(step: Step) -> int:
 def apply_step(state: FormalLink, step: Step) -> FormalLink:
     """
     Apply one step, checking its validity condition; pure function. A
-    WordError raised by the step's rule is reported as a StepError.
+    WordError from the step's rule is reported as a StepError.
     """
     if type(step) not in _STEP_TYPES:
         raise StepError(f"unknown step type {type(step).__name__}")
@@ -424,8 +422,6 @@ class CobordismCertificate:
 
 
 def _step_to_json(step: Step) -> dict:
-    if type(step) not in _STEP_TYPES:
-        raise StepError(f"unknown step type {type(step).__name__}")
     out = {"op": step.OP}
     for name, key in step.WIRE:
         value = getattr(step, name)
@@ -475,12 +471,17 @@ class CertificateReport:
     step_log: tuple[StepRecord, ...]
 
     def to_json(self) -> dict:
-        out = {"total_cost": self.total_cost}
-        for key in ("sigma6_start", "sigma6_end", "lower_bound", "bound_ok"):
-            value = getattr(self, key)
-            out[key] = "not evaluated" if value is None else value
-        out["steps"] = [dataclasses.asdict(r) for r in self.step_log]
-        return out
+        ne = "not evaluated"
+        return {
+            "total_cost": self.total_cost,
+            "sigma6_start": ne if self.sigma6_start is None
+            else self.sigma6_start,
+            "sigma6_end": ne if self.sigma6_end is None else self.sigma6_end,
+            "lower_bound": ne if self.lower_bound is None
+            else self.lower_bound,
+            "bound_ok": ne if self.bound_ok is None else self.bound_ok,
+            "steps": [dataclasses.asdict(r) for r in self.step_log],
+        }
 
 
 def _try_sigma6(link: FormalLink, precision_bits):

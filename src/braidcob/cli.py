@@ -54,7 +54,8 @@ def _load_word(args, attr_word="word", attr_file="file") -> BraidWord:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             return BraidWord.from_json(data)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError,
+                RecursionError) as exc:
             raise CliError(f"cannot read word file {path}: {exc}", 2)
     text = getattr(args, attr_word, None)
     if text is None or args.strands is None:
@@ -157,7 +158,7 @@ def _cmd_cert_verify(args):
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             cert = CobordismCertificate.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, StepError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"cannot read certificate {args.file}: {exc}", 2)
     try:
         report = verify(cert)

@@ -61,9 +61,8 @@ class BraidWord:
         letters = data["w"]
         if not isinstance(letters, list):
             raise TypeError(f"w: expected a list, got {letters!r}")
-        return make_word(
-            _wire_int(data["n"], "n"), [_wire_int(k, "w") for k in letters]
-        )
+        n = _wire_int(data["n"], "n")
+        return make_word(n, [_wire_int(k, "w") for k in letters])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -272,6 +272,18 @@ def test_asserted_sigma6_needs_a_json_integer(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("cert", "verify"),
+    ("link", "sigma", "--sigma6", "--file"),
+])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("paper", "theorem-table", "--grid", "0"),
     ("paper", "theorem-table", "--grid", "-3"),
     ("cert", "gen", "sixstrand", "--l", "1"),
