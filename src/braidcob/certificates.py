@@ -343,7 +343,7 @@ Step = (Equivalence | Conjugation | MarkovStab | MarkovDestab | SaddleDelete
         | SaddleInsert | TCube | CrossingChange | ConcordanceAssertion
         | SumSplit | SumMerge)
 
-# field type -> reader of that field's JSON value
+# field annotation (a string: evaluation is postponed) -> its JSON reader
 _READERS = {
     "int": _wire_int,
     "str": lambda value, key: str(value),
