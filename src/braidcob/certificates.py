@@ -23,7 +23,7 @@ import typing
 
 from .garside import equal
 from .links import AssertedSummand, FormalLink, same_link
-from .signature import PrecisionError, Sigma6Error, sigma6
+from .signature import Sigma6Error, sigma6
 from .words import (
     BraidWord,
     WordError,
@@ -352,12 +352,16 @@ _READERS = {
 
 
 def _decoding_plan(cls) -> tuple:
-    """(field, key, reader, required) for each pair of cls.WIRE."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    """
+    (key, reader, default) for each field of cls, in field order, so a
+    step is built positionally; default is MISSING for a required key, and
+    key is None for the fields that travel under "to".
+    """
+    keys = dict(cls.WIRE)
     return tuple(
-        (name, key, _READERS[fields[name].type],
-         fields[name].default is dataclasses.MISSING)
-        for name, key in cls.WIRE
+        (keys.get(f.name), _READERS[f.type] if f.name in keys else None,
+         f.default)
+        for f in dataclasses.fields(cls)
     )
 
 
@@ -440,17 +444,22 @@ def _step_from_json(data: dict) -> Step:
     if entry is None:
         raise StepError(f"unknown step op {op!r}")
     cls, plan = entry
-    kwargs = {}
-    for name, key, read, required in plan:
-        if required or key in data:
-            kwargs[name] = read(data[key], key)
+    args = []
+    for key, read, default in plan:
+        if key in data:
+            args.append(read(data[key], key))
+        elif default is dataclasses.MISSING:
+            raise KeyError(key)
+        else:
+            args.append(default)
     if cls is ConcordanceAssertion:
+        closure, _, _, justification = args
         to = data["to"]
         if isinstance(to, dict) and "w" in to:
-            kwargs["to_word"] = BraidWord.from_json(to)
-        else:
-            kwargs["to_summand"] = AssertedSummand.from_json(to)
-    return cls(**kwargs)
+            return cls(closure, BraidWord.from_json(to), None, justification)
+        return cls(closure, None, AssertedSummand.from_json(to),
+                   justification)
+    return cls(*args)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -487,7 +496,7 @@ class CertificateReport:
 def _try_sigma6(link: FormalLink, precision_bits):
     try:
         return sigma6(link, precision_bits)
-    except (Sigma6Error, PrecisionError):
+    except Sigma6Error:
         return None
 
 

@@ -7,10 +7,11 @@ signature -2 on (1/6, 5/6). The public sigma6 flips the sign so that
 sigma6(positive trefoil) = +2, is additive over summands, and counts each
 positive trefoil summand as +2 and each negative one as -2.
 
-Numerical policy: the Hermitian form (1-w)V + (1-conj(w))V^T is factored by
-a pivoted LDL^T at a working precision in bits, the inertia read off the
-pivots, and the whole computation repeated at doubled precision; only a
-reproduced count is returned.
+Numerical policy: signature_at, at any rational theta, builds the Hermitian
+form (1-w)V + (1-conj(w))V^T from the nonzero entries of V at a working
+precision in bits, factors it by a pivoted LDL^T, reads the inertia off the
+pivots, and repeats the whole computation at doubled precision; only a
+reproduced count is returned. sigma6 uses no floating point at all.
 
 The limit at theta = 1/6 is certified, not searched for. The Seifert matrix
 is block-diagonal over the blocks of seifert_blocks, each with a connected
@@ -20,8 +21,26 @@ out, the quotient Q has Q(zeta6) = x + y*zeta6 for integers x, y, not both
 zero, so |Q(zeta6)|^2 = x^2 + xy + y^2 >= 1; and S = sum k|q_k| bounds |Q'|
 on the unit circle. Whenever 2*pi*delta*S < |Q(zeta6)|, Q has no root on the
 arc (1/6, 1/6 + delta], and neither has Phi6, so the block's signature is
-constant there: one evaluation at theta = 1/6 + delta gives its one-sided
+constant there: its value at any one point of the arc is the one-sided
 limit.
+
+That point is rational in the right coordinate. With w = (1+iu)/(1-iu), that
+is u = tan(pi*theta), the form is 2u/(1+u^2) times u(V + V^T) - i(V - V^T).
+theta = 1/6 is u = 1/sqrt3, and tan(pi*theta) climbs with slope at least
+4*pi/3 > 4 on [1/6, 1/2), so the fraction u* = p/q of least denominator in
+(1/sqrt3, 1/sqrt3 + 4*delta) lies on the arc, and the block's signature
+there is that of the Gaussian-integer Hermitian matrix H = p(V + V^T) -
+iq(V - V^T). Its leading minors p_k are real; they come from fraction-free
+(Bareiss) elimination over Z[i] on sparse rows in time-major order, in which
+each division by the previous minor is exact and, as in alexander, a row
+with a zero in the pivot column waits and is rescaled once when next used.
+By Jacobi's rule the signature is h minus twice the number of sign changes
+in 1, p_1, ..., p_h. A zero pivot is removed by a congruence, which keeps
+the inertia: a symmetric swap with the nearest later row whose diagonal is
+nonzero or, when every later diagonal is zero, row/col k += c * row/col m
+with c in {1, i} and H[m][k] != 0, which makes the diagonal
+2*Re(c*H[m][k]) != 0. A zero row means H is singular, which the certified
+arc rules out, so it is reported as an internal error.
 """
 
 from __future__ import annotations
@@ -68,35 +87,57 @@ class SignatureProfile:
     precision_bits: int
 
 
-def _hermitian_form(V: SeifertMatrix, theta: Fraction):
-    """Rows of (1-w)V + (1-conj(w))V^T at the working precision."""
-    h = V.size
+def _time_major(V: SeifertMatrix) -> list[int]:
+    """
+    The place of each basis loop when loops are ordered by time (by their
+    first band): they arrive column-major, and time order narrows the band
+    of the symmetrized form.
+    """
+    at = list(range(V.size))
+    if len(V.loop_starts) == V.size:
+        order = sorted(range(V.size), key=lambda i: V.loop_starts[i])
+        for k, i in enumerate(order):
+            at[i] = k
+    return at
+
+
+def _hermitian_entries(V: SeifertMatrix, theta: Fraction) -> dict:
+    """
+    The nonzero entries {(i, j): value} of (1-w)V + (1-conj(w))V^T at the
+    working precision, row by row; every other entry is exactly zero.
+    """
     ang = 2 * mp.pi * mpf(theta.numerator) / theta.denominator
     w = mpc(mp.cos(ang), mp.sin(ang))
     c1 = 1 - w
     c2 = mp.conj(c1)
-    rows = V.rows()
-    M = [[c1 * rows[i][j] + c2 * rows[j][i] for j in range(h)]
-         for i in range(h)]
-    return M
+    E = V.entries
+    out = {}
+    for i, row in enumerate(E):
+        for j, v in enumerate(row):
+            if v or E[j][i]:
+                x = c1 * v + c2 * E[j][i]
+                if x != 0:
+                    out[i, j] = x
+    return out
 
 
-def _band_inertia(M, order, eps):
+def _band_inertia(entries: dict, at: list[int], eps):
     """
     Unpivoted LDL^T on the reordered lower triangle. Fill stays inside the
     band, so this is the fast path for the (banded) torus-word forms. Returns
     None when a pivot is too small to trust without pivoting, or when the
     band is too wide to be worth it.
     """
-    h = len(order)
-    A = [[M[order[i]][order[j]] for j in range(i + 1)] for i in range(h)]
-    width = 0
-    for i in range(h):
-        for j in range(i):
-            if A[i][j] != 0:
-                width = max(width, i - j)
+    h = len(at)
+    lower = [(at[i], at[j], x) for (i, j), x in entries.items()
+             if at[j] <= at[i]]
+    width = max((i - j for i, j, _ in lower), default=0)
     if width * width * 3 >= h * h:
         return None
+    zero = mpc(0)
+    A = [[zero] * (i + 1) for i in range(h)]
+    for i, j, x in lower:
+        A[i][j] = x
     pos = neg = 0
     for k in range(h):
         d = A[k][k].real
@@ -176,22 +217,25 @@ def _dense_inertia(M, eps):
 
 
 def _inertia_at(V: SeifertMatrix, theta: Fraction, prec: int):
+    h = V.size
+    if h == 0:
+        return 0, 0, 0
     with workprec(prec):
-        M = _hermitian_form(V, theta)
-        h = V.size
-        if h == 0:
-            return 0, 0, 0
-        scale = max(sum(abs(x) for x in row) for row in M)
+        entries = _hermitian_entries(V, theta)
+        sums = [0] * h
+        for (i, _), x in entries.items():
+            sums[i] += abs(x)
+        scale = max(sums)
         if scale == 0:
             return 0, 0, h
-        # loops arrive column-major; time-major reordering narrows the band
-        if len(V.loop_starts) == h:
-            order = sorted(range(h), key=lambda i: V.loop_starts[i])
-        else:
-            order = list(range(h))
-        band = _band_inertia(M, order, scale * mpf(2) ** (-(prec // 3)))
+        band = _band_inertia(entries, _time_major(V),
+                             scale * mpf(2) ** (-(prec // 3)))
         if band is not None:
             return band
+        zero = mpc(0)
+        M = [[zero] * h for _ in range(h)]
+        for (i, j), x in entries.items():
+            M[i][j] = x
         return _dense_inertia(M, scale * mpf(2) ** (-(prec // 2)))
 
 
@@ -293,15 +337,133 @@ def _certified_offset(coeffs: tuple[int, ...], delta_start: Fraction
     return delta
 
 
+def _point_past_sixth(delta: Fraction) -> Fraction:
+    """
+    The fraction u* of least denominator in (1/sqrt3, 1/sqrt3 + 4*delta),
+    found by walking the Stern-Brocot tree. Since tan(pi*theta) has slope
+    more than 4 on [1/6, 1/2), u* = tan(pi*theta*) for some theta* in
+    (1/6, 1/6 + delta).
+    """
+    a, b, c, d = 0, 1, 1, 0  # the walk stays strictly between a/b and c/d
+    while True:
+        x, y = a + c, b + d
+        if 3 * x * x < y * y:  # x/y < 1/sqrt3
+            a, b = x, y
+        elif (z := Fraction(x, y) - 4 * delta) > 0 and 3 * z * z > 1:
+            c, d = x, y  # x/y > 1/sqrt3 + 4*delta
+        else:
+            return Fraction(x, y)
+
+
+def _pencil_signature(V: SeifertMatrix, u: Fraction) -> tuple[int, int, int]:
+    """
+    Signature of the Gaussian-integer Hermitian matrix
+    H = p(V + V^T) - iq(V - V^T), u = p/q > 0, with the numbers of zero
+    pivots fixed by a swap and by a shear (row/col k += c * row/col m).
+    Raises Sigma6Error when H is singular (see the module docstring).
+    """
+    p, q = u.numerator, u.denominator
+    h = V.size
+    at = _time_major(V)
+    # rows[k] maps column j to H[k][j] = (real, imaginary), nonzeros only
+    rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(h)]
+
+    def add(row: dict, j: int, x: int, y: int) -> None:
+        zx, zy = row.get(j, (0, 0))
+        if zx + x or zy + y:
+            row[j] = (zx + x, zy + y)
+        else:
+            row.pop(j, None)
+
+    for i, entries in enumerate(V.entries):
+        for j, v in enumerate(entries):
+            if v:
+                add(rows[at[i]], at[j], p * v, -q * v)
+                add(rows[at[j]], at[i], p * v, q * v)
+
+    pivots = [1]  # pivots[k]: the leading k x k minor
+    level = [0] * h  # the step rows[i] was last brought up to
+
+    def catch_up(i: int, k: int) -> dict[int, tuple[int, int]]:
+        if level[i] != k:
+            num, den = pivots[k], pivots[level[i]]
+            rows[i] = {j: (x * num // den, y * num // den)
+                       for j, (x, y) in rows[i].items()}
+            level[i] = k
+        return rows[i]
+
+    swaps = shears = neg = 0
+    for k in range(h):
+        if k not in rows[k]:
+            m = next((m for m in range(k + 1, h) if m in rows[m]), None)
+            if m is not None:
+                # symmetric swap of k and m; a column swap stays inside
+                # each row, so waiting rows keep their scale
+                rows[k], rows[m] = rows[m], rows[k]
+                level[k], level[m] = level[m], level[k]
+                for row in rows[k:]:
+                    zk, zm = row.pop(k, None), row.pop(m, None)
+                    if zm is not None:
+                        row[k] = zm
+                    if zk is not None:
+                        row[m] = zk
+                swaps += 1
+            else:
+                if not rows[k]:
+                    raise Sigma6Error(
+                        f"internal error: the form at u={u} is singular "
+                        f"(zero row at pivot {k} of {h})"
+                    )
+                # every later diagonal is 0: row/col k += c * row/col m
+                # with c in {1, i} makes the diagonal 2*Re(c*H[m][k]) != 0;
+                # the row step needs both rows at step k, the column step
+                # stays inside each row
+                m = min(rows[k])
+                top, other = catch_up(k, k), catch_up(m, k)
+                turn = other[k][0] == 0  # c = i: Re(i*(x + iy)) = -y
+                for j, (s, t) in other.items():
+                    add(top, j, *((-t, s) if turn else (s, t)))
+                for r in list(other):
+                    s, t = rows[r][m]
+                    add(rows[r], k, *((t, -s) if turn else (s, t)))
+                shears += 1
+        top = catch_up(k, k)
+        rows[k] = {}
+        d = top.pop(k)[0]
+        prev = pivots[k]
+        neg += (d < 0) != (prev < 0)
+        new = {}  # rows brought to step k + 1 so far
+        for i in top:
+            row = catch_up(i, k)
+            fx, fy = row.pop(k)  # H[i][k] = conj(H[k][i])
+            out = {}
+            for j, (s, t) in top.items():
+                x, y = row.pop(j, (0, 0))
+                if j in new:  # the updated matrix is Hermitian too
+                    z = new[j].get(i)
+                    if z:
+                        out[j] = (z[0], -z[1])
+                    continue
+                x = (d * x - fx * s + fy * t) // prev
+                y = (d * y - fx * t - fy * s) // prev
+                if x or y:
+                    out[j] = (x, y)
+            for j, (x, y) in row.items():
+                out[j] = (d * x // prev, d * y // prev)
+            rows[i] = new[i] = out
+            level[i] = k + 1
+        pivots.append(d)
+    return h - 2 * neg, swaps, shears
+
+
 def _sigma6_of_word(
     w: BraidWord,
-    precision_bits: int | None = None,
     delta_start: Fraction = SIGMA6_DELTA_START,
 ) -> int:
     """
     Paper-convention sigma_6 of one closure: minus the sum over its Seifert
-    blocks of the standard signature just past theta = 1/6, each taken by one
-    evaluation at an offset certified free of jumps.
+    blocks of the standard signature just past theta = 1/6, each taken
+    exactly at one rational point of the arc certified free of jumps.
     """
     total = 0
     for block in seifert_blocks(w):
@@ -312,14 +474,8 @@ def _sigma6_of_word(
                 f"polynomial 0, so its form is singular at every theta"
             )
         delta = _certified_offset(poly.coefficients, delta_start)
-        theta = Fraction(1, 6) + delta
-        prof = signature_at(block, theta, precision_bits)
-        if prof.nullity:
-            raise Sigma6Error(
-                f"internal error: nullity {prof.nullity} for block {block} "
-                f"at theta={theta}, where its Alexander polynomial has no root"
-            )
-        total -= prof.signature
+        u = _point_past_sixth(delta)
+        total -= _pencil_signature(seifert_matrix(block), u)[0]
     return total
 
 
@@ -332,11 +488,13 @@ def sigma6(
     The limit invariant at the sixth root of unity, paper convention:
     sigma6(positive trefoil) = +2, additive over summands, +2 per positive
     trefoil counter and -2 per negative one. Asserted summands must declare
-    their value. Each Seifert block of a closure is evaluated once, at
-    theta = 1/6 + delta with delta the largest power of two that is at most
-    delta_start and certified free of signature jumps; the result does not
-    depend on delta_start, which must lie in (0, 1/2]. Raises Sigma6Error
-    when a block's Alexander polynomial is 0.
+    their value. Each Seifert block of a closure is evaluated once and
+    exactly, at a rational point of the arc (1/6, 1/6 + delta] with delta
+    the largest power of two that is at most delta_start and certified free
+    of signature jumps; the result does not depend on delta_start, which
+    must lie in (0, 1/2]. precision_bits is accepted for signature_at's
+    sake and has no effect here. Raises Sigma6Error when a block's
+    Alexander polynomial is 0.
     """
     delta_start = Fraction(delta_start)
     if not 0 < delta_start <= Fraction(1, 2):
@@ -353,5 +511,5 @@ def sigma6(
             )
         total += summand.sigma6
     for w in link.closures:
-        total += _sigma6_of_word(w, precision_bits, delta_start)
+        total += _sigma6_of_word(w, delta_start)
     return total

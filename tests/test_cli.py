@@ -293,3 +293,35 @@ def test_out_of_range_arguments_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") and out == ""
+
+
+def test_cached_parser_gives_what_fresh_parsers_give(capsys):
+    from braidcob import cli
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    sequence = [
+        ["braid", "eq", "--strands", "3", "--word", "1"],  # no --word2
+        ["--json", "link", "sigma", "--strands", "2", "--word", "1,1,1",
+         "--theta", "1/2"],
+        ["paper", "clover", "--m", "6", "--n", "6"],
+        ["link", "alexander", "--strands", "2", "--word", "1,1,1"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._parser.cache_clear()
+    cached = [outcome(argv) for argv in sequence]
+    assert cli._parser.cache_info().misses == 1
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0]
+    assert "--word2" in cached[0][2]
+    assert json.loads(cached[1][1])["signature"] == -2
+    assert cached[2][1].strip() == "-430"

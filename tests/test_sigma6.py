@@ -1,18 +1,20 @@
 """
 sigma6 against independent paths: the delta-halving limit (evaluate the whole
 Seifert form at 1/6 + delta for delta = 2^-10, 2^-11, ... until three
-consecutive values agree with no extra nullity), the lattice count for torus
-links, and exact checks of the certified offset on polynomials whose roots
-are known.
+consecutive values agree with no extra nullity), the mpmath signature_at at
+each block's certified offset 1/6 + delta, the lattice count for torus
+links, and exact checks of the certified offset and of the rational point
+past 1/6.
 """
 
-import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import braidcob.signature as signature
+from braidcob.alexander import alexander
 from braidcob.cli import main
 from braidcob.replication import torus_word, trefoil_sum_word
 from braidcob.seifert import seifert_blocks, seifert_matrix
@@ -62,6 +64,46 @@ def _seeded_words(seed, count):
     return words
 
 
+def _offset_signatures(w):
+    """
+    (block, delta, the mpmath signature at 1/6 + delta) for each Seifert
+    block whose Alexander polynomial is not 0, with delta its certified
+    offset. This is how sigma6 took each block's limit before the exact
+    kernel.
+    """
+    out = []
+    for block in seifert_blocks(w):
+        poly = alexander(block)
+        if poly.is_zero():
+            continue
+        delta = signature._certified_offset(poly.coefficients,
+                                            signature.SIGMA6_DELTA_START)
+        prof = signature_at(block, Fraction(1, 6) + delta)
+        assert prof.nullity == 0, block
+        out.append((block, delta, prof.signature))
+    return out
+
+
+def _zero_pivot_words(seed, count):
+    """
+    Mixed-sign words on 2-7 strands whose columns mostly alternate in
+    sign, so many loops have two bands of opposite sign and a zero
+    diagonal in the Seifert form.
+    """
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        letters, sign = [], {}
+        for _ in range(rng.randint(2, 24)):
+            c = rng.randint(1, n - 1)
+            s = sign.get(c, rng.choice((1, -1)))
+            sign[c] = -s if rng.random() < 0.8 else s
+            letters.append(c * s)
+        words.append(make_word(n, letters))
+    return words
+
+
 def _outcome(f, w):
     try:
         return f(w)
@@ -91,15 +133,19 @@ def test_sigma6_matches_torus_lattice_count(p, qs):
         assert sigma6(torus_word(p, q)) == _lattice_sigma6(p, q), (p, q)
 
 
-def test_one_evaluation_per_block(monkeypatch):
+def test_one_kernel_call_per_block(monkeypatch):
     calls = []
-    real = signature.signature_at
+    real = signature._pencil_signature
 
-    def counting(w, theta, precision_bits=None):
-        calls.append(theta)
-        return real(w, theta, precision_bits)
+    def counting(V, u):
+        calls.append(u)
+        return real(V, u)
 
-    monkeypatch.setattr(signature, "signature_at", counting)
+    def never(*args, **kwargs):
+        raise AssertionError("signature_at called")
+
+    monkeypatch.setattr(signature, "_pencil_signature", counting)
+    monkeypatch.setattr(signature, "signature_at", never)
     cases = [(trefoil_sum_word(5), 5, 10), (torus_word(6, 7), 1, 10),
              (make_word(4, [1, 2, 3]), 0, 0),
              (make_word(5, [1, 1, 1, -4, -4, -4]), 2, 0)]
@@ -107,6 +153,40 @@ def test_one_evaluation_per_block(monkeypatch):
         calls.clear()
         assert sigma6(w) == value
         assert len(calls) == blocks, w
+        assert all(u == Fraction(11, 19) for u in calls), calls
+
+
+def test_exact_kernel_matches_signature_at_oracle():
+    fixed = {"swap": 0, "shear": 0, "none": 0}
+    words = _zero_pivot_words(2024, 120) + _seeded_words(6161, 60)
+    for w in words:
+        for block, delta, expected in _offset_signatures(w):
+            u = signature._point_past_sixth(delta)
+            got, swaps, shears = signature._pencil_signature(
+                seifert_matrix(block), u)
+            assert got == expected, (block, u)
+            fixed["swap"] += swaps > 0
+            fixed["shear"] += shears > 0
+            fixed["none"] += swaps == shears == 0
+    assert min(fixed.values()) >= 15, fixed
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 11, 20, 60])
+def test_point_past_sixth_is_the_simplest_fraction_on_the_arc(k):
+    delta = Fraction(1, 2 ** k)
+    u = signature._point_past_sixth(delta)
+
+    def inside(x):
+        z = x - 4 * delta
+        return 3 * x * x > 1 and (z < 0 or 3 * z * z < 1)
+
+    assert inside(u), u
+    # no fraction with a smaller denominator lies on the arc
+    for q in range(1, min(u.denominator, 10 ** 4)):
+        p = math.isqrt(q * q // 3)  # floor(q / sqrt3)
+        assert not inside(Fraction(p + 1, q)), (q, u)
+    if k == 10:
+        assert u == Fraction(11, 19)
 
 
 def test_zero_alexander_block_raises_without_evaluating(monkeypatch):
@@ -124,16 +204,18 @@ def test_zero_alexander_block_raises_without_evaluating(monkeypatch):
         sigma6(make_word(4, [1, 1, 1, 3, -3]))
 
 
-def test_nullity_at_the_certified_offset_is_an_error(monkeypatch):
-    real = signature.signature_at
-
-    def singular(w, theta, precision_bits=None):
-        prof = real(w, theta, precision_bits)
-        return dataclasses.replace(prof, nullity=1)
-
-    monkeypatch.setattr(signature, "signature_at", singular)
+def test_singular_pencil_is_an_internal_error(monkeypatch):
+    # Delta(T(2,4)) = (1 - t)(1 + t^2) vanishes at t = i, which is theta =
+    # 1/4 and u = tan(pi/4) = 1, so the pencil at u = 1 is singular
+    w = make_word(2, [1, 1, 1, 1])
+    V = seifert_matrix(w)
     with pytest.raises(Sigma6Error, match="internal error"):
-        sigma6(make_word(2, [1, 1, 1]))
+        signature._pencil_signature(V, Fraction(1))
+    assert signature._pencil_signature(V, Fraction(11, 19))[0] == -1
+    monkeypatch.setattr(signature, "_point_past_sixth",
+                        lambda delta: Fraction(1))
+    with pytest.raises(Sigma6Error, match="internal error"):
+        sigma6(w)
 
 
 def test_cli_sigma6_of_zero_alexander_word_exits_1(capsys):

@@ -248,6 +248,101 @@ def test_frozen_fixture_file():
     assert abs(23 - 20) <= 12
 
 
+def _dense_profile(w, theta, paths):
+    """
+    signature_at as it was before it built its form from the nonzero
+    entries of V: every entry of the dense form in mpmath, the row-sum
+    scale over all of them and a band-width scan of the whole reordered
+    lower triangle. The pivoted dense LDL^T is shared. Adds the path
+    taken ("none", "band" or "dense") to paths.
+    """
+    from mpmath import mp, mpc, mpf, workprec
+
+    from braidcob import signature
+
+    V = seifert_matrix(w)
+    h = V.size
+
+    def band(M, order, eps):
+        A = [[M[order[i]][order[j]] for j in range(i + 1)] for i in range(h)]
+        width = max([i - j for i in range(h) for j in range(i)
+                     if A[i][j] != 0], default=0)
+        if width * width * 3 >= h * h:
+            return None
+        pos = neg = 0
+        for k in range(h):
+            d = A[k][k].real
+            if abs(d) <= eps:
+                return None
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            for i in range(k + 1, min(h, k + width + 1)):
+                f = A[i][k] / d
+                if f == 0:
+                    continue
+                for j in range(k + 1, i + 1):
+                    A[i][j] -= f * mp.conj(A[j][k])
+        return pos, neg, 0
+
+    def inertia(prec):
+        with workprec(prec):
+            ang = 2 * mp.pi * mpf(theta.numerator) / theta.denominator
+            c1 = 1 - mpc(mp.cos(ang), mp.sin(ang))
+            c2 = mp.conj(c1)
+            rows = V.rows()
+            M = [[c1 * rows[i][j] + c2 * rows[j][i] for j in range(h)]
+                 for i in range(h)]
+            if h == 0:
+                paths.add("none")
+                return 0, 0, 0
+            scale = max(sum(abs(x) for x in row) for row in M)
+            if scale == 0:
+                paths.add("none")
+                return 0, 0, h
+            if len(V.loop_starts) == h:
+                order = sorted(range(h), key=lambda i: V.loop_starts[i])
+            else:
+                order = list(range(h))
+            got = band(M, order, scale * mpf(2) ** (-(prec // 3)))
+            paths.add("band" if got else "dense")
+            if got is not None:
+                return got
+            return signature._dense_inertia(
+                M, scale * mpf(2) ** (-(prec // 2)))
+
+    prec = signature.precision_default()
+    last = inertia(prec)
+    while prec * 2 <= signature.PRECISION_CAP_BITS:
+        check = inertia(prec * 2)
+        if check == last:
+            pos, neg, zero = check
+            return signature.SignatureProfile(
+                theta, pos - neg, zero + V.pieces - 1, prec)
+        last, prec = check, prec * 2
+    return "unresolved"
+
+
+def test_sparse_form_matches_dense_construction():
+    rng = random.Random(97)
+    words = [make_word(1, []), make_word(3, []), torus_word(2, 7),
+             torus_word(6, 5), torus_word(3, 10)]
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        words.append(make_word(n, [rng.randint(1, n - 1) * rng.choice((1, -1))
+                                   for _ in range(rng.randint(0, 24))]))
+    thetas = [Fraction(1, 2), Fraction(1, 6), Fraction(1, 3),
+              Fraction(1, 6) + Fraction(1, 1024), Fraction(389, 1009),
+              Fraction(13, 14)]
+    paths = set()
+    for w in words:
+        for theta in thetas:
+            assert signature_at(w, theta) == _dense_profile(w, theta, paths), \
+                (w, theta)
+    assert paths == {"none", "band", "dense"}
+
+
 def test_precision_env_override(monkeypatch):
     from braidcob.signature import precision_default
 
