@@ -36,7 +36,6 @@ polynomial (0,).
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 
 from .words import BraidWord
 
@@ -47,18 +46,8 @@ class AlexanderPolynomial:
 
     coefficients: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def is_zero(self) -> bool:
         return self.coefficients == (0,)
-
-    def __call__(self, t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
 
     def __str__(self):
         if self.is_zero():

@@ -493,16 +493,14 @@ class CertificateReport:
         }
 
 
-def _try_sigma6(link: FormalLink, precision_bits):
+def _try_sigma6(link: FormalLink):
     try:
-        return sigma6(link, precision_bits)
+        return sigma6(link)
     except Sigma6Error:
         return None
 
 
-def verify(
-    cert: CobordismCertificate, precision_bits: int | None = None
-) -> CertificateReport:
+def verify(cert: CobordismCertificate) -> CertificateReport:
     """
     Replay all steps from the start state, add up costs, check the end state
     matches, and compare the signature lower bound with the realized cost.
@@ -515,7 +513,7 @@ def verify(
     for idx, step in enumerate(cert.steps):
         note = ""
         if isinstance(step, ConcordanceAssertion):
-            note = _assertion_note(state, step, precision_bits)
+            note = _assertion_note(state, step)
             if note.startswith("sigma6 mismatch"):
                 raise StepError(note, idx)
         try:
@@ -531,8 +529,8 @@ def verify(
             f"got {state.to_json()}, declared {cert.end.to_json()}"
         )
 
-    s_start = _try_sigma6(cert.start, precision_bits)
-    s_end = _try_sigma6(cert.end, precision_bits)
+    s_start = _try_sigma6(cert.start)
+    s_end = _try_sigma6(cert.end)
     if s_start is None or s_end is None:
         lower, ok = None, None
     else:
@@ -548,19 +546,15 @@ def verify(
     )
 
 
-def _assertion_note(
-    state: FormalLink, step: ConcordanceAssertion, precision_bits
-) -> str:
+def _assertion_note(state: FormalLink, step: ConcordanceAssertion) -> str:
     """sigma6 consistency of an assertion: equal when both sides evaluate."""
     try:
         src = _closure(state, step.closure)
     except StepError:
         return ""  # apply_step will report the real failure
-    source = _try_sigma6(FormalLink(closures=(src,)), precision_bits)
+    source = _try_sigma6(FormalLink(closures=(src,)))
     if step.to_word is not None:
-        target = _try_sigma6(
-            FormalLink(closures=(step.to_word,)), precision_bits
-        )
+        target = _try_sigma6(FormalLink(closures=(step.to_word,)))
     else:
         target = step.to_summand.sigma6
     if source is None or target is None:

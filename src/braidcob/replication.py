@@ -34,7 +34,7 @@ from .certificates import (
     TCube,
 )
 from .links import FormalLink
-from .signature import sigma6
+from .signature import torus_signature_oracle
 from .words import BraidWord, make_word
 
 DEFAULT_A = 20
@@ -384,10 +384,6 @@ class BoundReport:
         }
 
 
-# sigma6 is evaluated exactly when the torus word stays this small
-_DESK_SCALE_LETTERS = 250
-
-
 def theorem_bound(
     m: int,
     n: int,
@@ -399,7 +395,7 @@ def theorem_bound(
     """
     Chained upper bound for d_chi(T(m,n), 3_1^N): the twisting step to
     T(6,6kl) # 3_1^t plus the 6-strand cost formula, against the signature
-    lower bound 2N - sigma6(T(m,n)) (estimated when out of desk scale).
+    lower bound 2N - sigma6(T(m,n)), counted exactly at every (m, n).
     Requires N >= ceil(7mn/24).
     """
     if m < 1 or n < 1:
@@ -421,17 +417,16 @@ def theorem_bound(
         + nongeneric
         + adjust
     )
-    est, tol = gg_estimate(m, n)
-    letters = (m - 1) * n
-    if letters <= _DESK_SCALE_LETTERS:
-        lower = 2 * N - sigma6(torus_word(m, n))
-    else:
-        lower = ceil(2 * N - est - tol)
+    # jumps sit on multiples of 1/lcm(m, n), so this point is past 1/6 and
+    # before the next jump, where the lattice count is -sigma6(T(m,n))
+    lower = 2 * N + torus_signature_oracle(
+        m, n, Fraction(1, 6) + Fraction(1, 12 * m * n)
+    )
     slack = upper - lower
     window = a * m + b * n + c
     return BoundReport(
-        m=m, n=n, N=N, upper=upper, sigma_estimate=est, lower=lower,
-        slack=slack, window=window,
+        m=m, n=n, N=N, upper=upper, sigma_estimate=gg_estimate(m, n)[0],
+        lower=lower, slack=slack, window=window,
         passed=(lower <= upper) and (0 <= slack <= window),
     )
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import os
 from fractions import Fraction
-from math import gcd
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -275,26 +274,36 @@ def signature_at(
 
 def torus_signature_oracle(p: int, q: int, theta: Fraction) -> int:
     """
-    Standard-convention signature of the torus knot T(p,q) at e^{2*pi*i*theta}
-    by lattice counting: each pair (i,j) in [1,p-1]x[1,q-1] contributes -1
-    when (i/p + j/q - theta) mod 2 lies in (0,1) and +1 when it lies in
-    (1,2). Fully independent of Seifert matrices.
+    Standard-convention signature of the torus link T(p,q) at
+    e^{2*pi*i*theta}, away from its jumps, by lattice counting: each pair
+    (i,j) in [1,p-1]x[1,q-1] contributes -1 when (i/p + j/q - theta) mod 2
+    lies in (0,1) and +1 when it lies in (1,2). Fully independent of Seifert
+    matrices. With theta = a/b and lo = a*p*q - i*q*b, (i,j) gives +1
+    exactly when j*p*b < lo or j*p*b > lo + p*q*b, and a jump when it is
+    equal to either end, so each i takes four floor divisions.
     """
-    if gcd(p, q) != 1:
-        raise ValueError(f"T({p},{q}) is not a knot: gcd must be 1")
+    if p < 1 or q < 1:
+        raise ValueError(f"T(p,q) needs p, q >= 1, got {p},{q}")
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
+    a, b = theta.numerator, theta.denominator
+    step = p * b
     total = 0
     for i in range(1, p):
-        for j in range(1, q):
-            x = (Fraction(i, p) + Fraction(j, q) - theta) % 2
-            if x == 0 or x == 1:
-                raise ValueError(
-                    f"evaluation at jump: theta={theta} hits i/p+j/q for "
-                    f"(i,j)=({i},{j})"
-                )
-            total += 1 if x > 1 else -1
+        lo = a * p * q - i * q * b
+        hi = lo + q * step
+        # how many j in [1, q-1] have j*step <= x, for x = lo-1, lo, hi-1, hi
+        below, upto_lo, below_hi, upto_hi = (
+            min(q - 1, max(0, x // step)) for x in (lo - 1, lo, hi - 1, hi)
+        )
+        if below != upto_lo or below_hi != upto_hi:
+            j = upto_lo if below != upto_lo else upto_hi
+            raise ValueError(
+                f"evaluation at jump: theta={theta} hits i/p+j/q for "
+                f"(i,j)=({i},{j})"
+            )
+        total += q - 1 + 2 * (below - upto_hi)
     return total
 
 

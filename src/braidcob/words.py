@@ -17,6 +17,11 @@ import dataclasses
 from typing import Iterable
 
 
+# the most strands a word file or certificate may ask for, since normal_form
+# and the Seifert surface allocate per strand; the shipped ones use at most 6
+MAX_WIRE_STRANDS = 1024
+
+
 class WordError(ValueError):
     """Raised for malformed words or inapplicable word operations."""
 
@@ -62,6 +67,8 @@ class BraidWord:
         if not isinstance(letters, list):
             raise TypeError(f"w: expected a list, got {letters!r}")
         n = _wire_int(data["n"], "n")
+        if n > MAX_WIRE_STRANDS:
+            raise WordError(f"n: {n} strands exceeds {MAX_WIRE_STRANDS}")
         return make_word(n, [_wire_int(k, "w") for k in letters])
 
 

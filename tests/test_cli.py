@@ -283,6 +283,19 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("link", "sigma", "--sigma6", "--file"), '{"n": 1000000000, "w": []}'),
+    (("cert", "verify"), TREFOIL_CERT.replace('"n": 2', '"n": 1000000000')),
+], ids=["link-sigma", "cert-verify"])
+def test_strand_count_past_the_wire_limit_exits_2(tmp_path, capsys, argv,
+                                                  text):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert "cannot read" in err and "exceeds 1024" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("paper", "theorem-table", "--grid", "0"),
     ("paper", "theorem-table", "--grid", "-3"),

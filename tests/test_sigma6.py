@@ -4,7 +4,8 @@ Seifert form at 1/6 + delta for delta = 2^-10, 2^-11, ... until three
 consecutive values agree with no extra nullity), the mpmath signature_at at
 each block's certified offset 1/6 + delta, the lattice count for torus
 links, and exact checks of the certified offset and of the rational point
-past 1/6.
+past 1/6. The pairwise lattice count also checks the floor count of
+torus_signature_oracle and the lower bound of theorem_bound at every scale.
 """
 
 import math
@@ -16,9 +17,19 @@ import pytest
 import braidcob.signature as signature
 from braidcob.alexander import alexander
 from braidcob.cli import main
-from braidcob.replication import torus_word, trefoil_sum_word
+from braidcob.replication import (
+    theorem_bound,
+    theorem_table,
+    torus_word,
+    trefoil_sum_word,
+)
 from braidcob.seifert import seifert_blocks, seifert_matrix
-from braidcob.signature import Sigma6Error, sigma6, signature_at
+from braidcob.signature import (
+    Sigma6Error,
+    sigma6,
+    signature_at,
+    torus_signature_oracle,
+)
 from braidcob.words import make_word
 
 
@@ -37,18 +48,25 @@ def _halving_sigma6(w, delta=Fraction(1, 1024), halvings=20):
     raise Sigma6Error(f"no stable window for {w}")
 
 
-def _lattice_sigma6(p, q):
+def _lattice_sigma6(p, q, theta=None):
     """
-    Minus the lattice count of T(p,q) at theta = 1/6 + 1/(12pq), any
-    gcd(p, q): past 1/6 and before the next jump, which sits on a multiple
-    of 1/pq.
+    Minus the lattice count of T(p,q) at theta, pair by pair, any gcd(p, q);
+    ValueError when theta is a jump. theta defaults to 1/6 + 1/(12pq): past
+    1/6 and before the next jump, which sits on a multiple of 1/pq. Over the
+    common denominator p*q*b of i/p + j/q - a/b, the pair adds -1 below
+    p*q*b and +1 above it, mod 2*p*q*b.
     """
-    theta = Fraction(1, 6) + Fraction(1, 12 * p * q)
+    if theta is None:
+        theta = Fraction(1, 6) + Fraction(1, 12 * p * q)
+    a, b = theta.numerator, theta.denominator
+    half = p * q * b
     total = 0
     for i in range(1, p):
         for j in range(1, q):
-            x = (Fraction(i, p) + Fraction(j, q) - theta) % 2
-            total += 1 if x > 1 else -1
+            x = (i * q * b + j * p * b - a * p * q) % (2 * half)
+            if x in (0, half):
+                raise ValueError(f"jump at (i,j)=({i},{j})")
+            total += 1 if x > half else -1
     return -total
 
 
@@ -131,6 +149,57 @@ def test_sigma6_matches_halving_oracle():
 def test_sigma6_matches_torus_lattice_count(p, qs):
     for q in qs:
         assert sigma6(torus_word(p, q)) == _lattice_sigma6(p, q), (p, q)
+
+
+def test_floor_count_matches_pairwise_count():
+    # both count or both raise, on links (gcd > 1) and on jumps alike
+    rng = random.Random(6061)
+    kinds = {"link": 0, "knot": 0, "jump": 0}
+    for _ in range(3000):
+        p, q = rng.randint(1, 14), rng.randint(1, 14)
+        theta = Fraction(rng.randrange(1, 60), 60)
+        try:
+            want = -_lattice_sigma6(p, q, theta)
+        except ValueError:
+            with pytest.raises(ValueError, match="jump"):
+                torus_signature_oracle(p, q, theta)
+            kinds["jump"] += 1
+            continue
+        assert torus_signature_oracle(p, q, theta) == want, (p, q, theta)
+        kinds["knot" if math.gcd(p, q) == 1 else "link"] += 1
+    assert min(kinds.values()) >= 200, kinds
+
+
+def _theorem_rows(m, n):
+    base = math.ceil(Fraction(7 * m * n, 24))
+    return [theorem_bound(m, n, base + off) for off in (0, 7, 20)]
+
+
+def test_theorem_bound_is_sigma6_at_desk_scale():
+    rng = random.Random(2501)
+    points = [(1, 9), (2, 3), (6, 6), (6, 12), (4, 80), (11, 25)]
+    points += [(m, rng.randint(1, 250 // (m - 1))) for m in range(2, 12)]
+    for m, n in points:
+        s6 = sigma6(torus_word(m, n))
+        for rep in _theorem_rows(m, n):
+            assert rep.lower == 2 * rep.N - s6 and rep.passed, rep
+
+
+@pytest.mark.parametrize("m, n", [(18, 18), (2, 300), (600, 1200)])
+def test_theorem_bound_is_exact_past_desk_scale(m, n):
+    s6 = _lattice_sigma6(m, n)
+    for rep in _theorem_rows(m, n):
+        assert rep.lower == 2 * rep.N - s6 and rep.passed, rep
+
+
+def test_theorem_table_passes_on_multiples_of_six():
+    sixes = list(range(6, 121, 6))
+    s6 = {(m, n): _lattice_sigma6(m, n) for m in sixes for n in sixes}
+    reports = theorem_table(sixes, sixes)
+    assert len(reports) == 3 * len(s6)
+    for rep in reports:
+        assert rep.passed and rep.lower <= rep.upper, rep
+        assert rep.lower == 2 * rep.N - s6[rep.m, rep.n], rep
 
 
 def test_one_kernel_call_per_block(monkeypatch):

@@ -79,11 +79,16 @@ def test_oracle_fixture_values():
     assert torus_signature_oracle(3, 5, Fraction(1, 100)) == 0
 
 
-def test_oracle_rejects_jump_and_non_coprime():
+def test_oracle_rejects_jump_and_counts_links():
     with pytest.raises(ValueError, match="jump"):
         torus_signature_oracle(2, 3, Fraction(5, 6))
-    with pytest.raises(ValueError, match="gcd"):
-        torus_signature_oracle(2, 4, Fraction(1, 2))
+    with pytest.raises(ValueError, match="p, q >= 1"):
+        torus_signature_oracle(2, 0, Fraction(1, 2))
+    # torus links (gcd > 1) away from the jumps, as the Seifert form has them
+    for p, q, theta, want in ((2, 4, Fraction(1, 2), -3),
+                              (6, 12, Fraction(1, 6) + Fraction(1, 864), -23)):
+        assert torus_signature_oracle(p, q, theta) == want
+        assert signature_at(torus_word(p, q), theta).signature == want
 
 
 def test_oracle_equivalence_random_theta():

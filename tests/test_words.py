@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidcob.words import (
+    MAX_WIRE_STRANDS,
     BraidWord,
     WordError,
     cable2,
@@ -48,6 +49,13 @@ def test_make_word_rejects_out_of_range():
         make_word(3, [0])
     with pytest.raises(WordError):
         BraidWord(0, ())
+
+
+def test_wire_strand_count_is_bounded():
+    w = BraidWord.from_json({"n": MAX_WIRE_STRANDS, "w": [1, -1023]})
+    assert w.strands == 1024
+    with pytest.raises(ValueError, match="exceeds 1024"):
+        BraidWord.from_json({"n": MAX_WIRE_STRANDS + 1, "w": []})
 
 
 def test_compose_requires_same_strands():
