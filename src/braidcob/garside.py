@@ -9,6 +9,37 @@ A_{i+1} is contained in the finishing set of A_i. Two words represent the
 same element of B_n exactly when these data coincide, so the canonical form
 doubles as a dictionary key for group elements.
 
+normal_form reads the word left to right and keeps the braid read so far as
+Delta^d * A_1 * ... * A_k * f, where A_1 ... A_k is already in normal form
+(no A_i is the identity or Delta) and f is a pending simple factor:
+
+- f absorbs sigma_i while f*sigma_i stays simple, and sigma_i^{-1} while
+  sigma_i right-divides f. Both keep f simple and touch nothing else.
+- Otherwise f is appended and combed backwards: each pair (A_j, A_{j+1}) is
+  made left-weighted by moving letters from the front of A_{j+1} to the
+  back of A_j, right to left, stopping at the first pair the comb leaves
+  untouched; every pair to its left is unchanged and so still left-weighted.
+- A sigma_i^{-1} that f cannot absorb uses x*sigma_i^{-1} =
+  Delta^{-1} * tau(x) * (Delta*sigma_i^{-1}), with tau conjugation by Delta:
+  d drops by one, everything read so far is twisted by tau, and f restarts
+  as the permutation braid Delta*sigma_i^{-1}. tau maps simple factors to
+  simple factors and left-weighted pairs to left-weighted pairs, so the
+  prefix stays normal. The twist is lazy: one global parity is flipped, and
+  each stored factor carries the parity it was last twisted to, so a factor
+  is twisted only when the comb next reads it (or at the end).
+- When the comb grows some A_j into Delta, A_1 ... A_{j-1} * Delta =
+  Delta * tau(A_1 ... A_{j-1}): the Delta is popped into d, the global
+  parity flips, and the stamps of the factors right of it flip so they keep
+  their values. The comb goes on with the pair that the pop made adjacent.
+
+Delta factors therefore never travel through the prefix one comb step at a
+time, and none is left to strip at the end (El-Rifai and Morton,
+Algorithms for positive braids, 1994; Epstein et al., Word Processing in
+Groups, ch. 9).
+
+equal rejects words with different exponent sums or permutations (both
+homomorphisms out of B_n) before it computes any normal form.
+
 Permutations are stored as 0-based image tuples in the diagrammatic
 convention of words.py: factor products apply the left factor first.
 """
@@ -17,7 +48,14 @@ from __future__ import annotations
 
 import dataclasses
 
-from .words import BraidWord, Permutation, WordError, exponent_sum, free_reduce
+from .words import (
+    BraidWord,
+    Permutation,
+    WordError,
+    exponent_sum,
+    free_reduce,
+    permutation,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,75 +129,93 @@ def normal_form(w: BraidWord) -> CanonicalBraid:
     n = w.strands
     if n == 1:
         return CanonicalBraid(1, 0, ())
+    ident = _identity(n)
     w0 = _w0(n)
 
-    # Rewrite each negative letter as Delta^{-1} followed by the permutation
-    # braid Delta*sigma_i^{-1}, then push all the Delta^{-1} to the front.
-    # Conjugation by Delta is an involution, so a factor is twisted once per
-    # Delta^{-1} sitting to its right.
-    factors: list[list[int]] = []
-    neg_positions: list[int] = []  # index into factors
-
-    for k in w.letters:
-        i = abs(k) - 1
-        if k > 0:
-            t = _identity(n)
-            t[i], t[i + 1] = t[i + 1], t[i]
-            factors.append(t)
-        else:
-            neg_positions.append(len(factors))
-            # perm of Delta*sigma_i^{-1}: w0 with the values i, i+1 swapped.
-            t = [w0[p] for p in range(n)]
-            t[n - 1 - i], t[n - 2 - i] = i + 1, i
-            factors.append(t)
-
-    delta_power = -len(neg_positions)
-    if neg_positions:
-        # Number of Delta^{-1} strictly to the right of each factor.
-        to_right = [0] * (len(factors) + 1)
-        for pos in neg_positions:
-            to_right[pos] += 1
-        suffix = 0
-        for idx in range(len(factors) - 1, -1, -1):
-            suffix += to_right[idx + 1]
-            if suffix % 2:
-                factors[idx] = _tau(factors[idx], n)
-
-    # Left greedy normalization, incremental: keep a normalized prefix and
-    # append one factor at a time, combing it backwards. Once a pair is
-    # untouched by the comb, everything to its left stays left-weighted.
-    ident = _identity(n)
+    # The braid read so far is Delta^delta_power * A_1 ... A_k * f. The
+    # stored A_i are a normal form (left-weighted, none the identity or
+    # Delta) up to the lazy twist: A_i still owes tau exactly when
+    # stamps[i] != parity.
     perms: list[list[int]] = []
     invs: list[list[int]] = []
-    for f in factors:
+    stamps: list[int] = []
+    delta_power = 0
+    parity = 0
+
+    def push(f: list[int], finv: list[int]) -> None:
+        # Append the simple factor f and comb it backwards.
+        nonlocal delta_power, parity
         if f == ident:
-            continue
+            return
+        if f == w0:
+            # P * Delta = Delta * tau(P); tau keeps P a normal form
+            delta_power += 1
+            parity ^= 1
+            return
         perms.append(f)
-        invs.append(_invert_perm(f))
+        invs.append(finv)
+        stamps.append(parity)
         j = len(perms) - 2
-        while j >= 0:
-            changed = _fix_pair(
-                perms[j], invs[j], perms[j + 1], invs[j + 1]
-            )
-            if not changed:
+        while 0 <= j < len(perms) - 1:
+            if stamps[j] != parity:
+                perms[j] = _tau(perms[j], n)
+                invs[j] = _tau(invs[j], n)
+                stamps[j] = parity
+            # A pair the comb leaves untouched ends it: the factors to its
+            # left have not changed, so their pairs are still left-weighted.
+            if not _fix_pair(perms[j], invs[j], perms[j + 1], invs[j + 1]):
                 break
-            if perms[j + 1] == ident:
+            emptied = perms[j + 1] == ident
+            if emptied:
                 perms.pop(j + 1)
                 invs.pop(j + 1)
-                if j <= len(perms) - 2:
-                    continue  # re-examine the new adjacency at this j
+                stamps.pop(j + 1)
+            if perms[j] == w0:
+                # A_1 ... A_{j-1} Delta = Delta tau(A_1 ... A_{j-1}): pop
+                # the Delta into the exponent; the parity flip twists the
+                # factors to its left, and flipping the stamps of those to
+                # its right keeps their values. A_{j-1} and the factor now
+                # at j have become adjacent, so the comb goes on with them.
+                perms.pop(j)
+                invs.pop(j)
+                stamps.pop(j)
+                delta_power += 1
+                parity ^= 1
+                for i in range(j, len(stamps)):
+                    stamps[i] ^= 1
+            elif emptied and j < len(perms) - 1:
+                continue  # re-examine the new adjacency at this j
             j -= 1
 
-    lo, hi = 0, len(perms)
-    while lo < hi and perms[lo] == w0:
-        lo += 1
-        delta_power += 1
-    while lo < hi and perms[hi - 1] == ident:
-        hi -= 1
+    f, finv = _identity(n), _identity(n)
+    for k in w.letters:
+        s = abs(k) - 1
+        # f absorbs sigma_s when f*sigma_s is simple (the strands ending at
+        # s, s+1 have not crossed in f) and sigma_s^{-1} when sigma_s
+        # right-divides f (they have); either way f swaps the values s, s+1.
+        if (finv[s] < finv[s + 1]) == (k > 0):
+            pa, pb = finv[s], finv[s + 1]
+            f[pa], f[pb] = s + 1, s
+            finv[s], finv[s + 1] = pb, pa
+            continue
+        push(f, finv)
+        if k > 0:
+            f = _identity(n)
+            f[s], f[s + 1] = s + 1, s
+        else:
+            # P * sigma_s^{-1} = Delta^{-1} tau(P) (Delta sigma_s^{-1}), and
+            # Delta sigma_s^{-1} is Delta with the values s, s+1 swapped
+            delta_power -= 1
+            parity ^= 1
+            f = w0[:]
+            f[n - 1 - s], f[n - 2 - s] = s + 1, s
+        finv = _invert_perm(f)
+    push(f, finv)
 
-    return CanonicalBraid(
-        n, delta_power, tuple(tuple(f) for f in perms[lo:hi])
-    )
+    for i in range(len(perms)):
+        if stamps[i] != parity:
+            perms[i] = _tau(perms[i], n)
+    return CanonicalBraid(n, delta_power, tuple(tuple(p) for p in perms))
 
 
 def equal(w1: BraidWord, w2: BraidWord) -> bool:
@@ -168,8 +224,11 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
         raise WordError(
             f"strand count mismatch: {w1.strands} vs {w2.strands}"
         )
-    # Cheap invariants first; they reject most unequal pairs.
+    # Cheap invariants first (homomorphisms to Z and to S_n); they reject
+    # most unequal pairs without a normal form.
     if exponent_sum(w1) != exponent_sum(w2):
+        return False
+    if permutation(w1) != permutation(w2):
         return False
     r1, r2 = free_reduce(w1), free_reduce(w2)
     if r1.letters == r2.letters:

@@ -47,7 +47,12 @@ class BraidWord:
         if self.strands < 1:
             raise WordError(f"strand count must be >= 1, got {self.strands}")
         for pos, k in enumerate(self.letters):
-            if k == 0 or abs(k) > self.strands - 1:
+            if k == 0:
+                raise WordError(
+                    f"letter 0 at position {pos} is not a generator: "
+                    f"letters k need 1 <= |k| <= n-1={self.strands - 1}"
+                )
+            if abs(k) > self.strands - 1:
                 raise WordError(
                     f"letter {k} at position {pos} exceeds n-1={self.strands - 1}"
                 )

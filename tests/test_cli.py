@@ -44,6 +44,15 @@ def test_braid_eq_bad_letters(capsys):
     assert "exceeds" in err
 
 
+def test_braid_nf_letter_zero(capsys):
+    code, out, err = run(
+        capsys, "braid", "nf", "--strands", "3", "--word", "0"
+    )
+    assert code == 1 and out == ""
+    assert "letter 0 at position 0" in err and "1 <= |k| <= n-1=2" in err
+    assert "exceeds" not in err
+
+
 def test_braid_nf(capsys):
     code, out, _ = run(
         capsys, "--json", "braid", "nf", "--strands", "3", "--word", "1,1"

@@ -1,14 +1,16 @@
 """
 Word-problem tests: the normal form against paper identities, random
-relation rewrites, and the faithful Artin action on the free group as an
-independent oracle.
+relation rewrites, the faithful Artin action on the free group as an
+independent oracle, the letter-by-letter comb as a reference
+implementation, and a structural check that uses neither.
 """
 
 import random
 
 import pytest
 
-from braidcob.garside import equal, normal_form
+from braidcob import garside
+from braidcob.garside import CanonicalBraid, equal, normal_form
 from braidcob.words import (
     WordError,
     components,
@@ -82,6 +84,168 @@ def _artin_images(w):
             images[i] = xi1
             images[i + 1] = _fg_reduce(_fg_inv(xi1) + xi + xi1)
     return tuple(images)
+
+
+# --- the letter-by-letter comb: a reference normal form --------------------
+
+
+def _reference_normal_form(w):
+    """
+    One factor per letter: sigma_i, or Delta^{-1} times the permutation
+    braid Delta*sigma_i^{-1}. All Delta^{-1} are pushed to the front first
+    (twisting each factor once per Delta^{-1} to its right); the factors
+    are then combed one at a time, carrying every Delta the comb builds to
+    the front one factor at a time, and the leading Deltas are stripped.
+    """
+    n = w.strands
+    if n == 1:
+        return CanonicalBraid(1, 0, ())
+    ident = list(range(n))
+    w0 = ident[::-1]
+    factors = []
+    for k in w.letters:
+        i = abs(k) - 1
+        if k > 0:
+            t = ident[:]
+            t[i], t[i + 1] = t[i + 1], t[i]
+        else:
+            t = w0[:]
+            t[n - 1 - i], t[n - 2 - i] = i + 1, i
+        factors.append(t)
+    negatives = 0
+    for idx in range(len(factors) - 1, -1, -1):
+        if negatives % 2:
+            factors[idx] = garside._tau(factors[idx], n)
+        if w.letters[idx] < 0:
+            negatives += 1
+
+    perms, invs = [], []
+    for f in factors:
+        if f == ident:
+            continue
+        perms.append(f)
+        invs.append(garside._invert_perm(f))
+        j = len(perms) - 2
+        while j >= 0:
+            if not garside._fix_pair(perms[j], invs[j], perms[j + 1],
+                                     invs[j + 1]):
+                break
+            if perms[j + 1] == ident:
+                perms.pop(j + 1)
+                invs.pop(j + 1)
+                if j <= len(perms) - 2:
+                    continue
+            j -= 1
+
+    lo, hi = 0, len(perms)
+    while lo < hi and perms[lo] == w0:
+        lo += 1
+    while lo < hi and perms[hi - 1] == ident:
+        hi -= 1
+    return CanonicalBraid(
+        n, lo - negatives, tuple(tuple(f) for f in perms[lo:hi])
+    )
+
+
+def _structure_errors(nf, w):
+    """
+    Check a normal form of w without computing one: every factor is a
+    permutation other than the identity and Delta, every adjacent pair is
+    left-weighted (the descents of A_{i+1} lie in the descents of A_i^{-1}),
+    and Delta^inf A_1 ... A_k has the exponent sum and the permutation of w.
+    """
+    n = w.strands
+    ident, w0 = tuple(range(n)), tuple(range(n - 1, -1, -1))
+    if nf.strands != n:
+        return "strand count changed"
+    for f in nf.factors:
+        if sorted(f) != list(ident):
+            return f"factor {f} is not a permutation"
+        if f in (ident, w0):
+            return f"factor {f} is the identity or Delta"
+    for a, b in zip(nf.factors, nf.factors[1:]):
+        ainv = [0] * n
+        for pos, v in enumerate(a):
+            ainv[v] = pos
+        for s in range(n - 1):
+            if b[s] > b[s + 1] and ainv[s] < ainv[s + 1]:
+                return f"pair {a}, {b} is not left-weighted at {s}"
+    crossings = sum(
+        1 for f in nf.factors for i in range(n) for j in range(i + 1, n)
+        if f[i] > f[j]
+    )
+    if nf.infimum * n * (n - 1) // 2 + crossings != exponent_sum(w):
+        return "exponent sum changed"
+    perm = list(ident) if nf.infimum % 2 == 0 else list(w0)
+    for f in nf.factors:
+        perm = [f[p] for p in perm]
+    if tuple(p + 1 for p in perm) != permutation(w).images:
+        return "permutation changed"
+    return None
+
+
+def _skewed_word(rng, n, length, skew):
+    """A random word whose letters are negative with probability skew."""
+    if n == 1:
+        return make_word(1, [])
+    return make_word(n, [
+        (-1 if rng.random() < skew else 1) * rng.randrange(1, n)
+        for _ in range(length)
+    ])
+
+
+def _check_against_reference(w):
+    nf = normal_form(w)
+    assert nf == _reference_normal_form(w), w
+    assert _structure_errors(nf, w) is None, (w, _structure_errors(nf, w))
+
+
+def test_normal_form_matches_reference_on_seeded_words():
+    rng = random.Random(4242)
+    strands = list(range(1, 14))
+    skews = (0, 0.1, 0.5, 0.9, 1)
+    for trial in range(3250):
+        n = strands[trial % len(strands)]
+        skew = skews[(trial // len(strands)) % len(skews)]
+        _check_against_reference(
+            _skewed_word(rng, n, rng.randrange(0, 41), skew)
+        )
+
+
+def test_normal_form_matches_reference_on_two_strands():
+    # in B_2, sigma_1 is Delta and Delta*sigma_1^{-1} is the identity
+    rng = random.Random(2)
+    for length in range(9):
+        for _ in range(40):
+            w = _skewed_word(rng, 2, length, rng.choice((0, 0.5, 1)))
+            _check_against_reference(w)
+            nf = normal_form(w)
+            assert nf.factors == () and nf.infimum == exponent_sum(w)
+
+
+def test_normal_form_matches_reference_on_the_large_word():
+    # the same 36-strand word as test_large_word_normal_form_runs
+    rng = random.Random(5)
+    _random_word(rng, n=12, length=300)
+    _check_against_reference(_random_word(rng, n=36, length=1200))
+
+
+def test_normal_form_matches_reference_on_certificate_words(monkeypatch):
+    from braidcob.certificates import verify
+    from braidcob.replication import sixstrand_certificate
+
+    seen = []
+
+    def recording(w):
+        seen.append(w)
+        return normal_form(w)
+
+    monkeypatch.setattr(garside, "normal_form", recording)
+    assert verify(sixstrand_certificate(3)).bound_ok
+    monkeypatch.undo()
+    assert len(seen) >= 20
+    for w in seen:
+        _check_against_reference(w)
 
 
 def test_braid_relation():
@@ -167,6 +331,19 @@ def test_conjugation_fixture():
         assert equal(compose(compose(w, g), invert(g)), w)
 
 
+def _permuted_twin(rng, w):
+    """
+    w with one letter moved to another generator of the same sign: the
+    exponent sum is kept and the permutation changes.
+    """
+    letters = list(w.letters)
+    pos = rng.randrange(len(letters))
+    k = letters[pos]
+    g = rng.choice([g for g in range(1, w.strands) if g != abs(k)])
+    letters[pos] = g if k > 0 else -g
+    return make_word(w.strands, letters)
+
+
 def test_equal_matches_artin_oracle():
     rng = random.Random(99)
     for trial in range(300):
@@ -178,6 +355,29 @@ def test_equal_matches_artin_oracle():
         else:
             w2 = _random_rewrite(rng, w, moves=6)
         assert equal(w, w2) == (_artin_images(w) == _artin_images(w2))
+        if n >= 3 and length:
+            w3 = _permuted_twin(rng, w)
+            assert exponent_sum(w3) == exponent_sum(w)
+            assert not equal(w, w3)
+            assert _artin_images(w) != _artin_images(w3)
+
+
+def test_equal_rejects_permutation_mismatch_without_normal_form(
+    monkeypatch,
+):
+    def forbidden(w):
+        raise AssertionError("normal_form called")
+
+    rng = random.Random(17)
+    pairs = [(make_word(3, [1, 2]), make_word(3, [2, 1]))]
+    for _ in range(200):
+        w = _random_word(rng, n=rng.randrange(3, 9), length=rng.randrange(1, 40))
+        pairs.append((w, _permuted_twin(rng, w)))
+    monkeypatch.setattr(garside, "normal_form", forbidden)
+    for w1, w2 in pairs:
+        assert exponent_sum(w1) == exponent_sum(w2)
+        assert permutation(w1) != permutation(w2)
+        assert equal(w1, w2) is False
 
 
 def test_invariants_preserved_by_rewrites():

@@ -51,6 +51,15 @@ def test_make_word_rejects_out_of_range():
         BraidWord(0, ())
 
 
+def test_letter_zero_names_the_allowed_range():
+    with pytest.raises(WordError) as info:
+        make_word(3, [1, 0])
+    message = str(info.value)
+    assert "letter 0 at position 1" in message
+    assert "1 <= |k| <= n-1=2" in message
+    assert "exceeds" not in message
+
+
 def test_wire_strand_count_is_bounded():
     w = BraidWord.from_json({"n": MAX_WIRE_STRANDS, "w": [1, -1023]})
     assert w.strands == 1024
