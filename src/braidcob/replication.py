@@ -105,40 +105,42 @@ def knot_K_word(k: int, l: int) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
+def _ten_cubes(lead: tuple[int, ...], suffix: tuple[int, ...]) -> list[Step]:
+    """
+    Steps from lead + (abc)^12 + suffix to lead + c^2 a^3 c + suffix by ten
+    cube deletions through the identity chain (abc)^12 = (a^2cba^3cb)^4 ->
+    (a^2(cb)^2)^4 = c^2(a^2bc^3)^3 a^2bc -> c^2(a^2b)^4 c = c^2(a^3b)^3 c ->
+    c^2 a^3 c, inside closure 0 on 4 strands, or 6 when lead or suffix
+    needs them.
+    """
+    strands = 6 if any(abs(x) > 3 for x in lead + suffix) else 4
+    word = lambda ls: make_word(strands, lead + ls + suffix)
+    base = len(lead)
+    steps: list[Step] = [Equivalence(0, word(_GAMMA_PERIOD * 4))]
+    for i in (3, 2, 1, 0):  # a^3 sits at offset 4 of each 9-letter period
+        steps.append(TCube(0, base + 9 * i + 4, 1, 1))
+    steps.append(
+        Equivalence(0, word((3, 3) + (1, 1, 2, 3, 3, 3) * 3 + (1, 1, 2, 3))))
+    for i in (2, 1, 0):  # c^3 at offset 3 of each 6-letter block after c^2
+        steps.append(TCube(0, base + 2 + 6 * i + 3, 3, 1))
+    steps.append(Equivalence(0, word((3, 3) + (1, 1, 1, 2) * 3 + (3,))))
+    steps.append(TCube(0, base + 2 + 8, 1, 1))  # third a^3
+    steps.append(TCube(0, base + 2 + 4, 1, 1))  # second a^3
+    steps.append(TCube(0, base + 2 + 3, 2, 1))  # then b^3
+    return steps
+
+
 def _fourstrand_steps(
-    prefix: tuple[int, ...], suffix: tuple[int, ...], closure: int
-) -> tuple[list[Step], tuple[int, ...]]:
+    prefix: tuple[int, ...], suffix: tuple[int, ...]
+) -> list[Step]:
     """
     Steps reducing prefix + a^-3 c^-3 (abc)^12 + suffix to prefix + suffix
-    inside a word on >= 4 strands: ten cube deletions through the identity
-    chain (abc)^12 = (a^2cba^3cb)^4 -> (a^2(cb)^2)^4 = c^2(a^2bc^3)^3 a^2bc
-    -> c^2(a^2b)^4 c = c^2(a^3b)^3 c -> c^2 a^3 c, which cancels the
-    leading a^-3 c^-3. Returns the steps and the final letters.
+    in closure 0, on >= 4 strands: the ten cubes of _ten_cubes leave
+    c^2 a^3 c, which cancels the leading a^-3 c^-3.
     """
-    strands = 6 if any(abs(x) > 3 for x in prefix + suffix) else 4
-    word = lambda ls: make_word(strands, ls)
-    steps: list[Step] = []
-    acube_inv = (-1, -1, -1, -3, -3, -3)
-    base = len(prefix) + len(acube_inv)
-
-    gamma = prefix + acube_inv + _GAMMA_PERIOD * 4 + suffix
-    steps.append(Equivalence(closure, word(gamma)))
-    for i in (3, 2, 1, 0):  # a^3 sits at offset 4 of each 9-letter period
-        steps.append(TCube(closure, base + 9 * i + 4, 1, 1))
-
-    mid = prefix + acube_inv + (3, 3) + (1, 1, 2, 3, 3, 3) * 3 + (1, 1, 2, 3)
-    steps.append(Equivalence(closure, word(mid + suffix)))
-    for i in (2, 1, 0):  # c^3 at offset 3 of each 6-letter block after c^2
-        steps.append(TCube(closure, base + 2 + 6 * i + 3, 3, 1))
-
-    cubic = prefix + acube_inv + (3, 3) + (1, 1, 1, 2) * 3 + (3,)
-    steps.append(Equivalence(closure, word(cubic + suffix)))
-    steps.append(TCube(closure, base + 2 + 8, 1, 1))  # third a^3
-    steps.append(TCube(closure, base + 2 + 4, 1, 1))  # second a^3
-    steps.append(TCube(closure, base + 2 + 3, 2, 1))  # then b^3
-
-    steps.append(Equivalence(closure, word(prefix + suffix)))
-    return steps, prefix + suffix
+    steps = _ten_cubes(prefix + (-1, -1, -1, -3, -3, -3), suffix)
+    strands = steps[0].target.strands
+    return steps + [Equivalence(0, make_word(strands, prefix + suffix))]
 
 
 def fourstrand_certificate() -> CobordismCertificate:
@@ -147,7 +149,7 @@ def fourstrand_certificate() -> CobordismCertificate:
     closure by exactly ten positive-cube deletions.
     """
     start_word = make_word(4, (-1, -1, -1, -3, -3, -3) + (1, 2, 3) * 12)
-    steps, _ = _fourstrand_steps((), (), 0)
+    steps = _fourstrand_steps((), ())
     return CobordismCertificate(
         start=FormalLink(closures=(start_word,)),
         steps=tuple(steps),
@@ -161,21 +163,8 @@ def coxeter_certificate() -> CobordismCertificate:
     From the closure of (abc)^12 in B_4 (the cube of the full twist) to the
     trivial closure by twelve positive-cube deletions.
     """
-    word = lambda ls: make_word(4, ls)
-    steps: list[Step] = []
-    steps.append(Equivalence(0, word(_GAMMA_PERIOD * 4)))
-    for i in (3, 2, 1, 0):
-        steps.append(TCube(0, 9 * i + 4, 1, 1))
-    steps.append(Equivalence(0, word((3, 3) + (1, 1, 2, 3, 3, 3) * 3 + (1, 1, 2, 3))))
-    for i in (2, 1, 0):
-        steps.append(TCube(0, 2 + 6 * i + 3, 3, 1))
-    steps.append(Equivalence(0, word((3, 3) + (1, 1, 1, 2) * 3 + (3,))))
-    steps.append(TCube(0, 2 + 8, 1, 1))
-    steps.append(TCube(0, 2 + 4, 1, 1))
-    steps.append(TCube(0, 2 + 3, 2, 1))
-    # now c^2 a^3 c: delete a^3, then the remaining c^3
-    steps.append(TCube(0, 2, 1, 1))
-    steps.append(TCube(0, 0, 3, 1))
+    # the ten cubes leave c^2 a^3 c: delete a^3, then the remaining c^3
+    steps = _ten_cubes((), ()) + [TCube(0, 2, 1, 1), TCube(0, 0, 3, 1)]
     return CobordismCertificate(
         start=FormalLink(closures=(make_word(4, (1, 2, 3) * 12),)),
         steps=tuple(steps),
@@ -249,8 +238,7 @@ def sixstrand_certificate(l: int) -> CobordismCertificate:
     for j in range(m):
         prefix = _Q * (j + 1)
         suffix = _D5_A3C3 * (m - j - 1)
-        sub, _ = _fourstrand_steps(prefix, suffix, 0)
-        steps.extend(sub)
+        steps.extend(_fourstrand_steps(prefix, suffix))
 
     # phase 6: five saddles into a 3-component link with sigma6 = 0, the
     # trusted concordance to the trivial link, two saddles to the unknot

@@ -33,7 +33,7 @@ class SeifertMatrix:
     euler_char: int
     # word position of each basis loop's first band; time-major reordering
     # keeps the symmetrized form banded for factorization
-    loop_starts: tuple[int, ...] = ()
+    loop_starts: tuple[int, ...]
 
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]

@@ -9,9 +9,14 @@ positive trefoil summand as +2 and each negative one as -2.
 
 Numerical policy: signature_at, at any rational theta, builds the Hermitian
 form (1-w)V + (1-conj(w))V^T from the nonzero entries of V at a working
-precision in bits, factors it by a pivoted LDL^T, reads the inertia off the
-pivots, and repeats the whole computation at doubled precision; only a
-reproduced count is returned. sigma6 uses no floating point at all.
+precision of prec bits, in the sparse time-major rows that the exact kernel
+below also uses, and reads the inertia off the pivots of one sparse LDL^T.
+A number is taken for zero when it is at most eps = 2^(-prec/2) times the
+largest row sum; a small pivot is replaced by a symmetric swap or a shear,
+and zeros are counted only when the whole remaining block is at most eps.
+The whole computation is repeated at doubled precision, and only a
+reproduced count is returned; past PRECISION_CAP_BITS it raises
+PrecisionError. sigma6 uses no floating point at all.
 
 The limit at theta = 1/6 is certified, not searched for. The Seifert matrix
 is block-diagonal over the blocks of seifert_blocks, each with a connected
@@ -92,11 +97,10 @@ def _time_major(V: SeifertMatrix) -> list[int]:
     first band): they arrive column-major, and time order narrows the band
     of the symmetrized form.
     """
-    at = list(range(V.size))
-    if len(V.loop_starts) == V.size:
-        order = sorted(range(V.size), key=lambda i: V.loop_starts[i])
-        for k, i in enumerate(order):
-            at[i] = k
+    order = sorted(range(V.size), key=V.loop_starts.__getitem__)
+    at = [0] * V.size
+    for k, i in enumerate(order):
+        at[i] = k
     return at
 
 
@@ -120,122 +124,89 @@ def _hermitian_entries(V: SeifertMatrix, theta: Fraction) -> dict:
     return out
 
 
-def _band_inertia(entries: dict, at: list[int], eps):
+def _swap(rows: list[dict], k: int, m: int) -> None:
+    """Symmetric swap of rows and columns k and m of the stored form."""
+    for r in rows[k].keys() | rows[m].keys():
+        row = rows[r]
+        zk, zm = row.pop(k, None), row.pop(m, None)
+        if zm is not None:
+            row[k] = zm
+        if zk is not None:
+            row[m] = zk
+    rows[k], rows[m] = rows[m], rows[k]
+
+
+def _ldl_inertia(rows: list[dict], eps) -> tuple[int, int, int, int, int]:
     """
-    Unpivoted LDL^T on the reordered lower triangle. Fill stays inside the
-    band, so this is the fast path for the (banded) torus-word forms. Returns
-    None when a pivot is too small to trust without pivoting, or when the
-    band is too wide to be worth it.
+    (positive, negative, zero, swaps, shears) of the Hermitian form whose
+    row k is the dict rows[k] = {j: H[k][j]} of its nonzero entries, by a
+    sparse LDL^T that consumes rows, with the numbers of pivots fixed by a
+    swap and by a shear. Pivot k is taken in order while |d_k| > eps, so on
+    rows in time-major order the fill of a torus word stays inside a narrow
+    band. Otherwise the later row with the largest |diagonal| is swapped in
+    or, when every later diagonal is at most eps, row/col k += c * row/col m
+    with b = H[k][m] the largest off-diagonal entry of row k and c =
+    conj(b)/|b|, which makes the diagonal about 2|b| > 0. A row at most eps
+    is deferred to the end, since later updates can refill it; zeros are
+    counted only when the whole remaining block is at most eps.
     """
-    h = len(at)
-    lower = [(at[i], at[j], x) for (i, j), x in entries.items()
-             if at[j] <= at[i]]
-    width = max((i - j for i, j, _ in lower), default=0)
-    if width * width * 3 >= h * h:
-        return None
-    zero = mpc(0)
-    A = [[zero] * (i + 1) for i in range(h)]
-    for i, j, x in lower:
-        A[i][j] = x
-    pos = neg = 0
-    for k in range(h):
-        d = A[k][k].real
-        if abs(d) <= eps:
-            return None
+    h = len(rows)
+    diag = lambda i: abs(rows[i].get(i, 0).real)
+    pos = neg = swaps = shears = 0
+    k, end = 0, h  # rows[end:] were at most eps when deferred
+    while k < h:
+        if k == end:
+            if all(abs(x) <= eps for row in rows[k:] for x in row.values()):
+                break
+            end = h
+        top = rows[k]
+        if diag(k) <= eps:
+            m = max(range(k + 1, h), key=diag, default=k)
+            if diag(m) > eps:
+                _swap(rows, k, m)
+                swaps += 1
+            else:
+                m = max(top.keys() - {k}, key=lambda j: abs(top[j]),
+                        default=k)
+                if m == k or abs(top[m]) <= eps:
+                    end -= 1
+                    _swap(rows, k, end)
+                    continue
+                c = mp.conj(top[m]) / abs(top[m])
+                for r in list(rows[m]):
+                    rows[r][k] = rows[r].get(k, 0) + c * rows[r][m]
+                for j, x in rows[m].items():
+                    top[j] = top.get(j, 0) + mp.conj(c) * x
+                shears += 1
+            top = rows[k]
+        rows[k] = {}
+        d = top.pop(k).real
         if d > 0:
             pos += 1
         else:
             neg += 1
-        hi = min(h, k + width + 1)
-        for i in range(k + 1, hi):
-            f = A[i][k] / d
-            if f == 0:
-                continue
-            row_i = A[i]
-            for j in range(k + 1, i + 1):
-                row_i[j] -= f * mp.conj(A[j][k])
-    return pos, neg, 0
-
-
-def _dense_inertia(M, eps):
-    """Symmetrically pivoted LDL^T with 1x1 and 2x2 pivots; full storage."""
-    h = len(M)
-    A = [row[:] for row in M]
-    alive = list(range(h))
-    pos = neg = zero = 0
-    while alive:
-        # best 1x1 pivot
-        bk = max(alive, key=lambda i: abs(A[i][i].real))
-        dmax = abs(A[bk][bk].real)
-        if dmax > eps:
-            d = A[bk][bk].real
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            alive.remove(bk)
-            col = {i: A[i][bk] for i in alive}
-            for i in alive:
-                fi = col[i] / d
-                if fi == 0:
-                    continue
-                for j in alive:
-                    A[i][j] -= fi * mp.conj(col[j])
-            continue
-        # best off-diagonal
-        bi = bj = None
-        omax = mpf(0)
-        for x in range(len(alive)):
-            for y in range(x + 1, len(alive)):
-                v = abs(A[alive[x]][alive[y]])
-                if v > omax:
-                    omax = v
-                    bi, bj = alive[x], alive[y]
-        if bi is None or omax <= eps:
-            zero += len(alive)
-            break
-        # 2x2 pivot block [[a, b], [conj(b), c]] with tiny a, c: inertia (+1, -1)
-        a = A[bi][bi].real
-        c = A[bj][bj].real
-        b = A[bi][bj]
-        det = a * c - (b.real * b.real + b.imag * b.imag)
-        pos += 1
-        neg += 1
-        alive.remove(bi)
-        alive.remove(bj)
-        coli = {i: A[i][bi] for i in alive}
-        colj = {i: A[i][bj] for i in alive}
-        for i in alive:
-            vi, vj = coli[i], colj[i]
-            # [xi, xj] = [vi, vj] * inv(block)
-            xi = (vi * c - vj * mp.conj(b)) / det
-            xj = (vj * a - vi * b) / det
-            for j in alive:
-                A[i][j] -= xi * mp.conj(coli[j]) + xj * mp.conj(colj[j])
-    return pos, neg, zero
+        cols = list(top)
+        for n, i in enumerate(cols):
+            row = rows[i]
+            del row[k]
+            f = mp.conj(top[i]) / d  # H[i][k] / d
+            for j in cols[n:]:
+                row[j] = row.get(j, 0) - f * top[j]
+            for j in cols[n + 1:]:  # the updated form is Hermitian too
+                rows[j][i] = mp.conj(row[j])
+        k += 1
+    return pos, neg, h - k, swaps, shears
 
 
 def _inertia_at(V: SeifertMatrix, theta: Fraction, prec: int):
-    h = V.size
-    if h == 0:
-        return 0, 0, 0
+    """_ldl_inertia of the form at theta at prec bits, rows in time order."""
     with workprec(prec):
-        entries = _hermitian_entries(V, theta)
-        sums = [0] * h
-        for (i, _), x in entries.items():
-            sums[i] += abs(x)
-        scale = max(sums)
-        if scale == 0:
-            return 0, 0, h
-        band = _band_inertia(entries, _time_major(V),
-                             scale * mpf(2) ** (-(prec // 3)))
-        if band is not None:
-            return band
-        zero = mpc(0)
-        M = [[zero] * h for _ in range(h)]
-        for (i, j), x in entries.items():
-            M[i][j] = x
-        return _dense_inertia(M, scale * mpf(2) ** (-(prec // 2)))
+        at = _time_major(V)
+        rows: list[dict] = [{} for _ in range(V.size)]
+        for (i, j), x in _hermitian_entries(V, theta).items():
+            rows[at[i]][at[j]] = x
+        scale = max((sum(map(abs, row.values())) for row in rows), default=0)
+        return _ldl_inertia(rows, scale * mpf(2) ** (-(prec // 2)))
 
 
 def signature_at(
@@ -253,9 +224,9 @@ def signature_at(
         raise ValueError(f"theta must lie in (0,1), got {theta}")
     V = w if isinstance(w, SeifertMatrix) else seifert_matrix(w)
     prec = precision_bits if precision_bits else precision_default()
-    last = _inertia_at(V, theta, prec)
+    last = _inertia_at(V, theta, prec)[:3]
     while prec * 2 <= PRECISION_CAP_BITS:
-        check = _inertia_at(V, theta, prec * 2)
+        check = _inertia_at(V, theta, prec * 2)[:3]
         if check == last:
             pos, neg, zero = check
             return SignatureProfile(

@@ -253,13 +253,77 @@ def test_frozen_fixture_file():
     assert abs(23 - 20) <= 12
 
 
+def _dense_inertia(M, eps):
+    """
+    Symmetrically pivoted LDL^T with 1x1 and 2x2 pivots on full storage:
+    signature_at's fallback engine before the sparse LDL^T replaced it.
+    """
+    from mpmath import mp, mpf
+
+    h = len(M)
+    A = [row[:] for row in M]
+    alive = list(range(h))
+    pos = neg = zero = 0
+    while alive:
+        # best 1x1 pivot
+        bk = max(alive, key=lambda i: abs(A[i][i].real))
+        dmax = abs(A[bk][bk].real)
+        if dmax > eps:
+            d = A[bk][bk].real
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            alive.remove(bk)
+            col = {i: A[i][bk] for i in alive}
+            for i in alive:
+                fi = col[i] / d
+                if fi == 0:
+                    continue
+                for j in alive:
+                    A[i][j] -= fi * mp.conj(col[j])
+            continue
+        # best off-diagonal
+        bi = bj = None
+        omax = mpf(0)
+        for x in range(len(alive)):
+            for y in range(x + 1, len(alive)):
+                v = abs(A[alive[x]][alive[y]])
+                if v > omax:
+                    omax = v
+                    bi, bj = alive[x], alive[y]
+        if bi is None or omax <= eps:
+            zero += len(alive)
+            break
+        # 2x2 pivot block [[a, b], [conj(b), c]] with tiny a, c: inertia (+1, -1)
+        a = A[bi][bi].real
+        c = A[bj][bj].real
+        b = A[bi][bj]
+        det = a * c - (b.real * b.real + b.imag * b.imag)
+        pos += 1
+        neg += 1
+        alive.remove(bi)
+        alive.remove(bj)
+        coli = {i: A[i][bi] for i in alive}
+        colj = {i: A[i][bj] for i in alive}
+        for i in alive:
+            vi, vj = coli[i], colj[i]
+            # [xi, xj] = [vi, vj] * inv(block)
+            xi = (vi * c - vj * mp.conj(b)) / det
+            xj = (vj * a - vi * b) / det
+            for j in alive:
+                A[i][j] -= xi * mp.conj(coli[j]) + xj * mp.conj(colj[j])
+    return pos, neg, zero
+
+
 def _dense_profile(w, theta, paths):
     """
-    signature_at as it was before it built its form from the nonzero
-    entries of V: every entry of the dense form in mpmath, the row-sum
-    scale over all of them and a band-width scan of the whole reordered
-    lower triangle. The pivoted dense LDL^T is shared. Adds the path
-    taken ("none", "band" or "dense") to paths.
+    signature_at as it was before the sparse LDL^T: every entry of the
+    dense form in mpmath, the row-sum scale over all of them, an unpivoted
+    band LDL^T on the time-ordered lower triangle at eps 2^(-prec/3) that
+    gives up on a wide band or a small pivot, then the dense engine above
+    at eps 2^(-prec/2). Adds the path taken ("none", "band" or "dense") to
+    paths.
     """
     from mpmath import mp, mpc, mpf, workprec
 
@@ -306,16 +370,12 @@ def _dense_profile(w, theta, paths):
             if scale == 0:
                 paths.add("none")
                 return 0, 0, h
-            if len(V.loop_starts) == h:
-                order = sorted(range(h), key=lambda i: V.loop_starts[i])
-            else:
-                order = list(range(h))
+            order = sorted(range(h), key=lambda i: V.loop_starts[i])
             got = band(M, order, scale * mpf(2) ** (-(prec // 3)))
             paths.add("band" if got else "dense")
             if got is not None:
                 return got
-            return signature._dense_inertia(
-                M, scale * mpf(2) ** (-(prec // 2)))
+            return _dense_inertia(M, scale * mpf(2) ** (-(prec // 2)))
 
     prec = signature.precision_default()
     last = inertia(prec)
@@ -346,6 +406,133 @@ def test_sparse_form_matches_dense_construction():
             assert signature_at(w, theta) == _dense_profile(w, theta, paths), \
                 (w, theta)
     assert paths == {"none", "band", "dense"}
+
+
+def _split_words(seed, count):
+    """Words that leave one column unused, so the closure is split."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        cut = rng.randint(1, n - 1)
+        cols = [c for c in range(1, n) if c != cut]
+        words.append(make_word(n, [rng.choice(cols) * rng.choice((1, 1, -1))
+                                   for _ in range(rng.randint(1, 16))]))
+    return words
+
+
+def _zero_tail_words(seed, count):
+    """
+    A short positive prefix, then letters whose sign flips in each column,
+    so the late loops in time order have two bands of opposite sign and a
+    zero diagonal in the form.
+    """
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        letters = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 8))]
+        sign = {}
+        for _ in range(rng.randint(2, 16)):
+            c = rng.randint(1, n - 1)
+            s = sign.get(c, rng.choice((1, -1)))
+            sign[c] = -s
+            letters.append(c * s)
+        words.append(make_word(n, letters))
+    return words
+
+
+def test_sparse_ldl_matches_dense_oracle_on_differential_corpus(monkeypatch):
+    from braidcob import signature
+    from braidcob.replication import cabled_torus_word
+
+    rng = random.Random(360)
+    cases = [(w, Fraction(k, 360))
+             for w in (torus_word(6, 18), cabled_torus_word(1))
+             for k in rng.sample(range(1, 360), 6)]
+    # links at the roots of their Alexander polynomials, e.g. T(2,4) at 1/4
+    # and T(3,3) at 1/3, where the form is singular
+    for p, q in ((2, 4), (3, 3), (2, 6), (4, 4), (3, 6), (4, 6), (6, 6)):
+        cases += [(torus_word(p, q), Fraction(a, b))
+                  for b in (2, 3, 4, 6) for a in range(1, b)]
+    cases += [(w, Fraction(rng.randrange(1, 12), 12))
+              for w in _split_words(7, 40) + _zero_tail_words(11, 80)]
+    seen = []
+    real = signature._inertia_at
+
+    def recording(V, theta, prec):
+        seen.append(real(V, theta, prec))
+        return seen[-1]
+
+    monkeypatch.setattr(signature, "_inertia_at", recording)
+    ran = {"swap": 0, "shear": 0, "zero tail": 0, "split": 0}
+    paths = set()
+    for w, theta in cases:
+        seen.clear()
+        prof = signature_at(w, theta)
+        assert prof == _dense_profile(w, theta, paths), (w, theta)
+        _, _, zero, swaps, shears = seen[0]
+        ran["swap"] += swaps > 0
+        ran["shear"] += shears > 0
+        ran["zero tail"] += zero > 0
+        ran["split"] += seifert_matrix(w).pieces > 1
+    assert min(ran.values()) >= 15, ran
+    assert {"band", "dense"} <= paths
+
+
+def test_deferred_row_refilled_by_a_later_pivot_is_not_a_zero():
+    """
+    Row 2 is at most eps when the shear at pivot 0 leaves it behind, and it
+    is deferred; the next pivot refills it. Counting it as a zero at once
+    would report (2, 1, 1); the eigenvalues are +-1 and +-2*eps.
+    """
+    from mpmath import mpc, mpf, workprec
+
+    from braidcob.signature import _ldl_inertia
+
+    e = mpf(2) ** -20
+    A = [[0, 2 * e, e / 2, 0], [2 * e, 0, 0, -e / 2],
+         [e / 2, 0, 0, 1], [0, -e / 2, 1, 0]]
+    ev = np.linalg.eigvalsh(np.array(A, dtype=float))
+    assert (ev > float(e)).sum() == (ev < -float(e)).sum() == 2
+    rows = [{j: mpc(x) for j, x in enumerate(row) if x} for row in A]
+    with workprec(128):
+        assert _ldl_inertia(rows, e)[:3] == (2, 2, 0)
+
+
+def test_precision_doubles_to_the_cap_then_raises(monkeypatch, capsys):
+    from braidcob import signature
+    from braidcob.cli import main
+    from braidcob.signature import PRECISION_CAP_BITS, PrecisionError
+
+    monkeypatch.delenv("BRAIDCOB_PRECISION_BITS", raising=False)
+    asked = []
+
+    def unstable(V, theta, prec):
+        asked.append(prec)
+        return prec, 0, 0, 0, 0  # a different count at every precision
+
+    monkeypatch.setattr(signature, "_inertia_at", unstable)
+    with pytest.raises(PrecisionError, match=f"{PRECISION_CAP_BITS} bits"):
+        signature_at(make_word(2, [1, 1, 1]), Fraction(1, 2))
+    assert asked == [128, 256, 512, 1024, 2048, 4096]
+    asked.clear()
+    code = main(["link", "sigma", "--theta", "1/2",
+                 "--strands", "2", "--word", "1,1,1"])
+    assert code == 1 and "precision unresolved" in capsys.readouterr().err
+    assert asked == [128, 256, 512, 1024, 2048, 4096]
+
+    def settles(V, theta, prec):
+        # the counts reproduce from 512 bits on; the shear count never does
+        # and is not compared
+        asked.append(prec)
+        return (1, 0, 0, 0, prec) if prec >= 512 else (prec, 0, 0, 0, 0)
+
+    asked.clear()
+    monkeypatch.setattr(signature, "_inertia_at", settles)
+    prof = signature_at(make_word(2, [1, 1, 1]), Fraction(1, 2))
+    assert (prof.signature, prof.precision_bits) == (1, 512)
+    assert asked == [128, 256, 512, 1024]
 
 
 def test_precision_env_override(monkeypatch):
