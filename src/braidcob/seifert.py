@@ -4,9 +4,14 @@ Seifert matrices of closed braids.
 The surface is the one produced by Seifert's algorithm on the closed-braid
 diagram: one disk per strand, one twisted band per letter. A homology basis
 has one loop for each pair of consecutive letters in the same generator
-column. The linking entries follow local rules with three cases: a loop
-paired with itself, two consecutive loops in one column sharing a band, and
-loops in adjacent columns whose time intervals interleave.
+column. Loops are numbered in time order, by the word position of their
+first band: both signature kernels factor the form in that order, in which
+the symmetrized form of a torus word is banded. The linking entries follow
+local rules with three cases: a loop paired with itself, two consecutive
+loops in one column sharing a band, and loops in adjacent columns whose
+time intervals interleave. A loop therefore links at most two loops of its
+own column and two of each neighbouring column, and only those nonzero
+entries are stored, found in one pass over the letters.
 
 The sign conventions are pinned by fixtures (the positive trefoil must come
 out as [[-1,1],[0,-1]], giving signature -2 at theta=1/2) and cross-checked
@@ -17,26 +22,30 @@ variants would do, but this one is frozen so serialized matrices are stable.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 from .words import BraidWord, make_word
 
 
 @dataclasses.dataclass(frozen=True)
 class SeifertMatrix:
-    """Integer Seifert pairing of the closed-braid surface."""
+    """
+    Integer Seifert pairing of the closed-braid surface, basis in time
+    order. nonzeros lists (i, j, V[i][j]) for each nonzero entry; off the
+    diagonal, V[i][j] and V[j][i] are never both nonzero.
+    """
 
-    entries: tuple[tuple[int, ...], ...]
+    nonzeros: tuple[tuple[int, int, int], ...]
     size: int
     components: int
     pieces: int
     euler_char: int
-    # word position of each basis loop's first band; time-major reordering
-    # keeps the symmetrized form banded for factorization
-    loop_starts: tuple[int, ...]
 
     def rows(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
+        """The dense matrix."""
+        V = [[0] * self.size for _ in range(self.size)]
+        for i, j, v in self.nonzeros:
+            V[i][j] = v
+        return V
 
 
 def _surface_pieces(w: BraidWord) -> int:
@@ -58,50 +67,47 @@ def _surface_pieces(w: BraidWord) -> int:
 
 
 def seifert_matrix(w: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of the closure of w, basis ordered by column then time."""
+    """
+    Seifert matrix of the closure of w, basis in time order. While the
+    letters are read a loop is named by the position of its first band; its
+    entries with the loops that closed before it are known when its second
+    band closes it, and the names are renumbered at the end.
+    """
     from .words import components  # local import to keep module deps flat
 
-    cols: dict[int, list[tuple[int, int]]] = {}
+    last: dict[int, int] = {}  # column -> position of its latest band
+    # column -> its latest band's position and sign, and the latest bands of
+    # the same column and of the columns below and above just before it
+    opened: dict[int, tuple] = {}
+    starts: list[int] = []
+    found: list[tuple[int, int, int]] = []
     for pos, k in enumerate(w.letters):
-        cols.setdefault(abs(k), []).append((pos, 1 if k > 0 else -1))
+        c, e = abs(k), (1 if k > 0 else -1)
+        if c in opened:
+            # the loop from the column's previous band b to pos closes
+            b, eb, before, below, above = opened[c]
+            starts.append(b)
+            if eb == e:
+                found.append((b, b, -e))
+            if before is not None:  # the column's previous loop ends at b
+                found.append((before, b, 1) if eb > 0 else (b, before, -1))
+            # a neighbouring loop that was open at b and has closed since
+            # interleaves with this one; the lower column's loop gets the
+            # entry, +1 when it started first
+            if below is not None and last[c - 1] > b:
+                found.append((below, b, 1))
+            if above is not None and last[c + 1] > b:
+                found.append((b, above, -1))
+        opened[c] = (pos, e, last.get(c), last.get(c - 1), last.get(c + 1))
+        last[c] = pos
 
-    loops: list[tuple[int, int, int, int, int]] = []
-    for col in sorted(cols):
-        occ = cols[col]
-        for (p1, e1), (p2, e2) in zip(occ, occ[1:]):
-            loops.append((col, p1, p2, e1, e2))
-
-    h = len(loops)
-    V = [[0] * h for _ in range(h)]
-    for x, (_c, _p1, _p2, e1, e2) in enumerate(loops):
-        V[x][x] = -(e1 + e2) // 2
-
-    for x, y in itertools.combinations(range(h), 2):
-        cx, a1, a2, _, _ = loops[x]
-        cy, b1, b2, ey1, _ = loops[y]
-        if cx == cy:
-            if a2 == b1:
-                # consecutive loops sharing the band at b1, sign ey1
-                V[x][y] = (1 + ey1) // 2
-                V[y][x] = (ey1 - 1) // 2
-        elif abs(cx - cy) == 1:
-            # orient so xx lives in the lower column
-            if cy == cx + 1:
-                xx, yy, lo1, lo2, hi1, hi2 = x, y, a1, a2, b1, b2
-            else:
-                xx, yy, lo1, lo2, hi1, hi2 = y, x, b1, b2, a1, a2
-            if lo1 < hi1 < lo2 < hi2:
-                V[xx][yy] = 1
-            elif hi1 < lo1 < hi2 < lo2:
-                V[xx][yy] = -1
-
+    number = {b: x for x, b in enumerate(sorted(starts))}
     return SeifertMatrix(
-        entries=tuple(tuple(r) for r in V),
-        size=h,
+        nonzeros=tuple((number[i], number[j], v) for i, j, v in found),
+        size=len(starts),
         components=components(w),
         pieces=_surface_pieces(w),
         euler_char=w.strands - len(w.letters),
-        loop_starts=tuple(p1 for _c, p1, _p2, _e1, _e2 in loops),
     )
 
 
@@ -112,8 +118,8 @@ def seifert_blocks(w: BraidWord) -> list[BraidWord]:
     in which every two neighbouring columns carry interleaving loops; by the
     local rules above no loop of one block links a loop of another. A block
     keeps the letters of its columns in order, relabelled so that its first
-    column is 1, so seifert_matrix(block) is its diagonal block of
-    seifert_matrix(w), and its surface is connected.
+    column is 1, so seifert_matrix(block) is the principal submatrix of
+    seifert_matrix(w) on its loops, and its surface is connected.
     """
     uses: dict[int, int] = {}
     # neighbouring columns lo, lo+1 carry interleaving loops exactly when

@@ -7,16 +7,21 @@ signature -2 on (1/6, 5/6). The public sigma6 flips the sign so that
 sigma6(positive trefoil) = +2, is additive over summands, and counts each
 positive trefoil summand as +2 and each negative one as -2.
 
+Both kernels read the nonzero entries of the Seifert matrix V straight
+into sparse rows, in the time order of its basis, in which the form of a
+torus word is banded and the fill of the elimination stays inside the band.
+
 Numerical policy: signature_at, at any rational theta, builds the Hermitian
-form (1-w)V + (1-conj(w))V^T from the nonzero entries of V at a working
-precision of prec bits, in the sparse time-major rows that the exact kernel
-below also uses, and reads the inertia off the pivots of one sparse LDL^T.
+form (1-w)V + (1-conj(w))V^T at a working precision of prec bits and reads
+the inertia off the pivots of one sparse LDL^T.
 A number is taken for zero when it is at most eps = 2^(-prec/2) times the
 largest row sum; a small pivot is replaced by a symmetric swap or a shear,
 and zeros are counted only when the whole remaining block is at most eps.
 The whole computation is repeated at doubled precision, and only a
 reproduced count is returned; past PRECISION_CAP_BITS it raises
-PrecisionError. sigma6 uses no floating point at all.
+PrecisionError. The starting precision must lie in [64, PRECISION_CAP_BITS
+// 2], so that it is both meaningful and checked at least once. sigma6 uses
+no floating point at all.
 
 The limit at theta = 1/6 is certified, not searched for. The Seifert matrix
 is block-diagonal over the blocks of seifert_blocks, each with a connected
@@ -36,7 +41,7 @@ theta = 1/6 is u = 1/sqrt3, and tan(pi*theta) climbs with slope at least
 (1/sqrt3, 1/sqrt3 + 4*delta) lies on the arc, and the block's signature
 there is that of the Gaussian-integer Hermitian matrix H = p(V + V^T) -
 iq(V - V^T). Its leading minors p_k are real; they come from fraction-free
-(Bareiss) elimination over Z[i] on sparse rows in time-major order, in which
+(Bareiss) elimination over Z[i] on the sparse rows, in which
 each division by the previous minor is exact and, as in alexander, a row
 with a zero in the pivot column waits and is rescaled once when next used.
 By Jacobi's rule the signature is h minus twice the number of sign changes
@@ -62,6 +67,7 @@ from .seifert import SeifertMatrix, seifert_blocks, seifert_matrix
 from .words import BraidWord
 
 DEFAULT_PRECISION_BITS = 128
+MIN_PRECISION_BITS = 64
 PRECISION_CAP_BITS = 4096
 SIGMA6_DELTA_START = Fraction(1, 1024)
 # zeta6^k = a + b*zeta6 for k mod 6, from zeta6^2 = zeta6 - 1
@@ -91,41 +97,12 @@ class SignatureProfile:
     precision_bits: int
 
 
-def _time_major(V: SeifertMatrix) -> list[int]:
-    """
-    The place of each basis loop when loops are ordered by time (by their
-    first band): they arrive column-major, and time order narrows the band
-    of the symmetrized form.
-    """
-    order = sorted(range(V.size), key=V.loop_starts.__getitem__)
-    at = [0] * V.size
-    for k, i in enumerate(order):
-        at[i] = k
-    return at
-
-
-def _hermitian_entries(V: SeifertMatrix, theta: Fraction) -> dict:
-    """
-    The nonzero entries {(i, j): value} of (1-w)V + (1-conj(w))V^T at the
-    working precision, row by row; every other entry is exactly zero.
-    """
-    ang = 2 * mp.pi * mpf(theta.numerator) / theta.denominator
-    w = mpc(mp.cos(ang), mp.sin(ang))
-    c1 = 1 - w
-    c2 = mp.conj(c1)
-    E = V.entries
-    out = {}
-    for i, row in enumerate(E):
-        for j, v in enumerate(row):
-            if v or E[j][i]:
-                x = c1 * v + c2 * E[j][i]
-                if x != 0:
-                    out[i, j] = x
-    return out
-
-
 def _swap(rows: list[dict], k: int, m: int) -> None:
-    """Symmetric swap of rows and columns k and m of the stored form."""
+    """
+    Symmetric swap of rows and columns k and m of the stored form. The rows
+    with an entry in column k or m are read off the keys of rows k and m, so
+    a row must store an entry exactly where its transpose does.
+    """
     for r in rows[k].keys() | rows[m].keys():
         row = rows[r]
         zk, zm = row.pop(k, None), row.pop(m, None)
@@ -199,12 +176,18 @@ def _ldl_inertia(rows: list[dict], eps) -> tuple[int, int, int, int, int]:
 
 
 def _inertia_at(V: SeifertMatrix, theta: Fraction, prec: int):
-    """_ldl_inertia of the form at theta at prec bits, rows in time order."""
+    """
+    _ldl_inertia of the form (1-w)V + (1-conj(w))V^T, w = e^{2*pi*i*theta},
+    at prec bits.
+    """
     with workprec(prec):
-        at = _time_major(V)
+        ang = 2 * mp.pi * mpf(theta.numerator) / theta.denominator
+        c1 = 1 - mpc(mp.cos(ang), mp.sin(ang))
+        c2 = mp.conj(c1)
         rows: list[dict] = [{} for _ in range(V.size)]
-        for (i, j), x in _hermitian_entries(V, theta).items():
-            rows[at[i]][at[j]] = x
+        for i, j, v in V.nonzeros:
+            rows[i][j] = rows[i].get(j, 0) + c1 * v
+            rows[j][i] = rows[j].get(i, 0) + c2 * v
         scale = max((sum(map(abs, row.values())) for row in rows), default=0)
         return _ldl_inertia(rows, scale * mpf(2) ** (-(prec // 2)))
 
@@ -218,12 +201,22 @@ def signature_at(
     Signature and nullity of the closure of w at omega = e^{2*pi*i*theta},
     0 < theta < 1. The counts must reproduce identically when the working
     precision is doubled; otherwise the precision escalates up to a cap.
+    precision_bits is the starting precision, BRAIDCOB_PRECISION_BITS or
+    DEFAULT_PRECISION_BITS when None; ValueError when it lies outside
+    [MIN_PRECISION_BITS, PRECISION_CAP_BITS // 2].
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
+    if precision_bits is None:
+        prec, source = precision_default(), "BRAIDCOB_PRECISION_BITS"
+    else:
+        prec, source = precision_bits, "precision_bits"
+    if not MIN_PRECISION_BITS <= prec <= PRECISION_CAP_BITS // 2:
+        raise ValueError(
+            f"starting precision {source}={prec} lies outside "
+            f"[{MIN_PRECISION_BITS}, {PRECISION_CAP_BITS // 2}] bits")
     V = w if isinstance(w, SeifertMatrix) else seifert_matrix(w)
-    prec = precision_bits if precision_bits else precision_default()
     last = _inertia_at(V, theta, prec)[:3]
     while prec * 2 <= PRECISION_CAP_BITS:
         check = _inertia_at(V, theta, prec * 2)[:3]
@@ -344,7 +337,6 @@ def _pencil_signature(V: SeifertMatrix, u: Fraction) -> tuple[int, int, int]:
     """
     p, q = u.numerator, u.denominator
     h = V.size
-    at = _time_major(V)
     # rows[k] maps column j to H[k][j] = (real, imaginary), nonzeros only
     rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(h)]
 
@@ -355,11 +347,9 @@ def _pencil_signature(V: SeifertMatrix, u: Fraction) -> tuple[int, int, int]:
         else:
             row.pop(j, None)
 
-    for i, entries in enumerate(V.entries):
-        for j, v in enumerate(entries):
-            if v:
-                add(rows[at[i]], at[j], p * v, -q * v)
-                add(rows[at[j]], at[i], p * v, q * v)
+    for i, j, v in V.nonzeros:
+        add(rows[i], j, p * v, -q * v)
+        add(rows[j], i, p * v, q * v)
 
     pivots = [1]  # pivots[k]: the leading k x k minor
     level = [0] * h  # the step rows[i] was last brought up to
@@ -377,16 +367,11 @@ def _pencil_signature(V: SeifertMatrix, u: Fraction) -> tuple[int, int, int]:
         if k not in rows[k]:
             m = next((m for m in range(k + 1, h) if m in rows[m]), None)
             if m is not None:
-                # symmetric swap of k and m; a column swap stays inside
-                # each row, so waiting rows keep their scale
-                rows[k], rows[m] = rows[m], rows[k]
+                # a column swap stays inside each row, so waiting rows keep
+                # their scale, and rescaling keeps the zeros of the stored
+                # rows symmetric, as _swap needs
+                _swap(rows, k, m)
                 level[k], level[m] = level[m], level[k]
-                for row in rows[k:]:
-                    zk, zm = row.pop(k, None), row.pop(m, None)
-                    if zm is not None:
-                        row[k] = zm
-                    if zk is not None:
-                        row[m] = zk
                 swaps += 1
             else:
                 if not rows[k]:
@@ -461,7 +446,6 @@ def _sigma6_of_word(
 
 def sigma6(
     link: FormalLink | BraidWord,
-    precision_bits: int | None = None,
     delta_start: Fraction = SIGMA6_DELTA_START,
 ) -> int:
     """
@@ -472,9 +456,8 @@ def sigma6(
     exactly, at a rational point of the arc (1/6, 1/6 + delta] with delta
     the largest power of two that is at most delta_start and certified free
     of signature jumps; the result does not depend on delta_start, which
-    must lie in (0, 1/2]. precision_bits is accepted for signature_at's
-    sake and has no effect here. Raises Sigma6Error when a block's
-    Alexander polynomial is 0.
+    must lie in (0, 1/2]. Raises Sigma6Error when a block's Alexander
+    polynomial is 0.
     """
     delta_start = Fraction(delta_start)
     if not 0 < delta_start <= Fraction(1, 2):

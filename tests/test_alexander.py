@@ -232,7 +232,8 @@ def _seifert_alexander(w):
     if V.pieces > 1:
         return (0,)
     h = V.size
-    A = [[_Poly({1: V.entries[i][j], 0: -V.entries[j][i]}) for j in range(h)]
+    rows = V.rows()
+    A = [[_Poly({1: rows[i][j], 0: -rows[j][i]}) for j in range(h)]
          for i in range(h)]
     memo = {}
 

@@ -2,9 +2,11 @@
 Seifert matrix fixtures. The local entry rules are pinned here before
 anything downstream: the positive trefoil must produce [[-1,1],[0,-1]],
 the figure eight the right Alexander polynomial, and det(V - V^T) = +-1
-for every knot closure.
+for every knot closure. The one-pass construction is checked entry by
+entry against the local rules applied to every pair of loops.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ def _det_int(rows):
 def test_trefoil_matrix():
     V = seifert_matrix(make_word(2, [1, 1, 1]))
     assert V.size == 2
-    assert V.entries == ((-1, 1), (0, -1))
+    assert V.rows() == [[-1, 1], [0, -1]]
     assert V.components == 1
     assert V.euler_char == -1
 
@@ -96,10 +98,85 @@ def test_intersection_form_unimodular_for_knots():
         assert d in (1, -1), f"det(V-V^T)={d} for {w}"
 
 
-def test_loop_starts_metadata():
-    V = seifert_matrix(make_word(3, [1, 2, 1, 2, 1, 2]))
-    assert len(V.loop_starts) == V.size
-    assert all(isinstance(s, int) for s in V.loop_starts)
+def test_basis_is_in_first_band_order():
+    # the column-2 loop (bands 0, 2) starts before the column-1 loop (bands
+    # 1, 3), so it comes first although its column is higher; the two
+    # interleave with the upper one starting first, so the lower one's row
+    # has -1 in the upper one's column (column order would give
+    # [[-1, -1], [0, -1]])
+    V = seifert_matrix(make_word(3, [2, 1, 2, 1]))
+    assert V.rows() == [[-1, 0], [-1, -1]]
+    # loops by first band: column 3 (0, 3), column 1 (1, 4), column 2
+    # (2, 5), column 1 (4, 6)
+    V = seifert_matrix(make_word(4, [3, 1, -2, 3, 1, -2, 1]))
+    assert V.rows() == [[-1, 0, 0, 0],
+                        [0, -1, 1, 1],
+                        [-1, 0, 1, 0],
+                        [0, 0, -1, -1]]
+
+
+def _pairwise_seifert(w):
+    """
+    The Seifert matrix by the local rules applied to every pair of loops,
+    basis in time order (by first band).
+    """
+    cols = {}
+    for pos, k in enumerate(w.letters):
+        cols.setdefault(abs(k), []).append((pos, 1 if k > 0 else -1))
+    loops = sorted((p1, col, p2, e1, e2)
+                   for col, occ in cols.items()
+                   for (p1, e1), (p2, e2) in zip(occ, occ[1:]))
+    h = len(loops)
+    V = [[0] * h for _ in range(h)]
+    for x, (_p1, _c, _p2, e1, e2) in enumerate(loops):
+        V[x][x] = -(e1 + e2) // 2
+    for x, y in itertools.combinations(range(h), 2):
+        a1, cx, a2, _, _ = loops[x]
+        b1, cy, b2, ey1, _ = loops[y]
+        if cx == cy:
+            if a2 == b1:
+                # consecutive loops sharing the band at b1, sign ey1
+                V[x][y] = (1 + ey1) // 2
+                V[y][x] = (ey1 - 1) // 2
+        elif abs(cx - cy) == 1:
+            # orient so xx lives in the lower column
+            if cy == cx + 1:
+                xx, yy, lo1, lo2, hi1, hi2 = x, y, a1, a2, b1, b2
+            else:
+                xx, yy, lo1, lo2, hi1, hi2 = y, x, b1, b2, a1, a2
+            if lo1 < hi1 < lo2 < hi2:
+                V[xx][yy] = 1
+            elif hi1 < lo1 < hi2 < lo2:
+                V[xx][yy] = -1
+    return V
+
+
+def test_one_pass_matches_pairwise_rules():
+    rng = random.Random(4242)
+    seen = {"one strand": 0, "empty": 0, "mixed signs": 0,
+            "unused column": 0, "column used once": 0}
+    words = [make_word(1, []), make_word(5, [])]
+    for _ in range(2400):
+        n = rng.randint(1, 8)
+        cols = [c for c in range(1, n) if rng.random() < 0.8]
+        words.append(make_word(n, [
+            rng.choice(cols) * rng.choice((1, 1, -1))
+            for _ in range(rng.randint(0, 30))] if cols else []))
+    for w in words:
+        V = seifert_matrix(w)
+        assert V.rows() == _pairwise_seifert(w), w
+        assert all(v for _i, _j, v in V.nonzeros), w
+        pairs = {frozenset((i, j)) for i, j, _v in V.nonzeros}
+        assert len(pairs) == len(V.nonzeros), w
+        uses = [sum(abs(k) == c for k in w.letters)
+                for c in range(1, w.strands)]
+        seen["one strand"] += w.strands == 1
+        seen["empty"] += not w.letters
+        seen["mixed signs"] += len({k > 0 for k in w.letters}) == 2
+        seen["unused column"] += 0 in uses
+        seen["column used once"] += 1 in uses
+    assert len(words) >= 2000
+    assert min(seen.values()) >= 200, seen
 
 
 def _random_words(seed, count, max_strands, max_letters):
@@ -115,43 +192,55 @@ def _random_words(seed, count, max_strands, max_letters):
     return words
 
 
-def _loops_per_column(w):
-    uses = {}
-    for k in w.letters:
-        uses[abs(k)] = uses.get(abs(k), 0) + 1
-    return {c: n - 1 for c, n in sorted(uses.items()) if n > 1}
+def _loop_columns(w):
+    """The column of each basis loop, in time order."""
+    later = set()
+    cols = []
+    for k in reversed(w.letters):
+        if abs(k) in later:
+            cols.append(abs(k))
+        later.add(abs(k))
+    return cols[::-1]
 
 
-def test_seifert_blocks_are_the_diagonal_blocks():
-    several = 0
+def test_seifert_blocks_are_principal_submatrices():
+    several = apart = 0
     for w in _random_words(3131, 150, 7, 22):
         V = seifert_matrix(w)
+        rows = V.rows()
+        cols = _loop_columns(w)
+        assert len(cols) == V.size
         blocks = seifert_blocks(w)
         several += len(blocks) > 1
-        start = 0
         spans = []
+        first = 1
         for b in blocks:
             B = seifert_matrix(b)
             assert B.pieces == 1, (w, b)
-            stop = start + B.size
             assert B.size > 0
-            assert tuple(r[start:stop] for r in V.entries[start:stop]) \
-                == B.entries, (w, b)
+            # the block's first column: its loops are those of V in its
+            # columns, in the same time order
+            first = min(c for c in cols if c >= first)
+            span = [x for x, c in enumerate(cols)
+                    if first <= c < first + b.strands - 1]
+            assert [[rows[i][j] for j in span] for i in span] == B.rows(), \
+                (w, b)
             # maximal: neighbouring columns inside a block are linked
-            sizes = list(_loops_per_column(b).values())
-            assert len(sizes) == b.strands - 1, (w, b)
-            at = 0
-            for lo, hi in zip(sizes, sizes[1:]):
-                assert any(B.entries[i][j] or B.entries[j][i]
-                           for i in range(at, at + lo)
-                           for j in range(at + lo, at + lo + hi)), (w, b)
-                at += lo
-            spans.append(range(start, stop))
-            start = stop
-        assert start == V.size, w
+            inner = _loop_columns(b)
+            assert set(inner) == set(range(1, b.strands)), (w, b)
+            Brows = B.rows()
+            for lo in range(1, b.strands - 1):
+                assert any(Brows[i][j] or Brows[j][i]
+                           for i in range(B.size) if inner[i] == lo
+                           for j in range(B.size) if inner[j] == lo + 1), \
+                    (w, b)
+            spans.append(span)
+            apart += span[-1] - span[0] >= len(span)
+            first += b.strands - 1
+        assert sorted(x for s in spans for x in s) == list(range(V.size)), w
         for x, sx in enumerate(spans):
             for sy in spans[x + 1:]:
-                assert all(V.entries[i][j] == 0 and V.entries[j][i] == 0
+                assert all(rows[i][j] == 0 and rows[j][i] == 0
                            for i in sx for j in sy), w
         for theta in (Fraction(1, 7), Fraction(2, 5), Fraction(5, 8)):
             whole = signature_at(V, theta)
@@ -160,6 +249,8 @@ def test_seifert_blocks_are_the_diagonal_blocks():
             assert whole.nullity == sum(p.nullity for p in parts) \
                 + V.pieces - 1, w
     assert several >= 30
+    # blocks whose loops are not contiguous in time order
+    assert apart >= 30, apart
 
 
 def test_seifert_blocks_relabel_columns():

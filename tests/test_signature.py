@@ -110,6 +110,17 @@ def test_oracle_equivalence_random_theta():
             done += 1
 
 
+def test_torus_oracle_at_h_800():
+    w = torus_word(2, 801)
+    assert seifert_matrix(w).size == 800
+    for theta in (Fraction(1, 7), Fraction(2, 5), Fraction(5, 9)):
+        prof = signature_at(w, theta)
+        assert (prof.signature, prof.nullity) == (
+            torus_signature_oracle(2, 801, theta), 0), theta
+    past = Fraction(1, 6) + Fraction(1, 12 * 2 * 801)
+    assert sigma6(w) == -torus_signature_oracle(2, 801, past) == 268
+
+
 def test_mirror_antisymmetry():
     rng = random.Random(4)
     for _ in range(25):
@@ -197,7 +208,6 @@ def test_sigma6_torus_window():
 def test_sigma6_stability_under_schedule_shift():
     for w in (torus_word(2, 3), torus_word(3, 7), torus_word(6, 6)):
         assert sigma6(w) == sigma6(w, delta_start=Fraction(1, 2048))
-        assert sigma6(w) == sigma6(w, precision_bits=256)
 
 
 def test_step_constancy_between_alexander_roots():
@@ -332,8 +342,8 @@ def _dense_profile(w, theta, paths):
     V = seifert_matrix(w)
     h = V.size
 
-    def band(M, order, eps):
-        A = [[M[order[i]][order[j]] for j in range(i + 1)] for i in range(h)]
+    def band(M, eps):
+        A = [[M[i][j] for j in range(i + 1)] for i in range(h)]
         width = max([i - j for i in range(h) for j in range(i)
                      if A[i][j] != 0], default=0)
         if width * width * 3 >= h * h:
@@ -370,8 +380,7 @@ def _dense_profile(w, theta, paths):
             if scale == 0:
                 paths.add("none")
                 return 0, 0, h
-            order = sorted(range(h), key=lambda i: V.loop_starts[i])
-            got = band(M, order, scale * mpf(2) ** (-(prec // 3)))
+            got = band(M, scale * mpf(2) ** (-(prec // 3)))
             paths.add("band" if got else "dense")
             if got is not None:
                 return got
@@ -544,6 +553,40 @@ def test_precision_env_override(monkeypatch):
     assert prof.precision_bits == 192
     monkeypatch.delenv("BRAIDCOB_PRECISION_BITS")
     assert precision_default() == 128
+
+
+@pytest.mark.parametrize("bits", [0, -8, 1, 3000])
+def test_starting_precision_out_of_range(monkeypatch, capsys, bits):
+    """
+    Below 64 bits the count is noise that doubling can reproduce, and past
+    PRECISION_CAP_BITS // 2 it is never checked at a second precision; only
+    None means the default.
+    """
+    from braidcob.cli import main
+
+    monkeypatch.delenv("BRAIDCOB_PRECISION_BITS", raising=False)
+    with pytest.raises(ValueError, match=rf"precision_bits={bits} lies "
+                                         rf"outside \[64, 2048\]"):
+        signature_at(torus_word(3, 7), Fraction(13, 60), bits)
+    argv = ["link", "sigma", "--strands", "2", "--word", "1,1,1",
+            "--theta", "1/3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "signature -2, nullity 0\n"
+    monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", str(bits))
+    with pytest.raises(ValueError, match=f"BRAIDCOB_PRECISION_BITS={bits} "):
+        signature_at(make_word(2, [1, 1, 1]), Fraction(1, 3))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"BRAIDCOB_PRECISION_BITS={bits} lies" in err
+    assert "Traceback" not in err
+
+
+def test_starting_precision_range_ends():
+    w = torus_word(3, 7)
+    for bits in (64, 2048):
+        prof = signature_at(w, Fraction(13, 60), bits)
+        assert (prof.signature, prof.nullity, prof.precision_bits) == (
+            -6, 0, bits)
 
 
 def test_component_count_of_formal_links():
