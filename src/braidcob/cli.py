@@ -250,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = link.add_subparsers(dest="subcommand", required=True)
     sig = lsub.add_parser("sigma", help="Levine-Tristram signature")
     _add_word_args(sig)
-    sig.add_argument("--theta", help="rational p/q in (0,1)")
+    sig.add_argument("--theta", help="rational p/q in (0,1); --json gives "
+                     "precision_bits 0 when the count is exact, as it is "
+                     "off the jumps")
     sig.add_argument("--sigma6", action="store_true",
                      help="the limit invariant at the sixth root")
     sig.set_defaults(func=_cmd_link_sigma)

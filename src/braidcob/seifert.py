@@ -140,11 +140,16 @@ def seifert_blocks(w: BraidWord) -> list[BraidWord]:
             runs[-1].append(c)
         else:
             runs.append([c])
-    return [
-        make_word(
-            run[-1] - run[0] + 2,
-            [k - run[0] + 1 if k > 0 else k + run[0] - 1
-             for k in w.letters if run[0] <= abs(k) <= run[-1]],
-        )
-        for run in runs
-    ]
+    # each column of a run maps to the run's letters and its relabelling
+    # shift, so one more pass hands every letter to its block
+    place: dict[int, tuple[list[int], int]] = {}
+    letters: list[list[int]] = []
+    for run in runs:
+        letters.append([])
+        for c in run:
+            place[c] = letters[-1], run[0] - 1
+    for k in w.letters:
+        if (got := place.get(abs(k))) is not None:
+            got[0].append(k - got[1] if k > 0 else k + got[1])
+    return [make_word(run[-1] - run[0] + 2, out)
+            for run, out in zip(runs, letters)]

@@ -7,50 +7,60 @@ signature -2 on (1/6, 5/6). The public sigma6 flips the sign so that
 sigma6(positive trefoil) = +2, is additive over summands, and counts each
 positive trefoil summand as +2 and each negative one as -2.
 
-Both kernels read the nonzero entries of the Seifert matrix V straight
-into sparse rows, in the time order of its basis, in which the form of a
-torus word is banded and the fill of the elimination stays inside the band.
+Numerical policy: signature_at is exact away from the jumps, the roots of
+the Alexander polynomial on the unit circle, where the signature is constant
+(Levine 1969; Tristram 1969). The Seifert matrix of a braid word is
+block-diagonal over the blocks of seifert_blocks, each with a connected
+surface, so the form (1-w)V + (1-conj(w))V^T of a block is singular exactly
+at the roots of the block's Alexander polynomial Delta, and the signature is
+the sum over the blocks. With theta = a/b, w is a primitive b-th root of
+unity, and Delta(w) = 0 exactly when the cyclotomic polynomial Phi_b divides
+Delta; that needs phi(b) <= deg Delta, so there is nothing to test when
+b > 2*deg^2, since phi(b) >= sqrt(b/2). For a block with Delta(w) != 0 the
+point evaluated is moved to a rational one on the same arc. With
+S = sum k|c_k| bounding |d Delta(e^{2 pi i t})/dt| / (2 pi), no root lies
+within |Delta(w)|/(2 pi S) of theta. In the coordinate v = cot(pi*theta),
+where |d theta/dv| <= 1/pi, the fraction q/p (p > 0) of least denominator
+within |Delta(w)|/(2S) of v therefore lies on the arc. The form is
+2*sin(pi*theta)^2 times (V + V^T) - i*v*(V - V^T), so at v = q/p it is a
+positive multiple of H = p(V + V^T) - iq(V - V^T). The enclosures of
+cot(pi*theta) and of w come from mpmath's interval arithmetic (the libmpi
+functions under mpmath.iv, which round outwards); |Delta(w)| is bounded
+below from Delta evaluated exactly at the midpoint z of the enclosure of w,
+minus |z - w| times a bound on |Delta'|. The interval precision starts at
+64 bits and doubles until the bounds certify the arc, which happens since
+Delta(w) != 0 is known exactly.
 
-Numerical policy: signature_at, at any rational theta, builds the Hermitian
-form (1-w)V + (1-conj(w))V^T at a working precision of prec bits and reads
-the inertia off the pivots of one sparse LDL^T.
-A number is taken for zero when it is at most eps = 2^(-prec/2) times the
-largest row sum; a small pivot is replaced by a symmetric swap or a shear,
-and zeros are counted only when the whole remaining block is at most eps.
-The whole computation is repeated at doubled precision, and only a
-reproduced count is returned; past PRECISION_CAP_BITS it raises
-PrecisionError. The starting precision must lie in [64, PRECISION_CAP_BITS
-// 2], so that it is both meaningful and checked at least once. sigma6 uses
-no floating point at all.
+Only two inputs reach the mpmath LDL^T: a block with Delta(w) = 0 (Delta = 0
+included), and a SeifertMatrix argument. There the form is built at a
+working precision of prec bits and the inertia is read off the pivots of one
+sparse LDL^T. A number is taken for zero when it is at most eps =
+2^(-prec/2) times the largest row sum; a small pivot is replaced by a
+symmetric swap or a shear, and zeros are counted only when the whole
+remaining block is at most eps. The whole computation is repeated at doubled
+precision, and only a reproduced count is returned; past PRECISION_CAP_BITS
+it raises PrecisionError. The starting precision must lie in [64,
+PRECISION_CAP_BITS // 2], so that it is both meaningful and checked at least
+once; it is checked on every call, whichever path runs. sigma6 uses no
+floating point at all.
 
-The limit at theta = 1/6 is certified, not searched for. The Seifert matrix
-is block-diagonal over the blocks of seifert_blocks, each with a connected
-surface, so the form at w = e^{2 pi i theta} is singular exactly at the roots
-of the block's Alexander polynomial Delta. With Phi6 = t^2 - t + 1 divided
-out, the quotient Q has Q(zeta6) = x + y*zeta6 for integers x, y, not both
-zero, so |Q(zeta6)|^2 = x^2 + xy + y^2 >= 1; and S = sum k|q_k| bounds |Q'|
-on the unit circle. Whenever 2*pi*delta*S < |Q(zeta6)|, Q has no root on the
-arc (1/6, 1/6 + delta], and neither has Phi6, so the block's signature is
-constant there: its value at any one point of the arc is the one-sided
-limit.
+The limit at theta = 1/6 is certified, not searched for, block by block.
+With Phi6 = t^2 - t + 1 divided out of the block's Delta, the quotient Q has
+Q(zeta6) = x + y*zeta6 for integers x, y, not both zero, so |Q(zeta6)|^2 =
+x^2 + xy + y^2 >= 1; and S = sum k|q_k| bounds |Q'| on the unit circle.
+Whenever 2*pi*delta*S < |Q(zeta6)|, Q has no root on the arc (1/6, 1/6 +
+delta], and neither has Phi6, so the block's signature is constant there:
+its value at any one point of the arc is the one-sided limit.
 
-That point is rational in the right coordinate. With w = (1+iu)/(1-iu), that
-is u = tan(pi*theta), the form is 2u/(1+u^2) times u(V + V^T) - i(V - V^T).
-theta = 1/6 is u = 1/sqrt3, and tan(pi*theta) climbs with slope at least
-4*pi/3 > 4 on [1/6, 1/2), so the fraction u* = p/q of least denominator in
-(1/sqrt3, 1/sqrt3 + 4*delta) lies on the arc, and the block's signature
-there is that of the Gaussian-integer Hermitian matrix H = p(V + V^T) -
-iq(V - V^T). Its leading minors p_k are real; they come from fraction-free
-(Bareiss) elimination over Z[i] on the sparse rows, in which
-each division by the previous minor is exact and, as in alexander, a row
-with a zero in the pivot column waits and is rescaled once when next used.
-By Jacobi's rule the signature is h minus twice the number of sign changes
-in 1, p_1, ..., p_h. A zero pivot is removed by a congruence, which keeps
-the inertia: a symmetric swap with the nearest later row whose diagonal is
-nonzero or, when every later diagonal is zero, row/col k += c * row/col m
-with c in {1, i} and H[m][k] != 0, which makes the diagonal
-2*Re(c*H[m][k]) != 0. A zero row means H is singular, which the certified
-arc rules out, so it is reported as an internal error.
+That point is rational in the coordinate u = tan(pi*theta) = 1/v. theta =
+1/6 is u = 1/sqrt3, and tan(pi*theta) climbs with slope at least 4*pi/3 > 4
+on [1/6, 1/2), so the fraction u* = p/q of least denominator in (1/sqrt3,
+1/sqrt3 + 4*delta) lies on the arc, and the block's signature there is that
+of the same H = p(V + V^T) - iq(V - V^T), at v = q/p.
+
+Both callers find their point by one walk down the Stern-Brocot tree, which
+takes each run of turns the same way in one binary search, and count the
+signature of H exactly with inertia._pencil_signature.
 """
 
 from __future__ import annotations
@@ -58,12 +68,30 @@ from __future__ import annotations
 import dataclasses
 import os
 from fractions import Fraction
+from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_int, to_rational
+from mpmath.libmp.libmpi import (
+    mpi_cos_sin,
+    mpi_div,
+    mpi_mul,
+    mpi_one,
+    mpi_pi,
+    mpi_shift,
+    mpi_square,
+    mpi_sub,
+)
 
 from .alexander import alexander
+from .inertia import _ldl_inertia, _pencil_signature
 from .links import FormalLink
-from .seifert import SeifertMatrix, seifert_blocks, seifert_matrix
+from .seifert import (
+    SeifertMatrix,
+    _surface_pieces,
+    seifert_blocks,
+    seifert_matrix,
+)
 from .words import BraidWord
 
 DEFAULT_PRECISION_BITS = 128
@@ -83,96 +111,33 @@ class Sigma6Error(RuntimeError):
 
 
 def precision_default() -> int:
+    """
+    BRAIDCOB_PRECISION_BITS, or DEFAULT_PRECISION_BITS when it is unset or
+    empty; ValueError naming the variable when it is not an integer.
+    """
     env = os.environ.get("BRAIDCOB_PRECISION_BITS")
-    return int(env) if env else DEFAULT_PRECISION_BITS
+    if not env:
+        return DEFAULT_PRECISION_BITS
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"BRAIDCOB_PRECISION_BITS={env!r} is not an integer") from None
 
 
 @dataclasses.dataclass(frozen=True)
 class SignatureProfile:
-    """Signature and nullity at omega = exp(2*pi*i*theta)."""
+    """
+    Signature and nullity at omega = exp(2*pi*i*theta). precision_bits is 0
+    when the count is exact; otherwise it is the starting precision whose
+    mpmath LDL^T count the doubled run reproduced, the largest over the
+    Seifert blocks that needed it.
+    """
 
     theta: Fraction
     signature: int
     nullity: int
     precision_bits: int
-
-
-def _swap(rows: list[dict], k: int, m: int) -> None:
-    """
-    Symmetric swap of rows and columns k and m of the stored form. The rows
-    with an entry in column k or m are read off the keys of rows k and m, so
-    a row must store an entry exactly where its transpose does.
-    """
-    for r in rows[k].keys() | rows[m].keys():
-        row = rows[r]
-        zk, zm = row.pop(k, None), row.pop(m, None)
-        if zm is not None:
-            row[k] = zm
-        if zk is not None:
-            row[m] = zk
-    rows[k], rows[m] = rows[m], rows[k]
-
-
-def _ldl_inertia(rows: list[dict], eps) -> tuple[int, int, int, int, int]:
-    """
-    (positive, negative, zero, swaps, shears) of the Hermitian form whose
-    row k is the dict rows[k] = {j: H[k][j]} of its nonzero entries, by a
-    sparse LDL^T that consumes rows, with the numbers of pivots fixed by a
-    swap and by a shear. Pivot k is taken in order while |d_k| > eps, so on
-    rows in time-major order the fill of a torus word stays inside a narrow
-    band. Otherwise the later row with the largest |diagonal| is swapped in
-    or, when every later diagonal is at most eps, row/col k += c * row/col m
-    with b = H[k][m] the largest off-diagonal entry of row k and c =
-    conj(b)/|b|, which makes the diagonal about 2|b| > 0. A row at most eps
-    is deferred to the end, since later updates can refill it; zeros are
-    counted only when the whole remaining block is at most eps.
-    """
-    h = len(rows)
-    diag = lambda i: abs(rows[i].get(i, 0).real)
-    pos = neg = swaps = shears = 0
-    k, end = 0, h  # rows[end:] were at most eps when deferred
-    while k < h:
-        if k == end:
-            if all(abs(x) <= eps for row in rows[k:] for x in row.values()):
-                break
-            end = h
-        top = rows[k]
-        if diag(k) <= eps:
-            m = max(range(k + 1, h), key=diag, default=k)
-            if diag(m) > eps:
-                _swap(rows, k, m)
-                swaps += 1
-            else:
-                m = max(top.keys() - {k}, key=lambda j: abs(top[j]),
-                        default=k)
-                if m == k or abs(top[m]) <= eps:
-                    end -= 1
-                    _swap(rows, k, end)
-                    continue
-                c = mp.conj(top[m]) / abs(top[m])
-                for r in list(rows[m]):
-                    rows[r][k] = rows[r].get(k, 0) + c * rows[r][m]
-                for j, x in rows[m].items():
-                    top[j] = top.get(j, 0) + mp.conj(c) * x
-                shears += 1
-            top = rows[k]
-        rows[k] = {}
-        d = top.pop(k).real
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        cols = list(top)
-        for n, i in enumerate(cols):
-            row = rows[i]
-            del row[k]
-            f = mp.conj(top[i]) / d  # H[i][k] / d
-            for j in cols[n:]:
-                row[j] = row.get(j, 0) - f * top[j]
-            for j in cols[n + 1:]:  # the updated form is Hermitian too
-                rows[j][i] = mp.conj(row[j])
-        k += 1
-    return pos, neg, h - k, swaps, shears
 
 
 def _inertia_at(V: SeifertMatrix, theta: Fraction, prec: int):
@@ -192,6 +157,136 @@ def _inertia_at(V: SeifertMatrix, theta: Fraction, prec: int):
         return _ldl_inertia(rows, scale * mpf(2) ** (-(prec // 2)))
 
 
+def _ldl_signature(V: SeifertMatrix, theta: Fraction, prec: int
+                   ) -> tuple[int, int, int]:
+    """
+    (signature, zeros, precision) of the form of V at theta from
+    _inertia_at, returned once the counts reproduce at doubled precision;
+    the precision escalates up to PRECISION_CAP_BITS, then PrecisionError.
+    """
+    last = _inertia_at(V, theta, prec)[:3]
+    while prec * 2 <= PRECISION_CAP_BITS:
+        check = _inertia_at(V, theta, prec * 2)[:3]
+        if check == last:
+            pos, neg, zero = check
+            return pos - neg, zero, prec
+        last = check
+        prec *= 2
+    raise PrecisionError(
+        f"precision unresolved at theta={theta} after escalating to "
+        f"{PRECISION_CAP_BITS} bits"
+    )
+
+
+def _vanishes_at(coeffs: tuple[int, ...], b: int) -> bool:
+    """
+    Whether the polynomial with these coefficients vanishes at the primitive
+    b-th roots of unity (b >= 2), that is, whether Phi_b divides it; the
+    zero polynomial vanishes everywhere.
+    """
+    if coeffs == (0,):
+        return True
+    deg = len(coeffs) - 1
+    if b > 2 * deg * deg:  # phi(b) >= sqrt(b/2) > deg
+        return False
+    primes, rest, p = [], b, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    n = b
+    for p in primes:
+        n = n // p * (p - 1)
+    if n > deg:
+        return False
+    # Phi_b is the product of (1 - t^(b/s))^mu(s) over the squarefree s | b,
+    # here as a power series cut after t^n = t^phi(b)
+    phi = [1] + [0] * n
+    for mask in range(1 << len(primes)):
+        d, odd = b, False
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                d, odd = d // p, not odd
+        if odd:  # divide by 1 - t^d
+            for i in range(d, n + 1):
+                phi[i] += phi[i - d]
+        else:  # multiply by 1 - t^d
+            for i in range(n, d - 1, -1):
+                phi[i] -= phi[i - d]
+    rem = list(coeffs)  # reduce by the monic phi, top coefficient first
+    for top in range(deg, n - 1, -1):
+        c = rem[top]
+        if c:
+            for j, x in enumerate(phi, top - n):
+                rem[j] -= c * x
+    return not any(rem[:n])
+
+
+def _ends(x) -> tuple[Fraction, Fraction]:
+    """The two ends of the mpmath interval x, exactly."""
+    return Fraction(*to_rational(x[0])), Fraction(*to_rational(x[1]))
+
+
+def _abs_below(coeffs: tuple[int, ...], x: Fraction, y: Fraction,
+               bits: int) -> Fraction:
+    """
+    A lower bound within 2^-bits of |P(x + iy)|, for the polynomial P with
+    these coefficients at dyadic x and y, by one exact Horner pass over the
+    Gaussian integers.
+    """
+    scale = max(x.denominator, y.denominator)  # both powers of two
+    e = scale.bit_length() - 1
+    X, Y = int(x * scale), int(y * scale)
+    re = im = 0  # scale^d P(x + iy), d the degree
+    for k, c in enumerate(reversed(coeffs)):
+        re, im = re * X - im * Y + (c << e * k), re * Y + im * X
+    shift = 2 * (e * (len(coeffs) - 1) - bits)
+    norm = re * re + im * im
+    return Fraction(isqrt(norm >> shift if shift >= 0 else norm << -shift),
+                    1 << bits)
+
+
+def _arc_point(coeffs: tuple[int, ...], theta: Fraction) -> tuple[int, int]:
+    """
+    (p, q), p > 0, with q/p the fraction of least denominator within
+    |Delta(w)|/(2S) of cot(pi*theta), w = e^{2*pi*i*theta}, for the nonzero
+    Delta with these coefficients, S = sum k|c_k| and Delta(w) != 0 (see
+    the module docstring). The interval precision doubles from 64 bits
+    until the enclosures certify the arc.
+    """
+    slope = sum(k * abs(c) for k, c in enumerate(coeffs))
+    if not slope:  # a nonzero constant: the whole circle is one arc
+        return 1, 0
+    a, b = from_int(theta.numerator), from_int(theta.denominator)
+    prec = 64
+    while True:
+        # intervals at prec bits: pi*theta, then its cosine and sine
+        half = mpi_div(mpi_mul(mpi_pi(prec), (a, a), prec), (b, b), prec)
+        c, s = mpi_cos_sin(half, prec)
+        if _ends(s)[0] > 0:
+            vlo, vhi = _ends(mpi_div(c, s, prec))
+            # w = cos(2*pi*theta) + i sin(2*pi*theta); z is the midpoint of
+            # its enclosure, and |z - w| <= eps
+            xlo, xhi = _ends(mpi_sub(mpi_shift(mpi_square(c, prec), 1),
+                                     mpi_one, prec))
+            ylo, yhi = _ends(mpi_shift(mpi_mul(s, c, prec), 1))
+            eps = (xhi - xlo + yhi - ylo) / 2
+            # |Delta'| <= S (1 + eps)^(d - 1) < 2S between z and w when
+            # d*eps <= 1/2
+            if len(coeffs) * eps <= Fraction(1, 2):
+                low = _abs_below(coeffs, (xlo + xhi) / 2, (ylo + yhi) / 2,
+                                 prec)
+                radius = (low - 2 * eps * slope) / (2 * slope)
+                if vhi - vlo < 2 * radius:
+                    v = _simplest_in(vhi - radius, vlo + radius)
+                    return v.denominator, v.numerator
+        prec *= 2
+
+
 def signature_at(
     w: BraidWord | SeifertMatrix,
     theta: Fraction,
@@ -199,11 +294,15 @@ def signature_at(
 ) -> SignatureProfile:
     """
     Signature and nullity of the closure of w at omega = e^{2*pi*i*theta},
-    0 < theta < 1. The counts must reproduce identically when the working
-    precision is doubled; otherwise the precision escalates up to a cap.
-    precision_bits is the starting precision, BRAIDCOB_PRECISION_BITS or
-    DEFAULT_PRECISION_BITS when None; ValueError when it lies outside
-    [MIN_PRECISION_BITS, PRECISION_CAP_BITS // 2].
+    0 < theta < 1. On a braid word each Seifert block whose Alexander
+    polynomial does not vanish at omega is counted exactly (precision_bits
+    0 in the profile); a block where it vanishes, and a SeifertMatrix
+    argument, go to the mpmath LDL^T, whose counts must reproduce
+    identically when the working precision is doubled; otherwise the
+    precision escalates up to a cap. precision_bits is its starting
+    precision, BRAIDCOB_PRECISION_BITS or DEFAULT_PRECISION_BITS when None;
+    ValueError when it lies outside [MIN_PRECISION_BITS,
+    PRECISION_CAP_BITS // 2].
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -216,24 +315,19 @@ def signature_at(
         raise ValueError(
             f"starting precision {source}={prec} lies outside "
             f"[{MIN_PRECISION_BITS}, {PRECISION_CAP_BITS // 2}] bits")
-    V = w if isinstance(w, SeifertMatrix) else seifert_matrix(w)
-    last = _inertia_at(V, theta, prec)[:3]
-    while prec * 2 <= PRECISION_CAP_BITS:
-        check = _inertia_at(V, theta, prec * 2)[:3]
-        if check == last:
-            pos, neg, zero = check
-            return SignatureProfile(
-                theta=theta,
-                signature=pos - neg,
-                nullity=zero + (V.pieces - 1),
-                precision_bits=prec,
-            )
-        last = check
-        prec *= 2
-    raise PrecisionError(
-        f"precision unresolved at theta={theta} after escalating to "
-        f"{PRECISION_CAP_BITS} bits"
-    )
+    if isinstance(w, SeifertMatrix):
+        total, zeros, used = _ldl_signature(w, theta, prec)
+        return SignatureProfile(theta, total, zeros + w.pieces - 1, used)
+    total = zeros = used = 0
+    for block in seifert_blocks(w):
+        coeffs = alexander(block).coefficients
+        V = seifert_matrix(block)
+        if _vanishes_at(coeffs, theta.denominator):
+            sig, zero, bits = _ldl_signature(V, theta, prec)
+            total, zeros, used = total + sig, zeros + zero, max(used, bits)
+        else:
+            total += _pencil_signature(V, *_arc_point(coeffs, theta))[0]
+    return SignatureProfile(theta, total, zeros + _surface_pieces(w) - 1, used)
 
 
 def torus_signature_oracle(p: int, q: int, theta: Fraction) -> int:
@@ -310,115 +404,70 @@ def _certified_offset(coeffs: tuple[int, ...], delta_start: Fraction
     return delta
 
 
-def _point_past_sixth(delta: Fraction) -> Fraction:
+def _run(holds) -> int:
     """
-    The fraction u* of least denominator in (1/sqrt3, 1/sqrt3 + 4*delta),
-    found by walking the Stern-Brocot tree. Since tan(pi*theta) has slope
-    more than 4 on [1/6, 1/2), u* = tan(pi*theta*) for some theta* in
-    (1/6, 1/6 + delta).
+    The largest k >= 1 with holds(k), for holds true at 1 and true up to
+    some k, false after it: doubling, then bisection.
     """
-    a, b, c, d = 0, 1, 1, 0  # the walk stays strictly between a/b and c/d
+    hi = 2
+    while holds(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _simplest_between(below, above) -> Fraction:
+    """
+    The fraction x/y of least denominator in an open interval of positive
+    reals, given as below(x, y), true exactly when x/y lies at or left of
+    it, and above(x, y), true exactly when x/y lies at or right of it. The
+    walk down the Stern-Brocot tree takes each run of turns the same way,
+    (a + kc)/(b + kd) or (c + ka)/(d + kb), in one binary search.
+    """
+    a, b, c, d = 0, 1, 1, 0  # the interval lies strictly between a/b and c/d
     while True:
         x, y = a + c, b + d
-        if 3 * x * x < y * y:  # x/y < 1/sqrt3
-            a, b = x, y
-        elif (z := Fraction(x, y) - 4 * delta) > 0 and 3 * z * z > 1:
-            c, d = x, y  # x/y > 1/sqrt3 + 4*delta
+        if below(x, y):
+            k = _run(lambda k: below(a + k * c, b + k * d))
+            a, b = a + k * c, b + k * d
+        elif above(x, y):
+            k = _run(lambda k: above(c + k * a, d + k * b))
+            c, d = c + k * a, d + k * b
         else:
             return Fraction(x, y)
 
 
-def _pencil_signature(V: SeifertMatrix, u: Fraction) -> tuple[int, int, int]:
+def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
+    """The fraction of least denominator in the open interval (lo, hi)."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_simplest_in(-hi, -lo)
+    return _simplest_between(
+        lambda x, y: x * lo.denominator <= lo.numerator * y,
+        lambda x, y: x * hi.denominator >= hi.numerator * y,
+    )
+
+
+def _point_past_sixth(delta: Fraction) -> Fraction:
     """
-    Signature of the Gaussian-integer Hermitian matrix
-    H = p(V + V^T) - iq(V - V^T), u = p/q > 0, with the numbers of zero
-    pivots fixed by a swap and by a shear (row/col k += c * row/col m).
-    Raises Sigma6Error when H is singular (see the module docstring).
+    The fraction u* of least denominator in (1/sqrt3, 1/sqrt3 + 4*delta).
+    Since tan(pi*theta) has slope more than 4 on [1/6, 1/2), u* =
+    tan(pi*theta*) for some theta* in (1/6, 1/6 + delta).
     """
-    p, q = u.numerator, u.denominator
-    h = V.size
-    # rows[k] maps column j to H[k][j] = (real, imaginary), nonzeros only
-    rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(h)]
+    n, d = (4 * delta).numerator, (4 * delta).denominator
 
-    def add(row: dict, j: int, x: int, y: int) -> None:
-        zx, zy = row.get(j, (0, 0))
-        if zx + x or zy + y:
-            row[j] = (zx + x, zy + y)
-        else:
-            row.pop(j, None)
+    def above(x: int, y: int) -> bool:  # x/y - n/d = z/(yd) > 1/sqrt3
+        z = x * d - n * y
+        return z > 0 and 3 * z * z > y * y * d * d
 
-    for i, j, v in V.nonzeros:
-        add(rows[i], j, p * v, -q * v)
-        add(rows[j], i, p * v, q * v)
-
-    pivots = [1]  # pivots[k]: the leading k x k minor
-    level = [0] * h  # the step rows[i] was last brought up to
-
-    def catch_up(i: int, k: int) -> dict[int, tuple[int, int]]:
-        if level[i] != k:
-            num, den = pivots[k], pivots[level[i]]
-            rows[i] = {j: (x * num // den, y * num // den)
-                       for j, (x, y) in rows[i].items()}
-            level[i] = k
-        return rows[i]
-
-    swaps = shears = neg = 0
-    for k in range(h):
-        if k not in rows[k]:
-            m = next((m for m in range(k + 1, h) if m in rows[m]), None)
-            if m is not None:
-                # a column swap stays inside each row, so waiting rows keep
-                # their scale, and rescaling keeps the zeros of the stored
-                # rows symmetric, as _swap needs
-                _swap(rows, k, m)
-                level[k], level[m] = level[m], level[k]
-                swaps += 1
-            else:
-                if not rows[k]:
-                    raise Sigma6Error(
-                        f"internal error: the form at u={u} is singular "
-                        f"(zero row at pivot {k} of {h})"
-                    )
-                # every later diagonal is 0: row/col k += c * row/col m
-                # with c in {1, i} makes the diagonal 2*Re(c*H[m][k]) != 0;
-                # the row step needs both rows at step k, the column step
-                # stays inside each row
-                m = min(rows[k])
-                top, other = catch_up(k, k), catch_up(m, k)
-                turn = other[k][0] == 0  # c = i: Re(i*(x + iy)) = -y
-                for j, (s, t) in other.items():
-                    add(top, j, *((-t, s) if turn else (s, t)))
-                for r in list(other):
-                    s, t = rows[r][m]
-                    add(rows[r], k, *((t, -s) if turn else (s, t)))
-                shears += 1
-        top = catch_up(k, k)
-        rows[k] = {}
-        d = top.pop(k)[0]
-        prev = pivots[k]
-        neg += (d < 0) != (prev < 0)
-        new = {}  # rows brought to step k + 1 so far
-        for i in top:
-            row = catch_up(i, k)
-            fx, fy = row.pop(k)  # H[i][k] = conj(H[k][i])
-            out = {}
-            for j, (s, t) in top.items():
-                x, y = row.pop(j, (0, 0))
-                if j in new:  # the updated matrix is Hermitian too
-                    z = new[j].get(i)
-                    if z:
-                        out[j] = (z[0], -z[1])
-                    continue
-                x = (d * x - fx * s + fy * t) // prev
-                y = (d * y - fx * t - fy * s) // prev
-                if x or y:
-                    out[j] = (x, y)
-            for j, (x, y) in row.items():
-                out[j] = (d * x // prev, d * y // prev)
-            rows[i] = new[i] = out
-            level[i] = k + 1
-        pivots.append(d)
-    return h - 2 * neg, swaps, shears
+    return _simplest_between(lambda x, y: 3 * x * x < y * y, above)
 
 
 def _sigma6_of_word(
@@ -440,7 +489,11 @@ def _sigma6_of_word(
             )
         delta = _certified_offset(poly.coefficients, delta_start)
         u = _point_past_sixth(delta)
-        total -= _pencil_signature(seifert_matrix(block), u)[0]
+        try:
+            total -= _pencil_signature(seifert_matrix(block), u.numerator,
+                                       u.denominator)[0]
+        except ArithmeticError as exc:
+            raise Sigma6Error(str(exc)) from exc
     return total
 
 

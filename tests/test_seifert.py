@@ -253,6 +253,49 @@ def test_seifert_blocks_are_principal_submatrices():
     assert apart >= 30, apart
 
 
+def _filtered_blocks(w):
+    """
+    seifert_blocks as it was before the one-pass split: the same runs of
+    columns, then one filter over the whole word for each run.
+    """
+    uses, last, switches = {}, {}, {}
+    for k in w.letters:
+        c = abs(k)
+        uses[c] = uses.get(c, 0) + 1
+        for lo in (c - 1, c):
+            if last.get(lo, c) != c:
+                switches[lo] = switches.get(lo, 0) + 1
+            last[lo] = c
+    runs = []
+    for c in sorted(c for c, n in uses.items() if n > 1):
+        if runs and runs[-1][-1] == c - 1 and switches.get(c - 1, 0) >= 3:
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    return [
+        make_word(run[-1] - run[0] + 2,
+                  [k - run[0] + 1 if k > 0 else k + run[0] - 1
+                   for k in w.letters if run[0] <= abs(k) <= run[-1]])
+        for run in runs
+    ]
+
+
+def test_one_pass_blocks_match_per_block_filter():
+    from braidcob.replication import torus_word, trefoil_sum_word
+
+    words = _random_words(5150, 1500, 9, 40)
+    words += [trefoil_sum_word(n) for n in (1, 7, 60)]
+    words += [torus_word(6, 5), make_word(8, [1, 1, 3, 3, 3, 5, -5, 7, 7])]
+    seen = {"several": 0, "multi-column": 0, "none": 0}
+    for w in words:
+        blocks = seifert_blocks(w)
+        assert blocks == _filtered_blocks(w), w
+        seen["several"] += len(blocks) > 1
+        seen["multi-column"] += any(b.strands > 2 for b in blocks)
+        seen["none"] += not blocks
+    assert min(seen.values()) >= 100, seen
+
+
 def test_seifert_blocks_relabel_columns():
     # columns 1 and 2 never interleave (a single switch), column 4 is used
     # once, and columns 5, 6 interleave

@@ -2,7 +2,8 @@
 sigma6 against independent paths: the delta-halving limit (evaluate the whole
 Seifert form at 1/6 + delta for delta = 2^-10, 2^-11, ... until three
 consecutive values agree with no extra nullity), the mpmath signature_at at
-each block's certified offset 1/6 + delta, the lattice count for torus
+each block's certified offset 1/6 + delta (a SeifertMatrix argument, so
+that the LDL^T runs), the lattice count for torus
 links, and exact checks of the certified offset and of the rational point
 past 1/6. The pairwise lattice count also checks the floor count of
 torus_signature_oracle and the lower bound of theorem_bound at every scale.
@@ -96,7 +97,7 @@ def _offset_signatures(w):
             continue
         delta = signature._certified_offset(poly.coefficients,
                                             signature.SIGMA6_DELTA_START)
-        prof = signature_at(block, Fraction(1, 6) + delta)
+        prof = signature_at(seifert_matrix(block), Fraction(1, 6) + delta)
         assert prof.nullity == 0, block
         out.append((block, delta, prof.signature))
     return out
@@ -206,9 +207,9 @@ def test_one_kernel_call_per_block(monkeypatch):
     calls = []
     real = signature._pencil_signature
 
-    def counting(V, u):
-        calls.append(u)
-        return real(V, u)
+    def counting(V, p, q):
+        calls.append(Fraction(p, q))
+        return real(V, p, q)
 
     def never(*args, **kwargs):
         raise AssertionError("signature_at called")
@@ -232,7 +233,7 @@ def test_exact_kernel_matches_signature_at_oracle():
         for block, delta, expected in _offset_signatures(w):
             u = signature._point_past_sixth(delta)
             got, swaps, shears = signature._pencil_signature(
-                seifert_matrix(block), u)
+                seifert_matrix(block), u.numerator, u.denominator)
             assert got == expected, (block, u)
             fixed["swap"] += swaps > 0
             fixed["shear"] += shears > 0
@@ -276,15 +277,24 @@ def test_zero_alexander_block_raises_without_evaluating(monkeypatch):
 def test_singular_pencil_is_an_internal_error(monkeypatch):
     # Delta(T(2,4)) = (1 - t)(1 + t^2) vanishes at t = i, which is theta =
     # 1/4 and u = tan(pi/4) = 1, so the pencil at u = 1 is singular
+    # (p, q) = (1, 1); the kernel is shared with signature_at, so its
+    # error names neither caller
     w = make_word(2, [1, 1, 1, 1])
     V = seifert_matrix(w)
-    with pytest.raises(Sigma6Error, match="internal error"):
-        signature._pencil_signature(V, Fraction(1))
-    assert signature._pencil_signature(V, Fraction(11, 19))[0] == -1
-    monkeypatch.setattr(signature, "_point_past_sixth",
-                        lambda delta: Fraction(1))
-    with pytest.raises(Sigma6Error, match="internal error"):
-        sigma6(w)
+    with pytest.raises(ArithmeticError, match="internal error") as got:
+        signature._pencil_signature(V, 1, 1)
+    assert "sigma6" not in str(got.value).lower()
+    assert signature._pencil_signature(V, 11, 19)[0] == -1
+    with monkeypatch.context() as m:
+        m.setattr(signature, "_point_past_sixth", lambda delta: Fraction(1))
+        with pytest.raises(Sigma6Error, match="internal error"):
+            sigma6(w)
+    # signature_at at theta = 1/3, off the roots, sent to the same point
+    monkeypatch.setattr(signature, "_arc_point", lambda coeffs, theta: (1, 1))
+    with pytest.raises(ArithmeticError, match="internal error") as got:
+        signature_at(w, Fraction(1, 3))
+    assert not isinstance(got.value, Sigma6Error)
+    assert "sigma6" not in str(got.value).lower()
 
 
 def test_cli_sigma6_of_zero_alexander_word_exits_1(capsys):

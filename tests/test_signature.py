@@ -412,8 +412,11 @@ def test_sparse_form_matches_dense_construction():
     paths = set()
     for w in words:
         for theta in thetas:
-            assert signature_at(w, theta) == _dense_profile(w, theta, paths), \
-                (w, theta)
+            want = _dense_profile(w, theta, paths)
+            assert signature_at(seifert_matrix(w), theta) == want, (w, theta)
+            got = signature_at(w, theta)
+            assert (got.signature, got.nullity) == (
+                want.signature, want.nullity), (w, theta)
     assert paths == {"none", "band", "dense"}
 
 
@@ -478,7 +481,7 @@ def test_sparse_ldl_matches_dense_oracle_on_differential_corpus(monkeypatch):
     paths = set()
     for w, theta in cases:
         seen.clear()
-        prof = signature_at(w, theta)
+        prof = signature_at(seifert_matrix(w), theta)
         assert prof == _dense_profile(w, theta, paths), (w, theta)
         _, _, zero, swaps, shears = seen[0]
         ran["swap"] += swaps > 0
@@ -521,12 +524,22 @@ def test_precision_doubles_to_the_cap_then_raises(monkeypatch, capsys):
         asked.append(prec)
         return prec, 0, 0, 0, 0  # a different count at every precision
 
+    # theta = 1/6 is a root of the trefoil's Alexander polynomial, so the
+    # word reaches the LDL^T there, as a SeifertMatrix does at any theta
     monkeypatch.setattr(signature, "_inertia_at", unstable)
+    trefoil = make_word(2, [1, 1, 1])
+    for w in (trefoil, seifert_matrix(trefoil)):
+        asked.clear()
+        with pytest.raises(PrecisionError,
+                           match=f"{PRECISION_CAP_BITS} bits"):
+            signature_at(w, Fraction(1, 6))
+        assert asked == [128, 256, 512, 1024, 2048, 4096]
+    asked.clear()
     with pytest.raises(PrecisionError, match=f"{PRECISION_CAP_BITS} bits"):
-        signature_at(make_word(2, [1, 1, 1]), Fraction(1, 2))
+        signature_at(seifert_matrix(trefoil), Fraction(1, 2))
     assert asked == [128, 256, 512, 1024, 2048, 4096]
     asked.clear()
-    code = main(["link", "sigma", "--theta", "1/2",
+    code = main(["link", "sigma", "--theta", "1/6",
                  "--strands", "2", "--word", "1,1,1"])
     assert code == 1 and "precision unresolved" in capsys.readouterr().err
     assert asked == [128, 256, 512, 1024, 2048, 4096]
@@ -537,11 +550,12 @@ def test_precision_doubles_to_the_cap_then_raises(monkeypatch, capsys):
         asked.append(prec)
         return (1, 0, 0, 0, prec) if prec >= 512 else (prec, 0, 0, 0, 0)
 
-    asked.clear()
     monkeypatch.setattr(signature, "_inertia_at", settles)
-    prof = signature_at(make_word(2, [1, 1, 1]), Fraction(1, 2))
-    assert (prof.signature, prof.precision_bits) == (1, 512)
-    assert asked == [128, 256, 512, 1024]
+    for w in (trefoil, seifert_matrix(trefoil)):
+        asked.clear()
+        prof = signature_at(w, Fraction(1, 6))
+        assert (prof.signature, prof.precision_bits) == (1, 512)
+        assert asked == [128, 256, 512, 1024]
 
 
 def test_precision_env_override(monkeypatch):
@@ -549,8 +563,15 @@ def test_precision_env_override(monkeypatch):
 
     monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", "192")
     assert precision_default() == 192
-    prof = signature_at(make_word(2, [1, 1, 1]), Fraction(1, 2))
-    assert prof.precision_bits == 192
+    trefoil = make_word(2, [1, 1, 1])
+    # the LDL^T starts there: at a root, and on a SeifertMatrix anywhere
+    prof = signature_at(trefoil, Fraction(1, 6))
+    assert (prof.signature, prof.nullity, prof.precision_bits) == (-1, 1, 192)
+    prof = signature_at(seifert_matrix(trefoil), Fraction(1, 2))
+    assert (prof.signature, prof.nullity, prof.precision_bits) == (-2, 0, 192)
+    # off the roots the count is exact
+    prof = signature_at(trefoil, Fraction(1, 2))
+    assert (prof.signature, prof.nullity, prof.precision_bits) == (-2, 0, 0)
     monkeypatch.delenv("BRAIDCOB_PRECISION_BITS")
     assert precision_default() == 128
 
@@ -584,9 +605,15 @@ def test_starting_precision_out_of_range(monkeypatch, capsys, bits):
 def test_starting_precision_range_ends():
     w = torus_word(3, 7)
     for bits in (64, 2048):
-        prof = signature_at(w, Fraction(13, 60), bits)
+        prof = signature_at(seifert_matrix(w), Fraction(13, 60), bits)
         assert (prof.signature, prof.nullity, prof.precision_bits) == (
             -6, 0, bits)
+        prof = signature_at(w, Fraction(1, 21), bits)  # a root of Delta
+        assert (prof.signature, prof.nullity, prof.precision_bits) == (
+            -1, 1, bits)
+        prof = signature_at(w, Fraction(13, 60), bits)
+        assert (prof.signature, prof.nullity, prof.precision_bits) == (
+            -6, 0, 0)
 
 
 def test_component_count_of_formal_links():
@@ -597,3 +624,188 @@ def test_component_count_of_formal_links():
     )
     assert link.component_count() == 1 + 4 + 3
     assert components(make_word(2, [1, 1, 1])) == 1
+
+
+def _exact_path_cases(seed):
+    """
+    Seeded (word, theta) pairs: random knots and links, split words, torus
+    words and zero-diagonal words, at random k/b on both halves of the
+    circle, at theta = 1/2, next to the trefoil's root 1/6, at the roots of
+    unity of small order and at tiny theta.
+    """
+    rng = random.Random(seed)
+    words = [torus_word(2, 3), torus_word(2, 4), torus_word(3, 4),
+             torus_word(3, 6), torus_word(2, 6)]
+    for _ in range(250):
+        n = rng.randint(2, 6)
+        words.append(make_word(n, [rng.randint(1, n - 1) * rng.choice((1, -1))
+                                   for _ in range(rng.randint(1, 14))]))
+    words += _split_words(seed + 1, 60) + _zero_tail_words(seed + 2, 60)
+    near = Fraction(1, 10 ** 9)
+    special = [Fraction(1, 2), Fraction(1, 6) - near, Fraction(1, 6) + near,
+               Fraction(5, 6) + near, Fraction(1, 10 ** 12),
+               1 - Fraction(1, 10 ** 12)]
+    cases = []
+    for w in words:
+        thetas = [Fraction(rng.randrange(1, 1009), 1009),
+                  Fraction(rng.randrange(505, 1009), 1009),
+                  Fraction(rng.randrange(1, 12), 12),
+                  Fraction(rng.randrange(1, 60), 60),
+                  rng.choice(special), rng.choice(special)]
+        cases += [(w, theta) for theta in thetas]
+    return cases
+
+
+def test_exact_path_matches_ldl_on_differential_corpus(monkeypatch):
+    """
+    signature_at on a braid word counts each block off its roots exactly;
+    the mpmath LDL^T on the whole Seifert matrix is the oracle.
+    """
+    from braidcob import signature
+
+    calls = []
+    real = signature._inertia_at
+
+    def counting(V, theta, prec):
+        calls.append(theta)
+        return real(V, theta, prec)
+
+    monkeypatch.setattr(signature, "_inertia_at", counting)
+    cases = _exact_path_cases(1009)
+    assert len(cases) >= 2000
+    kinds = {"exact": 0, "jump": 0, "link": 0, "split": 0, "past 1/2": 0,
+             "near 1/6": 0, "tiny": 0, "nonzero nullity": 0}
+    for w, theta in cases:
+        calls.clear()
+        got = signature_at(w, theta)
+        exact = not calls
+        want = signature_at(seifert_matrix(w), theta)
+        assert (got.signature, got.nullity) == (
+            want.signature, want.nullity), (w, theta)
+        assert (got.precision_bits == 0) == exact, (w, theta)
+        kinds["exact"] += exact
+        kinds["jump"] += not exact
+        kinds["link"] += exact and components(w) > 1
+        kinds["split"] += exact and seifert_matrix(w).pieces > 1
+        kinds["past 1/2"] += exact and theta > Fraction(1, 2)
+        kinds["near 1/6"] += exact and abs(theta - Fraction(1, 6)) < 1e-6
+        kinds["tiny"] += exact and min(theta, 1 - theta) < 1e-9
+        kinds["nonzero nullity"] += exact and got.nullity > 0
+    assert min(kinds.values()) >= 30, kinds
+    assert kinds["exact"] >= 1500, kinds
+
+
+def test_ldl_runs_only_at_a_root_of_a_block(monkeypatch):
+    from braidcob import signature
+
+    calls = []
+    real = signature._inertia_at
+
+    def counting(V, theta, prec):
+        calls.append(V.size)
+        return real(V, theta, prec)
+
+    monkeypatch.setattr(signature, "_inertia_at", counting)
+    trefoil, t37 = make_word(2, [1, 1, 1]), torus_word(3, 7)
+    for w, theta, want in ((trefoil, Fraction(1, 3), (-2, 0)),
+                           (t37, Fraction(13, 60), (-6, 0))):
+        calls.clear()
+        prof = signature_at(w, theta)
+        assert (prof.signature, prof.nullity, prof.precision_bits) == (
+            *want, 0)
+        assert calls == [], (w, theta)
+    # Phi_6 divides Delta(3_1), Phi_21 divides Delta(T(3,7)), and the
+    # second block of the last word is sigma_1 sigma_1^-1, with Delta = 0;
+    # only that block reaches the LDL^T, the trefoil block stays exact
+    for w, theta, want, sizes in (
+            (trefoil, Fraction(1, 6), (-1, 1), {2}),
+            (t37, Fraction(1, 21), (-1, 1), {12}),
+            (make_word(4, [1, 1, 1, 3, -3]), Fraction(1, 3), (-2, 2), {1})):
+        calls.clear()
+        prof = signature_at(w, theta)
+        assert (prof.signature, prof.nullity, prof.precision_bits) == (
+            *want, 128)
+        assert calls and set(calls) == sizes, (w, theta, calls)
+
+
+def _cyclotomic_by_division(b):
+    """Phi_b = (t^b - 1) / prod of Phi_d over the proper divisors d of b."""
+    from braidcob.alexander import _div
+
+    poly = [-1] + [0] * (b - 1) + [1]
+    for d in range(1, b):
+        if b % d == 0:
+            poly = _div(poly, _cyclotomic_by_division(d))
+    return poly
+
+
+def test_cyclotomic_test_is_exact_on_both_sides_of_the_cut():
+    """
+    _vanishes_at(coeffs, b) says whether Phi_b divides the polynomial; past
+    b = 2*deg^2 it answers without a division, since phi(b) >= sqrt(b/2).
+    """
+    from braidcob.alexander import alexander
+    from braidcob.signature import _vanishes_at
+
+    from math import gcd
+
+    phis = {b: _cyclotomic_by_division(b) for b in range(2, 120)}
+
+    def divides(f, g):
+        r = list(g)
+        for top in range(len(r) - 1, len(f) - 2, -1):
+            c = r[top]
+            for j, x in enumerate(f, top - len(f) + 1):
+                r[j] -= c * x
+        return not any(r)
+
+    def mul(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return out
+
+    rng = random.Random(6)
+    polys = [alexander(torus_word(p, q)).coefficients
+             for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 4), (4, 6),
+                          (3, 7))]
+    for _ in range(40):
+        f = [1]
+        for b in rng.sample(range(2, 40), rng.randint(1, 3)):
+            f = mul(f, phis[b])
+        f = mul(f, [rng.choice((1, -1, 2, 3)), rng.choice((0, 1, -1))])
+        polys.append(tuple(f) if f[-1] else tuple(f[:-1]))
+    below = above = hits = 0
+    for coeffs in polys:
+        deg = len(coeffs) - 1
+        for b in range(2, min(119, 2 * deg * deg + 40)):
+            want = len(phis[b]) - 1 <= deg and divides(phis[b], coeffs)
+            assert _vanishes_at(coeffs, b) == want, (coeffs, b)
+            below += b <= 2 * deg * deg
+            above += b > 2 * deg * deg
+            hits += want
+    assert min(below, above, hits) >= 100, (below, above, hits)
+    assert _vanishes_at((0,), 10 ** 12) and not _vanishes_at((5,), 2)
+    # the cut is sound: phi(b) >= sqrt(b/2)
+    for b in range(1, 5000):
+        phi = sum(1 for k in range(1, b + 1) if gcd(k, b) == 1)
+        assert 2 * phi * phi >= b, b
+
+
+def test_non_integer_precision_variable_is_named(monkeypatch, capsys):
+    from braidcob.cli import main
+    from braidcob.signature import precision_default
+
+    monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", "abc")
+    with pytest.raises(ValueError, match="BRAIDCOB_PRECISION_BITS='abc' "
+                                         "is not an integer"):
+        precision_default()
+    with pytest.raises(ValueError, match="BRAIDCOB_PRECISION_BITS='abc'"):
+        signature_at(make_word(2, [1, 1, 1]), Fraction(1, 3))
+    code = main(["link", "sigma", "--strands", "2", "--word", "1,1,1",
+                 "--theta", "1/3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "BRAIDCOB_PRECISION_BITS='abc' is not an integer" in err
+    assert "Traceback" not in err and "invalid literal" not in err
