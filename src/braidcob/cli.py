@@ -39,7 +39,13 @@ from .signature import (
     sigma6,
     signature_at,
 )
-from .words import BraidWord, WordError, make_word, parse_letters
+from .words import (MAX_WIRE_STRANDS, BraidWord, WordError, make_word,
+                    parse_letters)
+
+# the most bits --theta's numerator and denominator may have; text longer
+# than p/q with both at the cap, or with an exponent, is refused unparsed
+THETA_MAX_BITS = 1024
+_THETA_MAX_CHARS = 2 * len(str(1 << THETA_MAX_BITS)) + 1
 
 
 class CliError(Exception):
@@ -48,8 +54,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_word(args, attr_word="word", attr_file="file") -> BraidWord:
-    path = getattr(args, attr_file, None)
+def _load_word(args, attr_word="word") -> BraidWord:
+    path = getattr(args, "file", None)
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -61,6 +67,9 @@ def _load_word(args, attr_word="word", attr_file="file") -> BraidWord:
     text = getattr(args, attr_word, None)
     if text is None or args.strands is None:
         raise CliError("need --strands and --word, or --file", 1)
+    if args.strands > MAX_WIRE_STRANDS:  # the cap a word file meets
+        raise CliError(f"--strands {args.strands} exceeds MAX_WIRE_STRANDS "
+                       f"= {MAX_WIRE_STRANDS}", 1)
     try:
         return make_word(args.strands, parse_letters(text))
     except WordError as exc:
@@ -86,23 +95,29 @@ def _cmd_braid_nf(args):
 
 
 def _cmd_braid_eq(args):
-    try:
-        w1 = make_word(args.strands, parse_letters(args.word))
-        w2 = make_word(args.strands, parse_letters(args.word2))
-        same = equal(w1, w2)
-    except WordError as exc:
-        raise CliError(str(exc), 1)
+    same = equal(_load_word(args), _load_word(args, "word2"))
     _emit(args, "equal" if same else "not equal", {"equal": same})
 
 
 def _parse_theta(text: str) -> Fraction:
+    """--theta as p/q or a decimal, held to THETA_MAX_BITS."""
+    text = text.strip()
+    cap = (f"theta needs a numerator and denominator of at most "
+           f"THETA_MAX_BITS = {THETA_MAX_BITS} bits")
+    if len(text) > _THETA_MAX_CHARS or "e" in text.lower():
+        raise CliError(f"{cap}, written without an exponent", 1)
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(text)
+            theta = Fraction(int(num), int(den))
+        else:
+            theta = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse theta {text!r}: {exc}", 1)
+    if max(theta.numerator.bit_length(),
+           theta.denominator.bit_length()) > THETA_MAX_BITS:
+        raise CliError(cap, 1)
+    return theta
 
 
 def _cmd_link_sigma(args):

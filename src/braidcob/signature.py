@@ -45,17 +45,20 @@ once; it is checked on every call, whichever path runs. sigma6 uses no
 floating point at all.
 
 The limit at theta = 1/6 is certified, not searched for, block by block.
-With Phi6 = t^2 - t + 1 divided out of the block's Delta, the quotient Q has
-Q(zeta6) = x + y*zeta6 for integers x, y, not both zero, so |Q(zeta6)|^2 =
-x^2 + xy + y^2 >= 1; and S = sum k|q_k| bounds |Q'| on the unit circle.
-Whenever 2*pi*delta*S < |Q(zeta6)|, Q has no root on the arc (1/6, 1/6 +
-delta], and neither has Phi6, so the block's signature is constant there:
-its value at any one point of the arc is the one-sided limit.
+With Phi6 = t^2 - t + 1 divided out of the block's Delta as often as it
+divides it, the quotient Q has Q(zeta6) = x + y*zeta6, the remainder of Q
+mod Phi6, for integers x, y not both zero, so N = |Q(zeta6)|^2 = x^2 + xy +
+y^2 >= 1; and S = sum k|q_k| bounds |Q'| on the unit circle. The block
+takes the width rho = min(1/2, 7r/(44S)) with r = isqrt(N*2^32 - 1)/2^16 <
+sqrt(N), and rho = 1/2 when S = 0. Since 22/7 > pi, 2*pi*rho*S < |Q(zeta6)|,
+so Q has no root on the arc (1/6, 1/6 + rho], and neither has Phi6, whose
+other root is at 5/6: the block's signature is constant there, and its
+value at any one point of the arc is the one-sided limit.
 
 That point is rational in the coordinate u = tan(pi*theta) = 1/v. theta =
 1/6 is u = 1/sqrt3, and tan(pi*theta) climbs with slope at least 4*pi/3 > 4
 on [1/6, 1/2), so the fraction u* = p/q of least denominator in (1/sqrt3,
-1/sqrt3 + 4*delta) lies on the arc, and the block's signature there is that
+1/sqrt3 + 4*rho) lies on the arc, and the block's signature there is that
 of the same H = p(V + V^T) - iq(V - V^T), at v = q/p.
 
 Both callers find their point by one walk down the Stern-Brocot tree, which
@@ -97,9 +100,6 @@ from .words import BraidWord
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
 PRECISION_CAP_BITS = 4096
-SIGMA6_DELTA_START = Fraction(1, 1024)
-# zeta6^k = a + b*zeta6 for k mod 6, from zeta6^2 = zeta6 - 1
-_ZETA6_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
 class PrecisionError(RuntimeError):
@@ -178,17 +178,13 @@ def _ldl_signature(V: SeifertMatrix, theta: Fraction, prec: int
     )
 
 
-def _vanishes_at(coeffs: tuple[int, ...], b: int) -> bool:
+def _cyclotomic_divmod(coeffs: tuple[int, ...], b: int
+                       ) -> tuple[list[int], list[int]]:
     """
-    Whether the polynomial with these coefficients vanishes at the primitive
-    b-th roots of unity (b >= 2), that is, whether Phi_b divides it; the
-    zero polynomial vanishes everywhere.
+    (quotient, remainder) of the polynomial with these coefficients, lowest
+    first, divided by the cyclotomic polynomial Phi_b (b >= 2); the
+    remainder has phi(b) = deg Phi_b coefficients.
     """
-    if coeffs == (0,):
-        return True
-    deg = len(coeffs) - 1
-    if b > 2 * deg * deg:  # phi(b) >= sqrt(b/2) > deg
-        return False
     primes, rest, p = [], b, 2
     while p * p <= rest:
         if rest % p == 0:
@@ -201,8 +197,10 @@ def _vanishes_at(coeffs: tuple[int, ...], b: int) -> bool:
     n = b
     for p in primes:
         n = n // p * (p - 1)
-    if n > deg:
-        return False
+    rem = list(coeffs) + [0] * (n - len(coeffs))
+    quot = [0] * (len(rem) - n)
+    if not quot:
+        return quot, rem
     # Phi_b is the product of (1 - t^(b/s))^mu(s) over the squarefree s | b,
     # here as a power series cut after t^n = t^phi(b)
     phi = [1] + [0] * n
@@ -217,13 +215,26 @@ def _vanishes_at(coeffs: tuple[int, ...], b: int) -> bool:
         else:  # multiply by 1 - t^d
             for i in range(n, d - 1, -1):
                 phi[i] -= phi[i - d]
-    rem = list(coeffs)  # reduce by the monic phi, top coefficient first
-    for top in range(deg, n - 1, -1):
-        c = rem[top]
+    for top in range(len(rem) - 1, n - 1, -1):  # phi is monic
+        c = quot[top - n] = rem[top]
         if c:
             for j, x in enumerate(phi, top - n):
                 rem[j] -= c * x
-    return not any(rem[:n])
+    return quot, rem[:n]
+
+
+def _vanishes_at(coeffs: tuple[int, ...], b: int) -> bool:
+    """
+    Whether the polynomial with these coefficients vanishes at the primitive
+    b-th roots of unity (b >= 2), that is, whether Phi_b divides it; the
+    zero polynomial vanishes everywhere.
+    """
+    if coeffs == (0,):
+        return True
+    deg = len(coeffs) - 1
+    if b > 2 * deg * deg:  # phi(b) >= sqrt(b/2) > deg
+        return False
+    return not any(_cyclotomic_divmod(coeffs, b)[1])
 
 
 def _ends(x) -> tuple[Fraction, Fraction]:
@@ -365,43 +376,24 @@ def torus_signature_oracle(p: int, q: int, theta: Fraction) -> int:
     return total
 
 
-def _at_zeta6(coeffs: list[int]) -> tuple[int, int]:
-    """(x, y) with sum c_k zeta6^k = x + y*zeta6."""
-    x = y = 0
-    for k, c in enumerate(coeffs):
-        a, b = _ZETA6_POWERS[k % 6]
-        x += a * c
-        y += b * c
-    return x, y
-
-
-def _certified_offset(coeffs: tuple[int, ...], delta_start: Fraction
-                      ) -> Fraction:
+def _certified_offset(coeffs: tuple[int, ...]) -> Fraction:
     """
-    The largest power of two delta <= delta_start for which the nonzero
-    polynomial with these coefficients has no root on the arc
-    (1/6, 1/6 + delta] of the unit circle (see the module docstring).
+    A width rho in (0, 1/2] for which the nonzero polynomial with these
+    coefficients has no root on the arc (1/6, 1/6 + rho] of the unit circle
+    (see the module docstring).
     """
-    q = list(coeffs)
-    x, y = _at_zeta6(q)
-    while x == y == 0:
-        # divide out the monic Phi6 = t^2 - t + 1, top coefficient first
-        quot = [0] * (len(q) - 2)
-        for k in range(len(quot) - 1, -1, -1):
-            c = quot[k] = q[k + 2]
-            q[k + 1] += c
-            q[k] -= c
-        q = quot
-        x, y = _at_zeta6(q)
-    norm = x * x + x * y + y * y  # |Q(zeta6)|^2, a positive integer
-    slope = sum(k * abs(c) for k, c in enumerate(q))
-    delta = Fraction(1)
-    while delta > delta_start:
-        delta /= 2
-    # 22/7 > pi, so this guarantees 2*pi*delta*slope < |Q(zeta6)|
-    while (2 * Fraction(22, 7) * delta * slope) ** 2 >= norm:
-        delta /= 2
-    return delta
+    while True:  # divide out Phi6; the remainder is Q(zeta6) = x + y*zeta6
+        quot, (x, y) = _cyclotomic_divmod(coeffs, 6)
+        if x or y:
+            break
+        coeffs = quot
+    slope = sum(k * abs(c) for k, c in enumerate(coeffs))
+    if not slope:
+        return Fraction(1, 2)
+    # r = isqrt(N*2^32 - 1)/2^16 < sqrt(N) = |Q(zeta6)| with N = x^2 + xy +
+    # y^2, and 22/7 > pi, so rho <= 7r/(44S) gives 2*pi*rho*S < |Q(zeta6)|
+    r = isqrt(((x * x + x * y + y * y) << 32) - 1)
+    return min(Fraction(1, 2), Fraction(7 * r, 44 * slope << 16))
 
 
 def _run(holds) -> int:
@@ -470,10 +462,7 @@ def _point_past_sixth(delta: Fraction) -> Fraction:
     return _simplest_between(lambda x, y: 3 * x * x < y * y, above)
 
 
-def _sigma6_of_word(
-    w: BraidWord,
-    delta_start: Fraction = SIGMA6_DELTA_START,
-) -> int:
+def _sigma6_of_word(w: BraidWord) -> int:
     """
     Paper-convention sigma_6 of one closure: minus the sum over its Seifert
     blocks of the standard signature just past theta = 1/6, each taken
@@ -487,8 +476,7 @@ def _sigma6_of_word(
                 f"sigma6 is undefined for {w}: block {block} has Alexander "
                 f"polynomial 0, so its form is singular at every theta"
             )
-        delta = _certified_offset(poly.coefficients, delta_start)
-        u = _point_past_sixth(delta)
+        u = _point_past_sixth(_certified_offset(poly.coefficients))
         try:
             total -= _pencil_signature(seifert_matrix(block), u.numerator,
                                        u.denominator)[0]
@@ -497,25 +485,16 @@ def _sigma6_of_word(
     return total
 
 
-def sigma6(
-    link: FormalLink | BraidWord,
-    delta_start: Fraction = SIGMA6_DELTA_START,
-) -> int:
+def sigma6(link: FormalLink | BraidWord) -> int:
     """
     The limit invariant at the sixth root of unity, paper convention:
     sigma6(positive trefoil) = +2, additive over summands, +2 per positive
     trefoil counter and -2 per negative one. Asserted summands must declare
     their value. Each Seifert block of a closure is evaluated once and
-    exactly, at a rational point of the arc (1/6, 1/6 + delta] with delta
-    the largest power of two that is at most delta_start and certified free
-    of signature jumps; the result does not depend on delta_start, which
-    must lie in (0, 1/2]. Raises Sigma6Error when a block's Alexander
-    polynomial is 0.
+    exactly, at a rational point of the arc (1/6, 1/6 + rho] whose width
+    rho the block's Alexander polynomial certifies free of signature jumps.
+    Raises Sigma6Error when a block's Alexander polynomial is 0.
     """
-    delta_start = Fraction(delta_start)
-    if not 0 < delta_start <= Fraction(1, 2):
-        raise ValueError(
-            f"delta_start must lie in (0, 1/2], got {delta_start}")
     if isinstance(link, BraidWord):
         link = FormalLink(closures=(link,))
     total = 2 * link.trefoils_pos - 2 * link.trefoils_neg
@@ -527,5 +506,5 @@ def sigma6(
             )
         total += summand.sigma6
     for w in link.closures:
-        total += _sigma6_of_word(w, delta_start)
+        total += _sigma6_of_word(w)
     return total

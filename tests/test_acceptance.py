@@ -236,15 +236,18 @@ def test_criterion_10_isotopy_audits(l):
 
 
 def test_criterion_11_stability_of_sigma6():
-    # every sigma6 evaluation class used in criteria 3-5, reproduced with a
-    # shifted delta schedule
-    cases = [trefoil_sum_word(n) for n in (1, 7, 25, 50)]
-    cases += [torus_word(6, m) for m in range(1, 31)]
-    cases += [torus_word(m, n) for m in (6, 12) for n in range(1, 21)]
-    for w in cases:
-        base = sigma6(w)
-        assert sigma6(w, delta_start=Fraction(1, 2048)) == base
+    # every sigma6 evaluation class used in criteria 3-5, against a value
+    # found without Seifert matrices: 2n for n trefoils, and the torus
+    # lattice count at 1/6 + 1/(12mn), past 1/6 and before the next jump
+    cases = [(trefoil_sum_word(n), 2 * n) for n in (1, 7, 25, 50)]
+    torus = [(6, m) for m in range(1, 31)]
+    torus += [(m, n) for m in (6, 12) for n in range(1, 21)]
+    cases += [(torus_word(m, n), -torus_signature_oracle(
+        m, n, Fraction(1, 6) + Fraction(1, 12 * m * n))) for m, n in torus]
+    for w, want in cases:
+        assert sigma6(w) == want, w
     _report(
         "11 sigma6 stability",
-        f"{len(cases)} evaluations identical after one extra delta-halving",
+        f"{len(cases)} evaluations equal to 2n for 3_1^n and to the torus "
+        f"lattice count just past 1/6",
     )

@@ -4,6 +4,7 @@ round trip for every built-in certificate.
 """
 
 import json
+import time
 
 import pytest
 
@@ -303,6 +304,46 @@ def test_strand_count_past_the_wire_limit_exits_2(tmp_path, capsys, argv,
     code, _, err = run(capsys, *argv, str(path))
     assert code == 2
     assert "cannot read" in err and "exceeds 1024" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("link", "sigma", "--strands", "2000000", "--word", "1,1,1",
+     "--theta", "1/3"),
+    ("braid", "eq", "--strands", "2000000", "--word", "1", "--word2", "1"),
+], ids=["link-sigma", "braid-eq"])
+def test_strands_argument_past_the_wire_limit_exits_1(capsys, argv):
+    # the cap a word file meets holds for --strands too
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "--strands 2000000 exceeds MAX_WIRE_STRANDS = 1024" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("theta, parsed", [
+    ("1e-99999", False),
+    ("1E-3", False),
+    ("3/" + "0" * 700 + "7", False),
+    ("1/" + str(1 << 1024), True),
+    ("0." + "0" * 400 + "1", True),
+], ids=["exponent", "capital-exponent", "long-text", "1025-bit-ratio",
+        "1329-bit-decimal"])
+def test_theta_past_the_bit_cap_exits_1_at_once(capsys, theta, parsed):
+    # 1e-99999 would build a 100000-digit denominator; an exponent or a
+    # text longer than p/q at the cap is refused before any big integer
+    # exists, the rest once parsed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "link", "sigma", "--strands", "2",
+                         "--word", "1,1,1", "--theta", theta)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "THETA_MAX_BITS = 1024" in err and "Traceback" not in err
+    assert parsed == ("exponent" not in err), err
+
+
+def test_theta_at_the_bit_cap_is_accepted(capsys):
+    code, out, _ = run(capsys, "link", "sigma", "--strands", "2",
+                       "--word", "1,1,1", "--theta", "1/" + str(1 << 1023))
+    assert code == 0 and out.strip() == "signature 0, nullity 0"
 
 
 @pytest.mark.parametrize("argv", [

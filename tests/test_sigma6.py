@@ -2,10 +2,10 @@
 sigma6 against independent paths: the delta-halving limit (evaluate the whole
 Seifert form at 1/6 + delta for delta = 2^-10, 2^-11, ... until three
 consecutive values agree with no extra nullity), the mpmath signature_at at
-each block's certified offset 1/6 + delta (a SeifertMatrix argument, so
-that the LDL^T runs), the lattice count for torus
-links, and exact checks of the certified offset and of the rational point
-past 1/6. The pairwise lattice count also checks the floor count of
+each block's certified offset 1/6 + rho (a SeifertMatrix argument, so that
+the LDL^T runs), the earlier power-of-two offset, the lattice count for
+torus links, and exact checks of the certified offset and of the rational
+point past 1/6. The pairwise lattice count also checks the floor count of
 torus_signature_oracle and the lower bound of theorem_bound at every scale.
 """
 
@@ -83,23 +83,68 @@ def _seeded_words(seed, count):
     return words
 
 
-def _offset_signatures(w):
+# zeta6^k = a + b*zeta6 for k mod 6, from zeta6^2 = zeta6 - 1
+_ZETA6_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def _at_zeta6(coeffs):
+    """(x, y) with sum c_k zeta6^k = x + y*zeta6."""
+    x = y = 0
+    for k, c in enumerate(coeffs):
+        a, b = _ZETA6_POWERS[k % 6]
+        x += a * c
+        y += b * c
+    return x, y
+
+
+def _power_of_two_offset(coeffs, delta_start=Fraction(1, 1024)):
     """
-    (block, delta, the mpmath signature at 1/6 + delta) for each Seifert
-    block whose Alexander polynomial is not 0, with delta its certified
-    offset. This is how sigma6 took each block's limit before the exact
-    kernel.
+    The offset sigma6 used before each block worked out its own width: the
+    largest power of two delta <= delta_start with 2*(22/7)*delta*S <
+    |Q(zeta6)|, for Q the nonzero polynomial with these coefficients with
+    Phi6 divided out by hand.
     """
-    out = []
+    q = list(coeffs)
+    x, y = _at_zeta6(q)
+    while x == y == 0:
+        # divide out the monic Phi6 = t^2 - t + 1, top coefficient first
+        quot = [0] * (len(q) - 2)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = q[k + 2]
+            q[k + 1] += c
+            q[k] -= c
+        q = quot
+        x, y = _at_zeta6(q)
+    norm = x * x + x * y + y * y
+    slope = sum(k * abs(c) for k, c in enumerate(q))
+    delta = Fraction(1)
+    while delta > delta_start:
+        delta /= 2
+    while (2 * Fraction(22, 7) * delta * slope) ** 2 >= norm:
+        delta /= 2
+    return delta
+
+
+def _nonzero_blocks(w):
+    """(block, coefficients of Delta) for each block with Delta != 0."""
     for block in seifert_blocks(w):
         poly = alexander(block)
-        if poly.is_zero():
-            continue
-        delta = signature._certified_offset(poly.coefficients,
-                                            signature.SIGMA6_DELTA_START)
-        prof = signature_at(seifert_matrix(block), Fraction(1, 6) + delta)
+        if not poly.is_zero():
+            yield block, poly.coefficients
+
+
+def _offset_signatures(w):
+    """
+    (block, rho, the mpmath signature at 1/6 + rho) for each Seifert block
+    whose Alexander polynomial is not 0, with rho its certified offset.
+    This is how sigma6 took each block's limit before the exact kernel.
+    """
+    out = []
+    for block, coeffs in _nonzero_blocks(w):
+        rho = signature._certified_offset(coeffs)
+        prof = signature_at(seifert_matrix(block), Fraction(1, 6) + rho)
         assert prof.nullity == 0, block
-        out.append((block, delta, prof.signature))
+        out.append((block, rho, prof.signature))
     return out
 
 
@@ -223,15 +268,17 @@ def test_one_kernel_call_per_block(monkeypatch):
         calls.clear()
         assert sigma6(w) == value
         assert len(calls) == blocks, w
-        assert all(u == Fraction(11, 19) for u in calls), calls
+        assert calls == [
+            signature._point_past_sixth(signature._certified_offset(coeffs))
+            for _, coeffs in _nonzero_blocks(w)], (w, calls)
 
 
 def test_exact_kernel_matches_signature_at_oracle():
     fixed = {"swap": 0, "shear": 0, "none": 0}
     words = _zero_pivot_words(2024, 120) + _seeded_words(6161, 60)
     for w in words:
-        for block, delta, expected in _offset_signatures(w):
-            u = signature._point_past_sixth(delta)
+        for block, rho, expected in _offset_signatures(w):
+            u = signature._point_past_sixth(rho)
             got, swaps, shears = signature._pencil_signature(
                 seifert_matrix(block), u.numerator, u.denominator)
             assert got == expected, (block, u)
@@ -309,43 +356,52 @@ def test_cli_sigma6_of_zero_alexander_word_exits_1(capsys):
 @pytest.mark.parametrize("n", [7, 13, 25, 601, 1199, 1200, 4801])
 @pytest.mark.parametrize("phi6_power", [0, 2])
 def test_certified_offset_avoids_roots_of_unity(n, phi6_power):
-    # t^n - 1 has its roots at exactly theta = k/n; (1/6, 1/6 + delta] must
+    # t^n - 1 has its roots at exactly theta = k/n; (1/6, 1/6 + rho] must
     # hold none of them
     coeffs = [-1] + [0] * (n - 1) + [1]
     for _ in range(phi6_power):
         coeffs = [a - b + c for a, b, c in
                   zip(coeffs + [0, 0], [0] + coeffs + [0], [0, 0] + coeffs)]
-    for start in (Fraction(1, 2), Fraction(1, 1024), Fraction(3, 5000)):
-        delta = signature._certified_offset(tuple(coeffs), start)
-        assert delta <= start and delta.numerator == 1
-        assert delta.denominator & (delta.denominator - 1) == 0
-        k = n // 6 + 1  # the first k/n past 1/6
-        assert Fraction(k, n) > Fraction(1, 6) + delta, (n, delta)
+    rho = signature._certified_offset(tuple(coeffs))
+    assert 0 < rho <= Fraction(1, 2)
+    k = n // 6 + 1  # the first k/n past 1/6
+    assert Fraction(k, n) > Fraction(1, 6) + rho, (n, rho)
 
 
 def test_certified_offset_of_trefoil_is_delta_start():
-    # Delta(3_1) = Phi6, so nothing remains to bound
-    assert signature._certified_offset((1, -1, 1), Fraction(1, 2)) \
-        == Fraction(1, 2)
-    assert signature._certified_offset((1, -1, 1), Fraction(1, 3)) \
-        == Fraction(1, 4)
+    # Delta(3_1) = Phi6 leaves nothing to bound, so the width is the whole
+    # 1/2 that stops short of Phi6's other root at 5/6
+    assert signature._certified_offset((1, -1, 1)) == Fraction(1, 2)
+    assert signature._certified_offset((1,)) == Fraction(1, 2)
+    # whose simplest point is u = tan(pi/4) = 1, not 11/19 as at 1/1024
+    assert signature._point_past_sixth(Fraction(1, 2)) == 1
+    # Delta(4_1) = -1 + 3t - t^2 is x + y*zeta6 = 2*zeta6 there, so N = 4,
+    # S = 5 and r = isqrt(2^34 - 1)/2^16
+    assert signature._certified_offset((-1, 3, -1)) \
+        == Fraction(7 * (2 ** 17 - 1), 44 * 5 << 16)
 
 
-def test_sigma6_independent_of_delta_start():
-    # delta_start = 1/2 leaves the whole arc (1/6, 2/3] to the certificate,
-    # which must stop short of every real jump
-    words = [torus_word(2, 5), torus_word(3, 7), torus_word(6, 11),
-             torus_word(12, 5), trefoil_sum_word(4)]
-    words += [w for w in _seeded_words(77, 40)
-              if _outcome(sigma6, w) != "raises"]
+def test_certified_offset_is_no_narrower_than_power_of_two_offset():
+    # on every block of the seeded corpora the certified width is at least
+    # the old power-of-two offset, so its point past 1/6 has no larger
+    # denominator, and both points give the same exact signature
+    words = _seeded_words(77, 120) + _seeded_words(6161, 220)
+    words += _seeded_words(1009, 120) + _zero_pivot_words(2024, 120)
+    blocks = wider = 0
     for w in words:
-        base = sigma6(w)
-        for start in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5000)):
-            assert sigma6(w, delta_start=start) == base, (w, start)
-
-
-@pytest.mark.parametrize("start", [Fraction(0), Fraction(-1, 8),
-                                   Fraction(3, 4)])
-def test_delta_start_out_of_range(start):
-    with pytest.raises(ValueError, match="delta_start"):
-        sigma6(make_word(2, [1, 1, 1]), delta_start=start)
+        for block, coeffs in _nonzero_blocks(w):
+            rho, delta = (signature._certified_offset(coeffs),
+                          _power_of_two_offset(coeffs))
+            assert rho >= delta, (block, rho, delta)
+            u, old = (signature._point_past_sixth(rho),
+                      signature._point_past_sixth(delta))
+            assert u.denominator <= old.denominator, (block, u, old)
+            V = seifert_matrix(block)
+            assert (signature._pencil_signature(V, u.numerator,
+                                                u.denominator)[0]
+                    == signature._pencil_signature(V, old.numerator,
+                                                   old.denominator)[0]
+                    ), (block, u, old)
+            blocks += 1
+            wider += u.denominator < old.denominator
+    assert blocks >= 400 and wider >= blocks // 2, (blocks, wider)

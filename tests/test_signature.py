@@ -206,8 +206,13 @@ def test_sigma6_torus_window():
 
 
 def test_sigma6_stability_under_schedule_shift():
-    for w in (torus_word(2, 3), torus_word(3, 7), torus_word(6, 6)):
-        assert sigma6(w) == sigma6(w, delta_start=Fraction(1, 2048))
+    # sigma6 is read at one certified point per block, with no schedule to
+    # shift: check it against the lattice count just past 1/6, at 1/6 +
+    # 1/(12mn), before the next jump
+    for m, n in ((2, 3), (3, 7), (6, 6)):
+        theta = Fraction(1, 6) + Fraction(1, 12 * m * n)
+        assert sigma6(torus_word(m, n)) == \
+            -torus_signature_oracle(m, n, theta), (m, n)
 
 
 def test_step_constancy_between_alexander_roots():
@@ -737,6 +742,34 @@ def _cyclotomic_by_division(b):
         if b % d == 0:
             poly = _div(poly, _cyclotomic_by_division(d))
     return poly
+
+
+def test_cyclotomic_divmod_reconstructs_the_polynomial():
+    # quotient * Phi_b + remainder is the polynomial, with deg Phi_b
+    # remainder coefficients, on random polynomials of either degree side
+    from braidcob.signature import _cyclotomic_divmod
+
+    rng = random.Random(11)
+    for b in range(2, 62):
+        phi = _cyclotomic_by_division(b)
+        for _ in range(6):
+            coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 40))]
+            coeffs[-1] = coeffs[-1] or 1
+            quot, rem = _cyclotomic_divmod(tuple(coeffs), b)
+            assert len(rem) == len(phi) - 1, (coeffs, b)
+            back = rem + [0] * (len(coeffs) - len(rem))
+            for i, x in enumerate(quot):
+                for j, y in enumerate(phi):
+                    back[i + j] += x * y
+            assert back == coeffs + [0] * (len(back) - len(coeffs)), (
+                coeffs, b)
+            # a multiple of Phi_b divides exactly, with that quotient back
+            multiple = [0] * (len(coeffs) + len(phi) - 1)
+            for i, x in enumerate(coeffs):
+                for j, y in enumerate(phi):
+                    multiple[i + j] += x * y
+            assert _cyclotomic_divmod(tuple(multiple), b) == (
+                coeffs, [0] * (len(phi) - 1))
 
 
 def test_cyclotomic_test_is_exact_on_both_sides_of_the_cut():
