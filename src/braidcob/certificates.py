@@ -37,6 +37,11 @@ from .words import (
 )
 
 
+# the most steps a certificate file may list; the largest shipped one,
+# sixstrand_certificate(8), has 376
+MAX_WIRE_STEPS = 1 << 14
+
+
 class StepError(ValueError):
     """A step failed to apply; carries the step index when replayed."""
 
@@ -410,6 +415,8 @@ class CobordismCertificate:
         steps = data["steps"]
         if not isinstance(steps, list):
             raise TypeError(f'"steps" must be a list, got {steps!r}')
+        if len(steps) > MAX_WIRE_STEPS:
+            raise ValueError(f"steps: {len(steps)} exceeds {MAX_WIRE_STEPS}")
         return CobordismCertificate(
             start=FormalLink.from_json(data["start"]),
             steps=tuple(_step_from_json(s) for s in steps),

@@ -39,8 +39,8 @@ from .signature import (
     sigma6,
     signature_at,
 )
-from .words import (MAX_WIRE_STRANDS, BraidWord, WordError, make_word,
-                    parse_letters)
+from .words import (MAX_WIRE_LETTERS, MAX_WIRE_STRANDS, BraidWord,
+                    WordError, make_word, parse_letters)
 
 # the most bits --theta's numerator and denominator may have; text longer
 # than p/q with both at the cap, or with an exponent, is refused unparsed
@@ -71,7 +71,11 @@ def _load_word(args, attr_word="word") -> BraidWord:
         raise CliError(f"--strands {args.strands} exceeds MAX_WIRE_STRANDS "
                        f"= {MAX_WIRE_STRANDS}", 1)
     try:
-        return make_word(args.strands, parse_letters(text))
+        letters = parse_letters(text)
+        if len(letters) > MAX_WIRE_LETTERS:  # the cap a word file meets
+            raise CliError(f"--{attr_word} has {len(letters)} letters, "
+                           f"exceeds MAX_WIRE_LETTERS = {MAX_WIRE_LETTERS}", 1)
+        return make_word(args.strands, letters)
     except WordError as exc:
         raise CliError(str(exc), 1)
 

@@ -16,9 +16,16 @@ Delta^d * A_1 * ... * A_k * f, where A_1 ... A_k is already in normal form
 - f absorbs sigma_i while f*sigma_i stays simple, and sigma_i^{-1} while
   sigma_i right-divides f. Both keep f simple and touch nothing else.
 - Otherwise f is appended and combed backwards: each pair (A_j, A_{j+1}) is
-  made left-weighted by moving letters from the front of A_{j+1} to the
-  back of A_j, right to left, stopping at the first pair the comb leaves
-  untouched; every pair to its left is unchanged and so still left-weighted.
+  made left-weighted, right to left, stopping at the first pair the comb
+  leaves untouched; every pair to its left is unchanged and so still
+  left-weighted. A pair (a, b) is made left-weighted in one insertion pass
+  over the positions s of the sequence of pairs (b[s], a^{-1}[s]): an
+  element moves left past its neighbour while b has a descent there and
+  a^{-1} has none, and each such swap moves the letter sigma_{s+1} from the
+  front of b to the back of a, keeping ab and both factors simple. The pass
+  leaves no such swap anywhere, so it stops at a left-weighted pair, and
+  that pair is the only one with product ab: in it, a is the greatest
+  simple left divisor of ab.
 - A sigma_i^{-1} that f cannot absorb uses x*sigma_i^{-1} =
   Delta^{-1} * tau(x) * (Delta*sigma_i^{-1}), with tau conjugation by Delta:
   d drops by one, everything read so far is twisted by tau, and f restarts
@@ -104,24 +111,34 @@ def _fix_pair(a, ainv, b, binv) -> bool:
     Transfer letters from the front of b to the back of a until the pair
     (a, b) is left-weighted: the starting set of b (descents of its image
     tuple) must lie in the finishing set of a (descents of its inverse).
-    All four arrays are mutated in place; returns True if anything moved.
+
+    One insertion pass sorts the pairs (b[s], ainv[s]): the element at s
+    moves left past s-1 while b[s-1] > b[s] and ainv[s-1] < ainv[s]. Each
+    such swap is the transfer a <- a*sigma_s, b <- sigma_s^{-1}*b. The
+    elements an insertion shifts right keep their neighbours, and the one
+    inserted cannot move back, so no legal swap is left behind the pass.
+    The result is the unique left-weighted pair with product ab. Only b and
+    ainv are written during the pass; a and binv are rebuilt once over the
+    touched suffix. All four arrays are mutated in place; returns True if
+    anything moved.
     """
     n = len(a)
-    changed = False
-    while True:
-        moved = False
-        for s in range(n - 1):
-            if b[s] > b[s + 1] and ainv[s] < ainv[s + 1]:
-                # a <- a * sigma_{s+1}: swap the values s, s+1 in a
-                pa, pb = ainv[s], ainv[s + 1]
-                a[pa], a[pb] = s + 1, s
-                ainv[s], ainv[s + 1] = pb, pa
-                # b <- sigma_{s+1} * b: swap the inputs s, s+1
-                b[s], b[s + 1] = b[s + 1], b[s]
-                binv[b[s]], binv[b[s + 1]] = s, s + 1
-                moved = changed = True
-        if not moved:
-            return changed
+    lo = n
+    for s in range(1, n):
+        x, y = b[s], ainv[s]
+        j = s
+        while j and b[j - 1] > x and ainv[j - 1] < y:
+            b[j] = b[j - 1]
+            ainv[j] = ainv[j - 1]
+            j -= 1
+        if j < s:
+            b[j], ainv[j] = x, y
+            if j < lo:
+                lo = j
+    for s in range(lo, n):
+        a[ainv[s]] = s
+        binv[b[s]] = s
+    return lo < n
 
 
 def normal_form(w: BraidWord) -> CanonicalBraid:

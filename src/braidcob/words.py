@@ -20,6 +20,9 @@ from typing import Iterable
 # the most strands a word file or certificate may ask for, since normal_form
 # and the Seifert surface allocate per strand; the shipped ones use at most 6
 MAX_WIRE_STRANDS = 1024
+# the most letters one word on the wire may have, since every layer does
+# work per letter; sixstrand_certificate(8), the largest shipped, has 510
+MAX_WIRE_LETTERS = 1 << 16
 
 
 class WordError(ValueError):
@@ -46,7 +49,13 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise WordError(f"strand count must be >= 1, got {self.strands}")
-        for pos, k in enumerate(self.letters):
+        letters, top = self.letters, self.strands - 1
+        # builtins scan the letters; the loop only finds the first bad one
+        if not letters or (
+            0 not in letters and max(letters) <= top and min(letters) >= -top
+        ):
+            return
+        for pos, k in enumerate(letters):
             if k == 0:
                 raise WordError(
                     f"letter 0 at position {pos} is not a generator: "
@@ -74,6 +83,10 @@ class BraidWord:
         n = _wire_int(data["n"], "n")
         if n > MAX_WIRE_STRANDS:
             raise WordError(f"n: {n} strands exceeds {MAX_WIRE_STRANDS}")
+        if len(letters) > MAX_WIRE_LETTERS:
+            raise WordError(
+                f"w: {len(letters)} letters exceeds {MAX_WIRE_LETTERS}"
+            )
         return make_word(n, [_wire_int(k, "w") for k in letters])
 
 

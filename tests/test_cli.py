@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from braidcob.certificates import MAX_WIRE_STEPS
 from braidcob.cli import main
+from braidcob.words import MAX_WIRE_LETTERS
 
 
 def run(capsys, *argv):
@@ -304,6 +306,51 @@ def test_strand_count_past_the_wire_limit_exits_2(tmp_path, capsys, argv,
     code, _, err = run(capsys, *argv, str(path))
     assert code == 2
     assert "cannot read" in err and "exceeds 1024" in err
+
+
+def _trefoil_cert_with_steps(count):
+    # TREFOIL_CERT padded with empty conjugations to count steps
+    cert = json.loads(TREFOIL_CERT)
+    conj = {"op": "conj", "closure": 0, "g": {"n": 2, "w": []}}
+    cert["steps"] += [conj] * (count - 1)
+    return json.dumps(cert)
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["cap", "past"])
+def test_certificate_step_count_cap(tmp_path, capsys, extra, code):
+    path = tmp_path / "long.json"
+    path.write_text(_trefoil_cert_with_steps(MAX_WIRE_STEPS + extra))
+    got, out, err = run(capsys, "cert", "verify", str(path))
+    assert got == code
+    if code:
+        assert f"steps: {MAX_WIRE_STEPS + 1} exceeds {MAX_WIRE_STEPS}" in err
+    else:
+        assert "PASS" in out
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["cap", "past"])
+def test_word_file_letter_count_cap(tmp_path, capsys, extra, code):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 2, "w": [1] * (MAX_WIRE_LETTERS + extra)}))
+    got, _, err = run(capsys, "braid", "nf", "--file", str(path))
+    assert got == code
+    if code:
+        assert "cannot read" in err
+        assert f"{MAX_WIRE_LETTERS + 1} letters exceeds" in err
+
+
+@pytest.mark.parametrize("flag", ["--word", "--word2"])
+def test_word_argument_letter_count_cap(capsys, flag):
+    at_cap = ",".join(["1"] * MAX_WIRE_LETTERS)
+    argv = ["braid", "eq", "--strands", "2", "--word", at_cap,
+            "--word2", at_cap]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip() == "equal"
+    argv[argv.index(flag) + 1] += ",1"
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert (f"{flag} has {MAX_WIRE_LETTERS + 1} letters, exceeds "
+            f"MAX_WIRE_LETTERS = {MAX_WIRE_LETTERS}") in err
 
 
 @pytest.mark.parametrize("argv", [

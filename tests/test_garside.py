@@ -89,6 +89,31 @@ def _artin_images(w):
 # --- the letter-by-letter comb: a reference normal form --------------------
 
 
+def _sweep_fix_pair(a, ainv, b, binv):
+    """
+    The left-weighting step by repeated sweeps: move sigma_{s+1} from the
+    front of b to the back of a wherever b has a descent at s and a^{-1}
+    has none, and sweep again until a sweep moves nothing. All four arrays
+    are updated at every move. Returns True if anything moved.
+    """
+    n = len(a)
+    changed = False
+    while True:
+        moved = False
+        for s in range(n - 1):
+            if b[s] > b[s + 1] and ainv[s] < ainv[s + 1]:
+                # a <- a * sigma_{s+1}: swap the values s, s+1 in a
+                pa, pb = ainv[s], ainv[s + 1]
+                a[pa], a[pb] = s + 1, s
+                ainv[s], ainv[s + 1] = pb, pa
+                # b <- sigma_{s+1}^{-1} * b: swap the inputs s, s+1
+                b[s], b[s + 1] = b[s + 1], b[s]
+                binv[b[s]], binv[b[s + 1]] = s, s + 1
+                moved = changed = True
+        if not moved:
+            return changed
+
+
 def _reference_normal_form(w):
     """
     One factor per letter: sigma_i, or Delta^{-1} times the permutation
@@ -127,8 +152,8 @@ def _reference_normal_form(w):
         invs.append(garside._invert_perm(f))
         j = len(perms) - 2
         while j >= 0:
-            if not garside._fix_pair(perms[j], invs[j], perms[j + 1],
-                                     invs[j + 1]):
+            if not _sweep_fix_pair(perms[j], invs[j], perms[j + 1],
+                                   invs[j + 1]):
                 break
             if perms[j + 1] == ident:
                 perms.pop(j + 1)
@@ -210,6 +235,65 @@ def test_normal_form_matches_reference_on_seeded_words():
         _check_against_reference(
             _skewed_word(rng, n, rng.randrange(0, 41), skew)
         )
+
+
+def test_normal_form_matches_reference_on_wide_words():
+    # the seeded test above stops at 13 strands; the word_problem shapes
+    # reach 36, where a comb step moves dozens of letters
+    rng = random.Random(1636)
+    for n in (16, 24, 36):
+        for skew in (0, 0.5, 1):
+            for length in (60, 90, 120, 150):
+                _check_against_reference(_skewed_word(rng, n, length, skew))
+
+
+def _grow(rng, factors, steps):
+    """
+    Right-multiply each (f, finv) in factors by the same random letters, up
+    to steps of them, while the first factor stays simple.
+    """
+    guard = factors[0][1]
+    for _ in range(steps):
+        room = [s for s in range(len(guard) - 1) if guard[s] < guard[s + 1]]
+        if not room:
+            return
+        s = rng.choice(room)
+        for f, finv in factors:
+            pa, pb = finv[s], finv[s + 1]
+            f[pa], f[pb] = s + 1, s
+            finv[s], finv[s + 1] = pb, pa
+
+
+def _transferable_pair(rng, n):
+    """
+    A random simple a and b = t*c with a*t simple, so that the letters of
+    t, most of b, can move to a.
+    """
+    a = list(range(n))
+    rng.shuffle(a)
+    ainv = garside._invert_perm(a)
+    b, binv = list(range(n)), list(range(n))
+    _grow(rng, [(a[:], ainv[:]), (b, binv)], rng.randrange(n * n))
+    _grow(rng, [(b, binv)], rng.randrange(n))
+    return a, b
+
+
+def test_fix_pair_matches_sweep():
+    rng = random.Random(2718)
+    for trial in range(1400):
+        n = 2 + trial % 35
+        if trial % 2:
+            a, b = list(range(n)), list(range(n))
+            rng.shuffle(a)
+            rng.shuffle(b)
+        else:
+            a, b = _transferable_pair(rng, n)
+        want = [a[:], garside._invert_perm(a), b[:], garside._invert_perm(b)]
+        got = [x[:] for x in want]
+        moved = _sweep_fix_pair(*want)
+        assert garside._fix_pair(*got) == moved, (a, b)
+        assert got == want, (a, b)
+        assert garside._fix_pair(*got) is False
 
 
 def test_normal_form_matches_reference_on_two_strands():

@@ -7,10 +7,10 @@ JSON and from small word files. Each mutation replaces a random leaf with a
 random JSON value (small integers, 1e999, NaN, booleans, strings, null,
 lists, objects), deletes a key, or truncates a list.
 
-Integers stay small on purpose. Nothing bounds the strand count or the
-letters yet: a hostile "n": 10**9 is read as a valid word and makes
-normal_form allocate O(n), so such files cost unbounded work rather than
-crash. Bounding them is a separate item.
+Integers stay small on purpose, so mutants stay cheap to replay. Sizes are
+bounded on the wire: a word has at most MAX_WIRE_STRANDS strands and
+MAX_WIRE_LETTERS letters, and a certificate at most MAX_WIRE_STEPS steps.
+Files padded to each cap are read, and one past it exits 2 unread.
 """
 
 import contextlib
@@ -22,12 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcob.certificates import MAX_WIRE_STEPS
 from braidcob.cli import main
 from braidcob.replication import (
     coxeter_certificate,
     fourstrand_certificate,
     trefoil_stack_certificate,
 )
+from braidcob.words import MAX_WIRE_LETTERS
 
 CERTIFICATES = [
     fourstrand_certificate().to_json(),
@@ -117,3 +119,27 @@ def test_mutated_word_file_never_escapes(tmp_dir, data):
         doc = data.draw(VALUES)
     argv = data.draw(st.sampled_from(WORD_COMMANDS))
     assert _exit_code(tmp_dir, doc, argv) in (0, 1, 2)
+
+
+def _cycled(items, count):
+    return (items * (count // len(items) + 1))[:count]
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["cap", "past"])
+@pytest.mark.parametrize("cert", CERTIFICATES, ids=["four", "coxeter", "stack"])
+def test_certificate_padded_to_the_step_cap(tmp_dir, cert, extra):
+    # the steps repeated: read at the cap (replay then fails), unread past it
+    doc = json.loads(json.dumps(cert))
+    doc["steps"] = _cycled(doc["steps"], MAX_WIRE_STEPS + extra)
+    code = _exit_code(tmp_dir, doc, ["cert", "verify"])
+    assert code == (2 if extra else 1)
+
+
+@pytest.mark.parametrize("word", [w for w in WORDS if w["w"]],
+                         ids=lambda w: f"n{w['n']}")
+def test_word_file_padded_to_the_letter_cap(tmp_dir, word):
+    doc = {"n": word["n"], "w": _cycled(word["w"], MAX_WIRE_LETTERS)}
+    assert _exit_code(tmp_dir, doc, ["braid", "nf", "--file"]) == 0
+    doc["w"].append(1)
+    for argv in WORD_COMMANDS:
+        assert _exit_code(tmp_dir, doc, argv) == 2

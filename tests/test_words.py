@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidcob.words import (
+    MAX_WIRE_LETTERS,
     MAX_WIRE_STRANDS,
     BraidWord,
     WordError,
@@ -65,6 +66,26 @@ def test_wire_strand_count_is_bounded():
     assert w.strands == 1024
     with pytest.raises(ValueError, match="exceeds 1024"):
         BraidWord.from_json({"n": MAX_WIRE_STRANDS + 1, "w": []})
+
+
+@pytest.mark.parametrize("letters, message", [
+    ([1, 2, -3, 4, 2], "letter 4 at position 3 exceeds n-1=3"),
+    ([3, -3, -4, 0], "letter -4 at position 2 exceeds n-1=3"),
+    ([1, 0, 5], "letter 0 at position 1 is not a generator"),
+    ([5, 0], "letter 5 at position 0 exceeds n-1=3"),
+])
+def test_bad_letter_message_names_the_first_bad_position(letters, message):
+    with pytest.raises(WordError) as info:
+        make_word(4, letters)
+    assert str(info.value).startswith(message)
+
+
+def test_wire_letter_count_is_bounded():
+    at_cap = [1, -2] * (MAX_WIRE_LETTERS // 2)
+    w = BraidWord.from_json({"n": 3, "w": at_cap})
+    assert len(w) == MAX_WIRE_LETTERS == 65536
+    with pytest.raises(WordError, match="65537 letters exceeds 65536"):
+        BraidWord.from_json({"n": 3, "w": at_cap + [1]})
 
 
 def test_compose_requires_same_strands():
