@@ -496,7 +496,8 @@ class CertificateReport:
             "lower_bound": ne if self.lower_bound is None
             else self.lower_bound,
             "bound_ok": ne if self.bound_ok is None else self.bound_ok,
-            "steps": [dataclasses.asdict(r) for r in self.step_log],
+            "steps": [{"index": r.index, "op": r.op, "cost": r.cost,
+                       "note": r.note} for r in self.step_log],
         }
 
 

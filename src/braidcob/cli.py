@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .alexander import alexander
 from .certificates import (
+    MAX_WIRE_STEPS,
     CertificateError,
     CobordismCertificate,
     StepError,
@@ -30,6 +31,7 @@ from .replication import (
     fourstrand_certificate,
     gg_estimate,
     sixstrand_certificate,
+    sixstrand_step_count,
     theorem_table,
     trefoil_stack_certificate,
 )
@@ -161,6 +163,17 @@ def _cmd_cert_gen(args):
         raise CliError("cert gen sixstrand needs --l", 1)
     if args.kind == "trefoils" and (args.n is None or args.nprime is None):
         raise CliError("cert gen trefoils needs --n and --nprime", 1)
+    # Refuse, before generating, what cert verify would refuse to read. The
+    # step cap binds sixstrand first (its longest word has 60l + 30 letters)
+    # and the strand cap binds trefoils (3n' letters, 3(n' - n) steps).
+    steps = sixstrand_step_count(args.l) if args.kind == "sixstrand" else 0
+    if steps > MAX_WIRE_STEPS:
+        raise CliError(f"--l {args.l} gives {steps} steps, which exceeds "
+                       f"MAX_WIRE_STEPS = {MAX_WIRE_STEPS}", 1)
+    if args.kind == "trefoils" and args.nprime + 1 > MAX_WIRE_STRANDS:
+        raise CliError(f"--nprime {args.nprime} needs {args.nprime + 1} "
+                       f"strands, which exceeds MAX_WIRE_STRANDS = "
+                       f"{MAX_WIRE_STRANDS}", 1)
     generate = {
         "fourstrand": fourstrand_certificate,
         "coxeter": coxeter_certificate,

@@ -44,8 +44,12 @@ time, and none is left to strip at the end (El-Rifai and Morton,
 Algorithms for positive braids, 1994; Epstein et al., Word Processing in
 Groups, ch. 9).
 
-equal rejects words with different exponent sums or permutations (both
-homomorphisms out of B_n) before it computes any normal form.
+equal first cancels the longest common prefix and suffix of the two
+letter sequences: P*X*S = P*Y*S in the group B_n exactly when X = Y, so an
+equivalence that rewrites a window of a long word normal-forms only the
+window. It then rejects middles with different exponent sums or
+permutations (both homomorphisms out of B_n) before it computes any normal
+form.
 
 Permutations are stored as 0-based image tuples in the diagrammatic
 convention of words.py: factor products apply the left factor first.
@@ -236,18 +240,36 @@ def normal_form(w: BraidWord) -> CanonicalBraid:
 
 
 def equal(w1: BraidWord, w2: BraidWord) -> bool:
-    """Decide whether two words represent the same element of B_n."""
+    """
+    Decide whether two words represent the same element of B_n.
+
+    The longest common prefix P and suffix S of the two letter sequences
+    are cancelled first, so that w1 = P*X*S and w2 = P*Y*S; B_n is a group,
+    so w1 = w2 exactly when X = Y. Only the middles X and Y reach the
+    invariants and the normal form. P and S may not overlap in the shorter
+    word: (1, 1) against (1, 1, 1) leaves X empty and Y = (1,).
+    """
     if w1.strands != w2.strands:
         raise WordError(
             f"strand count mismatch: {w1.strands} vs {w2.strands}"
         )
+    a, b = w1.letters, w2.letters
+    short = min(len(a), len(b))
+    p = 0
+    while p < short and a[p] == b[p]:
+        p += 1
+    s = 0
+    while s < short - p and a[-1 - s] == b[-1 - s]:
+        s += 1
+    x = BraidWord(w1.strands, a[p:len(a) - s])
+    y = BraidWord(w1.strands, b[p:len(b) - s])
     # Cheap invariants first (homomorphisms to Z and to S_n); they reject
     # most unequal pairs without a normal form.
-    if exponent_sum(w1) != exponent_sum(w2):
+    if exponent_sum(x) != exponent_sum(y):
         return False
-    if permutation(w1) != permutation(w2):
+    if permutation(x) != permutation(y):
         return False
-    r1, r2 = free_reduce(w1), free_reduce(w2)
+    r1, r2 = free_reduce(x), free_reduce(y)
     if r1.letters == r2.letters:
         return True
     return normal_form(r1) == normal_form(r2)

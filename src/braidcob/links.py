@@ -67,7 +67,8 @@ class FormalLink:
     def replace_closure(self, index: int, word: BraidWord) -> "FormalLink":
         closures = list(self.closures)
         closures[index] = word
-        return dataclasses.replace(self, closures=tuple(closures))
+        return FormalLink(tuple(closures), self.trefoils_pos,
+                          self.trefoils_neg, self.assertions)
 
     def to_json(self) -> dict:
         return {

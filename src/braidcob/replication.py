@@ -277,6 +277,15 @@ def sixstrand_certificate(l: int) -> CobordismCertificate:
     )
 
 
+def sixstrand_step_count(l: int) -> int:
+    """
+    len(sixstrand_certificate(l).steps) without building it: 92 steps in
+    phases 1-4 (two equivalences, 18 + 72 saddle deletions), 14 per period
+    of the 4-strand script over 2l - 2 periods, and 88 in phases 6 and 7.
+    """
+    return 92 + 14 * (2 * l - 2) + 88
+
+
 def trefoil_stack_certificate(n: int, nprime: int) -> CobordismCertificate:
     """
     From the connected sum of nprime trefoils to the connected sum of n,

@@ -10,7 +10,7 @@ import pytest
 
 from braidcob.certificates import MAX_WIRE_STEPS
 from braidcob.cli import main
-from braidcob.words import MAX_WIRE_LETTERS
+from braidcob.words import MAX_WIRE_LETTERS, MAX_WIRE_STRANDS
 
 
 def run(capsys, *argv):
@@ -403,6 +403,35 @@ def test_out_of_range_arguments_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("argv, cap", [
+    # 28 * 580 + 152 = 16392 steps
+    (("sixstrand", "--l", "580"), f"MAX_WIRE_STEPS = {MAX_WIRE_STEPS}"),
+    (("sixstrand", "--l", str(10 ** 12)), f"MAX_WIRE_STEPS = {MAX_WIRE_STEPS}"),
+    (("trefoils", "--n", "0", "--nprime", "1100"),
+     f"MAX_WIRE_STRANDS = {MAX_WIRE_STRANDS}"),
+    (("trefoils", "--n", "0", "--nprime", str(MAX_WIRE_STRANDS)),
+     f"MAX_WIRE_STRANDS = {MAX_WIRE_STRANDS}"),
+])
+def test_cert_gen_refuses_what_verify_would_refuse(capsys, argv, cap):
+    # refused before anything is generated, so at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cert", "gen", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert cap in err and "Traceback" not in err
+
+
+def test_cert_gen_trefoils_at_the_strand_cap_verifies(tmp_path, capsys):
+    nprime = str(MAX_WIRE_STRANDS - 1)
+    code, out, _ = run(capsys, "cert", "gen", "trefoils", "--n", nprime,
+                       "--nprime", nprime)
+    assert code == 0
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "cert", "verify", str(path))
+    assert code == 0 and "PASS" in out
 
 
 def test_cached_parser_gives_what_fresh_parsers_give(capsys):

@@ -464,6 +464,76 @@ def test_equal_rejects_permutation_mismatch_without_normal_form(
         assert equal(w1, w2) is False
 
 
+def _wrap(p, x, s):
+    return make_word(x.strands, p.letters + x.letters + s.letters)
+
+
+def test_equal_with_common_prefix_and_suffix_matches_reference():
+    # three kinds of middle Y: a relation rewrite of X (equal), X times the
+    # pure braid sigma_1^2 sigma_2^-2 (same exponent sum and permutation,
+    # not equal), and a random word (either)
+    rng = random.Random(1313)
+    verdicts = {0: set(), 1: set(), 2: set()}
+    for trial in range(240):
+        kind = trial % 3
+        n = rng.randrange(3 if kind == 1 else 2, 7)
+        p = _random_word(rng, n=n, length=rng.randrange(0, 31))
+        s = _random_word(rng, n=n, length=rng.randrange(0, 31))
+        x = _random_word(rng, n=n, length=rng.randrange(0, 13))
+        if kind == 0:
+            y = _random_rewrite(rng, x, moves=6)
+        elif kind == 1:
+            y = compose(x, make_word(n, [1, 1, -2, -2]))
+        else:
+            y = _random_word(rng, n=n, length=rng.randrange(0, 13))
+        w1, w2 = _wrap(p, x, s), _wrap(p, y, s)
+        got = equal(w1, w2)
+        assert got == (_reference_normal_form(w1)
+                       == _reference_normal_form(w2)), (w1, w2)
+        verdicts[kind].add(got)
+    assert verdicts == {0: {True}, 1: {False}, 2: {False, True}}
+
+
+def test_equal_cancellation_edge_cases():
+    # the prefix and the suffix may not overlap in the shorter word: (1, 1)
+    # against (1, 1, 1) has prefix 2 and would have suffix 2 as well
+    assert not equal(make_word(2, [1, 1]), make_word(2, [1, 1, 1]))
+    assert not equal(make_word(2, [1, 1, 1]), make_word(2, [1, 1]))
+    assert not equal(make_word(3, [1, -2, 1]), make_word(3, [1, -2, -2, 1]))
+    # one middle empty
+    p, s = make_word(4, [3, 2, -1]), make_word(4, [2, 2, 3])
+    empty = make_word(4, [])
+    trivial = make_word(4, [1, 2, 1, -2, -1, -2])
+    assert equal(_wrap(p, trivial, s), _wrap(p, empty, s))
+    assert equal(_wrap(p, empty, s), _wrap(p, trivial, s))
+    assert not equal(_wrap(p, make_word(4, [1, -3]), s), _wrap(p, empty, s))
+    assert not equal(_wrap(p, make_word(4, [1, 1]), s), _wrap(p, empty, s))
+    # identical and empty words
+    assert equal(empty, empty)
+    assert equal(make_word(1, []), make_word(1, []))
+    w = _random_word(random.Random(3), n=5, length=40)
+    assert equal(w, w)
+    with pytest.raises(WordError):
+        equal(make_word(3, [1, 2]), make_word(4, [1, 2]))
+
+
+def test_equal_normal_forms_only_the_differing_middle(monkeypatch):
+    seen = []
+
+    def recording(w):
+        seen.append(len(w.letters))
+        return normal_form(w)
+
+    rng = random.Random(8)
+    p = _random_word(rng, n=5, length=200)
+    s = _random_word(rng, n=5, length=200)
+    w1 = _wrap(p, make_word(5, [1, 2, 1]), s)
+    w2 = _wrap(p, make_word(5, [2, 1, 2]), s)
+    monkeypatch.setattr(garside, "normal_form", recording)
+    assert equal(w1, w2)
+    assert seen and max(seen) <= 3
+
+
 def test_invariants_preserved_by_rewrites():
     rng = random.Random(31)
     for _ in range(40):

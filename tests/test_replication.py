@@ -21,6 +21,7 @@ from braidcob.replication import (
     knot_K_word,
     mccoy_genus_side,
     sixstrand_certificate,
+    sixstrand_step_count,
     theorem_bound,
     theorem_table,
     torus_word,
@@ -144,6 +145,12 @@ def test_sixstrand_certificate_small():
     assert cubes == 10 * 2 + 20
     with pytest.raises(ValueError):
         sixstrand_certificate(1)
+
+
+def test_sixstrand_step_count_is_28l_plus_152():
+    for l in (2, 3):
+        assert len(sixstrand_certificate(l).steps) == sixstrand_step_count(l)
+        assert sixstrand_step_count(l) == 28 * l + 152
 
 
 def test_knot_K_word():
