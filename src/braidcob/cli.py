@@ -248,7 +248,10 @@ def _cmd_paper_theorem_table(args):
 
 
 def _cmd_paper_clover(args):
-    value = clover_bound(args.m, args.n)
+    try:
+        value = clover_bound(args.m, args.n)
+    except ValueError as exc:
+        raise CliError(str(exc), 1)
     _emit(args, str(value), {"m": args.m, "n": args.n, "bound": str(value)})
 
 

@@ -355,7 +355,12 @@ def clover_bound(
     B: int = DEFAULT_B,
     C: int = DEFAULT_C,
 ) -> Fraction:
-    """Lower bound 5mn/18 - Am - Bn - C for any clover invariant on T(m,n)."""
+    """
+    Lower bound 5mn/18 - Am - Bn - C for any clover invariant on T(m,n);
+    ValueError unless m, n >= 1.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"clover_bound needs m, n >= 1, got {m},{n}")
     return Fraction(5 * m * n, 18) - A * m - B * n - C
 
 

@@ -4,6 +4,7 @@ reduced-Burau determinant over Q[t, 1/t], and the Seifert determinant
 det(tV - V^T) of the closed-braid surface.
 """
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,10 @@ from braidcob.words import (
     markov_stabilize,
     mirror,
 )
+
+
+# the module, not the function braidcob re-exports under the same name
+alex = importlib.import_module("braidcob.alexander")
 
 
 def torus_word(m, n):
@@ -279,3 +284,86 @@ def test_evaluation_helper():
     at = lambda t: sum(c * t**k for k, c in enumerate(coeffs))
     assert at(1) == 1
     assert at(-1) == 3  # determinant of the trefoil
+
+
+# --- the packed Burau build against the list-based one --------------------
+
+
+def _list_add(a, b):
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _reference_burau_columns(w):
+    """
+    The list-based build the packed one replaced, kept as the reference:
+    columns of M = t^s psi(w) as coefficient lists, lowest first with no
+    trailing zeros, and the shift s.
+    """
+    m = w.strands - 1
+    cols = [[[1] if r == c else [] for r in range(m)] for c in range(m)]
+    s = 0
+    for k in w.letters:
+        j = abs(k) - 1
+        pivot = cols[j]
+        t_pivot = [[0] + y if y else [] for y in pivot]
+        if k < 0:
+            # t psi(sigma_i^{-1}) has t on the diagonal and (t, -1, 1) in
+            # row i-1, where psi(sigma_i) has 1 and (t, -t, 1)
+            cols = [[[0] + y if y else [] for y in col] for col in cols]
+            s += 1
+        if j > 0:
+            cols[j - 1] = [_list_add(x, y) for x, y in zip(cols[j - 1], t_pivot)]
+        if j + 1 < m:
+            cols[j + 1] = [_list_add(x, y) for x, y in zip(cols[j + 1], pivot)]
+        cols[j] = [[-c for c in y] for y in (t_pivot if k > 0 else pivot)]
+    return cols, s
+
+
+def test_packed_burau_matches_list_build(monkeypatch):
+    calls = {"unpack": 0, "pack": 0}
+    unpack, pack = alex._unpack, alex._pack
+
+    def counting_unpack(x, K):
+        calls["unpack"] += 1
+        return unpack(x, K)
+
+    def counting_pack(coeffs, K):
+        calls["pack"] += 1
+        return pack(coeffs, K)
+
+    monkeypatch.setattr(alex, "_unpack", counting_unpack)
+    monkeypatch.setattr(alex, "_pack", counting_pack)
+    rng = random.Random(4242)
+    words = [make_word(n, [rng.choice((1, -1)) * rng.randrange(1, n)
+                           for _ in range(rng.randrange(0, 601))])
+             for n in [2, 3, 3, 4, 5, 8, 12, 20, 36]
+             + [rng.randint(2, 36) for _ in range(11)]]
+    words.append(make_word(3, [1, -2] * 300))  # coefficients past 2^64
+    widened = 0
+    for w in words:
+        calls["pack"] = 0
+        assert alex._burau_columns(w) == _reference_burau_columns(w), w
+        widened += calls["pack"] > 0
+    assert widened >= 3, widened
+    # T(6,204): 1020 letters whose coefficients stay in {-1, 0, 1}; the
+    # per-column bounds still outgrow the width, so the pass reads every
+    # entry back and rebounds it before the final read
+    calls["unpack"] = calls["pack"] = 0
+    w = torus_word(6, 204)
+    assert alex._burau_columns(w) == _reference_burau_columns(w)
+    assert calls["unpack"] > 25 and calls["pack"] == 0, calls
+
+
+def test_unpack_reads_balanced_digits():
+    for K in (64, 128):
+        top = 2 ** (K - 1) - 1
+        for coeffs in ([1], [-1], [0, 0, 5], [top, -top], [-3, 0, 0, 7, -1]):
+            x = sum(c << (K * i) for i, c in enumerate(coeffs))
+            assert alex._unpack(x, K) == coeffs, (K, coeffs)
+            assert alex._pack(coeffs, K) == x, (K, coeffs)
+    assert alex._unpack(0, 64) == [] and alex._pack([], 64) == 0

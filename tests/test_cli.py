@@ -197,6 +197,14 @@ def test_paper_clover(capsys):
     assert out.strip() == "-430"
 
 
+@pytest.mark.parametrize("m, n", [("0", "3"), ("-2", "6"), ("6", "0")])
+def test_paper_clover_refuses_m_or_n_below_one(capsys, m, n):
+    code, out, err = run(capsys, "paper", "clover", "--m", m, "--n", n)
+    assert code == 1 and out == ""
+    assert f"clover_bound needs m, n >= 1, got {m},{n}" in err
+    assert "Traceback" not in err
+
+
 def test_paper_gg_table(capsys):
     code, out, _ = run(capsys, "paper", "gg-table", "--mmax", "6",
                        "--nmax", "6")

@@ -188,6 +188,12 @@ def test_clover_bound():
     assert clover_bound(36, 36) == Fraction(5 * 36 * 36, 18) - 20 * 36 * 2 - 200
 
 
+@pytest.mark.parametrize("m, n", [(0, 3), (-2, 6), (6, 0), (3, -1)])
+def test_clover_bound_needs_positive_m_and_n(m, n):
+    with pytest.raises(ValueError, match="m, n >= 1"):
+        clover_bound(m, n)
+
+
 def test_theorem_bound_hypothesis_checked():
     with pytest.raises(ValueError, match="7mn/24"):
         theorem_bound(6, 6, 10)

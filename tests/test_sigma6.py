@@ -15,10 +15,13 @@ from fractions import Fraction
 
 import pytest
 
+import braidcob.inertia as inertia
 import braidcob.signature as signature
 from braidcob.alexander import alexander
 from braidcob.cli import main
 from braidcob.replication import (
+    cabled_torus_word,
+    sixstrand_certificate,
     theorem_bound,
     theorem_table,
     torus_word,
@@ -405,3 +408,214 @@ def test_certified_offset_is_no_narrower_than_power_of_two_offset():
             blocks += 1
             wider += u.denominator < old.denominator
     assert blocks >= 400 and wider >= blocks // 2, (blocks, wider)
+
+
+# ---------------------------------------------------------------------------
+# the nested-dissection kernel against the single-pass reference
+# ---------------------------------------------------------------------------
+
+def _reference_swap(rows: list[dict], k: int, m: int) -> None:
+    """Symmetric swap of rows and columns k and m of the stored form."""
+    for r in rows[k].keys() | rows[m].keys():
+        row = rows[r]
+        zk, zm = row.pop(k, None), row.pop(m, None)
+        if zm is not None:
+            row[k] = zm
+        if zk is not None:
+            row[m] = zk
+    rows[k], rows[m] = rows[m], rows[k]
+
+
+def _reference_pencil_signature(V, p, q):
+    """
+    The single-pass kernel that nested dissection replaced, kept as the
+    reference: (signature, swaps, shears) of H = p(V + V^T) - iq(V - V^T),
+    p > 0, by fraction-free elimination over Z[i] of all h rows in time
+    order, counting the sign changes of the leading minors (Jacobi's rule).
+    A zero pivot is fixed by a symmetric swap with the nearest later row
+    whose diagonal is nonzero or, when every later diagonal is zero, by
+    row/col k += c * row/col m with c in {1, i}; a zero row raises
+    ArithmeticError.
+    """
+    h = V.size
+    # rows[k] maps column j to H[k][j] = (real, imaginary), nonzeros only
+    rows: list[dict[int, tuple[int, int]]] = [{} for _ in range(h)]
+
+    def add(row: dict, j: int, x: int, y: int) -> None:
+        zx, zy = row.get(j, (0, 0))
+        if zx + x or zy + y:
+            row[j] = (zx + x, zy + y)
+        else:
+            row.pop(j, None)
+
+    for i, j, v in V.nonzeros:
+        add(rows[i], j, p * v, -q * v)
+        add(rows[j], i, p * v, q * v)
+
+    pivots = [1]  # pivots[k]: the leading k x k minor
+    level = [0] * h  # the step rows[i] was last brought up to
+
+    def catch_up(i: int, k: int) -> dict[int, tuple[int, int]]:
+        if level[i] != k:
+            num, den = pivots[k], pivots[level[i]]
+            rows[i] = {j: (x * num // den, y * num // den)
+                       for j, (x, y) in rows[i].items()}
+            level[i] = k
+        return rows[i]
+
+    swaps = shears = neg = 0
+    for k in range(h):
+        if k not in rows[k]:
+            m = next((m for m in range(k + 1, h) if m in rows[m]), None)
+            if m is not None:
+                # a column swap stays inside each row, so waiting rows keep
+                # their scale, and rescaling keeps the zeros of the stored
+                # rows symmetric, as _swap needs
+                _reference_swap(rows, k, m)
+                level[k], level[m] = level[m], level[k]
+                swaps += 1
+            else:
+                if not rows[k]:
+                    raise ArithmeticError(
+                        f"internal error: the form p(V + V^T) - iq(V - V^T) "
+                        f"at (p, q) = ({p}, {q}) is singular (zero row at "
+                        f"pivot {k} of {h})"
+                    )
+                # every later diagonal is 0: row/col k += c * row/col m
+                # with c in {1, i} makes the diagonal 2*Re(c*H[m][k]) != 0;
+                # the row step needs both rows at step k, the column step
+                # stays inside each row
+                m = min(rows[k])
+                top, other = catch_up(k, k), catch_up(m, k)
+                turn = other[k][0] == 0  # c = i: Re(i*(x + iy)) = -y
+                for j, (s, t) in other.items():
+                    add(top, j, *((-t, s) if turn else (s, t)))
+                for r in list(other):
+                    s, t = rows[r][m]
+                    add(rows[r], k, *((t, -s) if turn else (s, t)))
+                shears += 1
+        top = catch_up(k, k)
+        rows[k] = {}
+        d = top.pop(k)[0]
+        prev = pivots[k]
+        neg += (d < 0) != (prev < 0)
+        new = {}  # rows brought to step k + 1 so far
+        for i in top:
+            row = catch_up(i, k)
+            fx, fy = row.pop(k)  # H[i][k] = conj(H[k][i])
+            out = {}
+            for j, (s, t) in top.items():
+                x, y = row.pop(j, (0, 0))
+                if j in new:  # the updated matrix is Hermitian too
+                    z = new[j].get(i)
+                    if z:
+                        out[j] = (z[0], -z[1])
+                    continue
+                x = (d * x - fx * s + fy * t) // prev
+                y = (d * y - fx * t - fy * s) // prev
+                if x or y:
+                    out[j] = (x, y)
+            for j, (x, y) in row.items():
+                out[j] = (d * x // prev, d * y // prev)
+            rows[i] = new[i] = out
+            level[i] = k + 1
+        pivots.append(d)
+    return h - 2 * neg, swaps, shears
+
+
+class _KernelRecorder:
+    """
+    Wraps inertia._eliminate and inertia._merge to count where the kernel
+    ran: whole forms, pieces with kept boundary rows, seams, and where a
+    zero pivot was fixed by a swap or shear or deferred to the boundary.
+    """
+
+    def __init__(self, monkeypatch):
+        self.seen = {"whole": 0, "piece": 0, "seam": 0, "fixed whole": 0,
+                     "fixed piece": 0, "fixed seam": 0, "deferred": 0}
+        self.in_seam = False
+        eliminate, merge = inertia._eliminate, inertia._merge
+
+        def recording_eliminate(rows, order, scale):
+            kept = len(rows) - len(order)
+            where = "seam" if self.in_seam else "piece" if kept else "whole"
+            out = eliminate(rows, order, scale)
+            _, swaps, shears, _ = out
+            self.seen[where] += 1
+            self.seen["fixed " + where] += bool(swaps or shears)
+            self.seen["deferred"] += len(rows) > kept
+            return out
+
+        def recording_merge(*args):
+            self.in_seam = True
+            try:
+                return merge(*args)
+            finally:
+                self.in_seam = False
+
+        monkeypatch.setattr(inertia, "_eliminate", recording_eliminate)
+        monkeypatch.setattr(inertia, "_merge", recording_merge)
+
+
+def _kernel_points(w, seed, count):
+    """
+    (block, V, p, q) for each Seifert block of w with Delta != 0: its sigma6
+    point and the arc points of count seeded theta off its jumps.
+    """
+    rng = random.Random(seed)
+    for block, coeffs in _nonzero_blocks(w):
+        V = seifert_matrix(block)
+        u = signature._point_past_sixth(signature._certified_offset(coeffs))
+        yield block, V, u.numerator, u.denominator
+        for _ in range(count):
+            theta = Fraction(rng.randrange(1, 997), 997)
+            if not signature._vanishes_at(coeffs, theta.denominator):
+                yield (block, V) + signature._arc_point(coeffs, theta)
+
+
+def test_split_kernel_matches_reference_on_seeded_corpora(monkeypatch):
+    # every piece of more than 2 rows splits, so the small forms of these
+    # corpora reach zero pivots inside pieces and at seams
+    recorder = _KernelRecorder(monkeypatch)
+    monkeypatch.setattr(inertia, "_splits", lambda size, cut, kept: size > 2)
+    words = _zero_pivot_words(2024, 120) + _seeded_words(6161, 60)
+    for w in words:
+        for block, V, p, q in _kernel_points(w, 31, 2):
+            assert (signature._pencil_signature(V, p, q)[0]
+                    == _reference_pencil_signature(V, p, q)[0]), (block, p, q)
+    seen = recorder.seen
+    assert min(seen[k] for k in ("piece", "seam", "fixed piece",
+                                 "fixed seam", "deferred")) >= 15, seen
+
+
+@pytest.mark.parametrize("w", [torus_word(6, 18), torus_word(6, 42),
+                               torus_word(6, 100), cabled_torus_word(1),
+                               cabled_torus_word(2),
+                               sixstrand_certificate(2).start.closures[0],
+                               sixstrand_certificate(3).start.closures[0]],
+                         ids=["T(6,18)", "T(6,42)", "T(6,100)", "cable 1",
+                              "cable 2", "sixstrand 2", "sixstrand 3"])
+def test_split_kernel_matches_reference_on_large_forms(monkeypatch, w):
+    recorder = _KernelRecorder(monkeypatch)
+    for block, V, p, q in _kernel_points(w, len(w.letters), 2):
+        got = signature._pencil_signature(V, p, q)[0]
+        assert got == _reference_pencil_signature(V, p, q)[0], (p, q)
+    # h = 85 and up: every form is split at least once
+    assert recorder.seen["seam"] >= 3 and recorder.seen["whole"] == 0, \
+        recorder.seen
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_singular_split_pencil_is_an_internal_error(monkeypatch, forced):
+    # Delta(T(2,200)) has the factor 1 + t^2, which vanishes at theta =
+    # 1/4, u = 1, so the pencil at (1, 1) is singular; h = 199 splits
+    if forced:
+        monkeypatch.setattr(inertia, "_splits",
+                            lambda size, cut, kept: size > 2)
+    V = seifert_matrix(torus_word(2, 200))
+    with pytest.raises(ArithmeticError, match="internal error"):
+        _reference_pencil_signature(V, 1, 1)
+    with pytest.raises(ArithmeticError, match="internal error"):
+        signature._pencil_signature(V, 1, 1)
+    assert (signature._pencil_signature(V, 11, 19)[0]
+            == _reference_pencil_signature(V, 11, 19)[0])
