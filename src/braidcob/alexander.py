@@ -32,23 +32,41 @@ the 2040 letters of T(6, 408) take 20 ms in place of 265 ms with
 coefficient lists. At the end the entries are read back as lists.
 
 The determinant is taken by fraction-free Bareiss elimination (Bareiss
-1968): each entry after step k is a (k+1)-minor, and the division by the
-previous pivot is exact in Z[t]. A row whose entry in the pivot column is
-zero would only be rescaled by p_{k+1}/p_k (p_k the leading k x k minor).
-Such a row is left as it is and remembers the step it was last brought up
-to; when it is next used it is rescaled once by p_K/p_L, again an exact
-division. Words whose letters climb the generators in order, such as
-connected sums, give a nearly Hessenberg matrix, on which most rows wait
-out most steps.
+1968) run over Z on the integer matrix A(2^K), for A = t^s I - M. Each
+entry after step k is a (k+1)-minor, and the division by the previous
+pivot is exact in Z[t]. Evaluation at t = 2^K is a ring map, so each
+integer division is exact as well, and the last pivot is det(A)(2^K). A
+row whose entry in the pivot column is zero would only be rescaled by
+p_{k+1}/p_k (p_k the leading k x k minor). Such a row is left as it is and
+remembers the step l it was last brought up to; when it is next used, at
+step k, it is rescaled once by p_k/p_l, again an exact division. Words
+whose letters climb the generators in order, such as connected sums, give
+a nearly Hessenberg matrix, on which most rows wait out most steps.
 
-The determinant is divided exactly by 1 + t + ... + t^{n-1}, then unit
-factors t^k are cleared and the top coefficient is made positive. For a
-knot the result is the Alexander polynomial. For a link it is the
-one-variable Alexander polynomial, equal up to units to det(tV - V^T) for
-the Seifert matrix V of a connected Seifert surface; the Levine-Tristram
-signature can jump only at its roots on the unit circle. A split closure,
-for instance a word that never uses some generator, gives the zero
-polynomial (0,).
+The width K of the determinant is chosen afresh and certified, not
+guessed; nothing is added to A once it is packed, so it needs no headroom
+for later letters. Expanding a minor
+of A over permutations, the absolute values of its coefficients sum to at
+most B, the product over the columns c of 1 plus that sum for column c of
+M. Dividing by 1 + t + ... + t^{n-1} at most doubles the sum. K is the
+least multiple of 8 (whole bytes for the readback) with 2B < 2^(K-1), so
+every minor and the quotient have all coefficients below 2^(K-1) in
+absolute value, and such a polynomial is the balanced base-2^K digits of
+its value at 2^K. In particular an entry is the zero polynomial exactly
+when its integer is 0, so the elimination picks the pivots it would pick
+over Z[t]. B is loose, because the determinant cancels most of what it
+allows for, so K stops at the byte rather than at a multiple of 64 with
+headroom, which keeps the integers short.
+
+The determinant is divided exactly by 1 + t + ... + t^{n-1}, one integer
+division by the sum of 2^(Ki) over i < n, and the quotient is read back
+once. Unit factors t^k are then cleared and the top coefficient is made
+positive. For a knot the result is the Alexander polynomial. For a link it
+is the one-variable Alexander polynomial, equal up to units to
+det(tV - V^T) for the Seifert matrix V of a connected Seifert surface; the
+Levine-Tristram signature can jump only at its roots on the unit circle. A
+split closure, for instance a word that never uses some generator, gives
+the zero polynomial (0,).
 """
 
 from __future__ import annotations
@@ -101,51 +119,6 @@ def _normalize(coeffs: list[int]) -> AlexanderPolynomial:
     if out[-1] < 0:
         out = [-c for c in out]
     return AlexanderPolynomial(tuple(out))
-
-
-# Polynomials in Z[t] are coefficient lists, lowest degree first, with no
-# trailing zeros; [] is zero.
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _div(a: list[int], b: list[int]) -> list[int]:
-    """a / b for b dividing a in Z[t]; raises if the division is not exact."""
-    if not a:
-        return []
-    a = a[:]
-    lead, db = b[-1], len(b) - 1
-    q = [0] * (len(a) - db)
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + db]
-        if c:
-            qi, rem = divmod(c, lead)
-            if rem:
-                raise ArithmeticError("inexact polynomial division")
-            q[i] = qi
-            for j, y in enumerate(b, i):
-                a[j] -= qi * y
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return q
 
 
 def _width(bound: int) -> int:
@@ -230,42 +203,42 @@ def _burau_columns(w: BraidWord) -> tuple[list[list[list[int]]], int]:
     return [[_unpack(x, K) for x in col] for col in cols], s
 
 
-def _det(a: list[list[list[int]]]) -> list[int]:
+def _det(a: list[list[int]]) -> int:
     """
-    Bareiss determinant over Z[t] up to sign (row swaps are not counted,
-    since the result is normalized); rows of a are consumed. level[i] is the
+    Bareiss determinant over Z up to sign (row swaps are not counted, since
+    the result is normalized); rows of a are consumed. An entry is 0 only
+    when its polynomial is (see the module docstring). level[i] is the
     elimination step row i was last brought up to, and pivots[k] is the
-    leading k x k minor, so a waiting row catches up by pivots[K]/pivots[L].
+    leading k x k minor, so a waiting row catches up to step k by
+    pivots[k] / pivots[level[i]].
     """
     n = len(a)
-    pivots = [[1]]
+    pivots = [1]
     level = [0] * n
 
-    def catch_up(i: int, k: int) -> list[list[int]]:
+    def catch_up(i: int, k: int) -> list[int]:
         if level[i] != k:
             num, den = pivots[k], pivots[level[i]]
-            a[i] = [[]] * k + [_div(_mul(x, num), den) for x in a[i][k:]]
+            a[i] = [0] * k + [x * num // den for x in a[i][k:]]
             level[i] = k
         return a[i]
 
     for k in range(n):
         r = next((r for r in range(k, n) if a[r][k]), None)
         if r is None:
-            return []
+            return 0
         if r != k:
             a[k], a[r] = a[r], a[k]
             level[k], level[r] = level[r], level[k]
         top = catch_up(k, k)
-        p = top[k]
+        p, d = top[k], pivots[k]
         for i in range(k + 1, n):
             if not a[i][k]:
                 continue
             row = catch_up(i, k)
-            minus_f = [-c for c in row[k]]
-            a[i] = [[]] * (k + 1) + [
-                _div(_add(_mul(p, x), _mul(minus_f, y)), pivots[k])
-                for x, y in zip(row[k + 1:], top[k + 1:])
-            ]
+            f = row[k]
+            a[i] = [0] * (k + 1) + [(p * x - f * y) // d
+                                    for x, y in zip(row[k + 1:], top[k + 1:])]
             level[i] = k + 1
         pivots.append(p)
     return pivots[n]
@@ -274,10 +247,21 @@ def _det(a: list[list[list[int]]]) -> list[int]:
 def alexander(w: BraidWord) -> AlexanderPolynomial:
     """Alexander polynomial of the closure of w, normalized."""
     cols, s = _burau_columns(w)
+    # 2B bounds the coefficients of every minor of t^s I - M and of the
+    # quotient, and K is the least multiple of 8 with 2B < 2^(K-1) (see the
+    # module docstring)
+    B = 1
+    for col in cols:
+        B *= sum(abs(c) for y in col for c in y) + 1
+    K = ((2 * B).bit_length() + 8) // 8 * 8
     # eliminate on the rows of t^s I - M, not on the columns built above:
     # when M is nearly upper Hessenberg, a pivot column then reaches few
     # rows below the pivot
-    rows = [[[-x for x in y] for y in row] for row in zip(*cols)]
+    rows = [[-_pack(y, K) for y in row] for row in zip(*cols)]
     for i, row in enumerate(rows):
-        row[i] = _add(row[i], [0] * s + [1])
-    return _normalize(_div(_det(rows), [1] * w.strands))
+        row[i] += 1 << (K * s)
+    quotient, rest = divmod(_det(rows),
+                            sum(1 << (K * i) for i in range(w.strands)))
+    if rest:
+        raise ArithmeticError("inexact division by 1 + t + ... + t^(n-1)")
+    return _normalize(_unpack(quotient, K))

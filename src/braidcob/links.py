@@ -10,6 +10,7 @@ to the component count.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 from .words import BraidWord, _wire_int, components
@@ -103,8 +104,7 @@ def same_link(a: FormalLink, b: FormalLink) -> bool:
 
     if a.trefoils_pos != b.trefoils_pos or a.trefoils_neg != b.trefoils_neg:
         return False
-    key = lambda s: (s.label, s.components, -2 if s.sigma6 is None else s.sigma6)
-    if sorted(a.assertions, key=key) != sorted(b.assertions, key=key):
+    if collections.Counter(a.assertions) != collections.Counter(b.assertions):
         return False
     if len(a.closures) != len(b.closures):
         return False

@@ -49,21 +49,12 @@ class SeifertMatrix:
 
 
 def _surface_pieces(w: BraidWord) -> int:
-    """Connected pieces of the surface: strands glued along used columns."""
-    parent = list(range(w.strands))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in w.letters:
-        i = abs(k) - 1
-        ra, rb = find(i), find(i + 1)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(w.strands)})
+    """
+    Connected pieces of the surface: strands glued along used columns. The
+    columns are edges of the path on the strands, and any set of them is a
+    forest, so each used column joins two pieces.
+    """
+    return w.strands - len({abs(k) for k in w.letters})
 
 
 def seifert_matrix(w: BraidWord) -> SeifertMatrix:

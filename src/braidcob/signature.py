@@ -68,6 +68,7 @@ signature of H exactly with inertia._pencil_signature.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
 from fractions import Fraction
@@ -305,7 +306,8 @@ def signature_at(
 ) -> SignatureProfile:
     """
     Signature and nullity of the closure of w at omega = e^{2*pi*i*theta},
-    0 < theta < 1. On a braid word each Seifert block whose Alexander
+    0 < theta < 1. On a braid word each distinct Seifert block is evaluated
+    once and counted with its multiplicity. A block whose Alexander
     polynomial does not vanish at omega is counted exactly (precision_bits
     0 in the profile); a block where it vanishes, and a SeifertMatrix
     argument, go to the mpmath LDL^T, whose counts must reproduce
@@ -330,14 +332,16 @@ def signature_at(
         total, zeros, used = _ldl_signature(w, theta, prec)
         return SignatureProfile(theta, total, zeros + w.pieces - 1, used)
     total = zeros = used = 0
-    for block in seifert_blocks(w):
+    for block, copies in collections.Counter(seifert_blocks(w)).items():
         coeffs = alexander(block).coefficients
         V = seifert_matrix(block)
         if _vanishes_at(coeffs, theta.denominator):
             sig, zero, bits = _ldl_signature(V, theta, prec)
-            total, zeros, used = total + sig, zeros + zero, max(used, bits)
+            zeros += copies * zero
+            used = max(used, bits)
         else:
-            total += _pencil_signature(V, *_arc_point(coeffs, theta))[0]
+            sig = _pencil_signature(V, *_arc_point(coeffs, theta))[0]
+        total += copies * sig
     return SignatureProfile(theta, total, zeros + _surface_pieces(w) - 1, used)
 
 
@@ -466,10 +470,12 @@ def _sigma6_of_word(w: BraidWord) -> int:
     """
     Paper-convention sigma_6 of one closure: minus the sum over its Seifert
     blocks of the standard signature just past theta = 1/6, each taken
-    exactly at one rational point of the arc certified free of jumps.
+    exactly at one rational point of the arc certified free of jumps. Equal
+    blocks, such as the summands of a connected sum of trefoils, are
+    evaluated once and counted with their multiplicity.
     """
     total = 0
-    for block in seifert_blocks(w):
+    for block, copies in collections.Counter(seifert_blocks(w)).items():
         poly = alexander(block)
         if poly.is_zero():
             raise Sigma6Error(
@@ -478,8 +484,8 @@ def _sigma6_of_word(w: BraidWord) -> int:
             )
         u = _point_past_sixth(_certified_offset(poly.coefficients))
         try:
-            total -= _pencil_signature(seifert_matrix(block), u.numerator,
-                                       u.denominator)[0]
+            total -= copies * _pencil_signature(
+                seifert_matrix(block), u.numerator, u.denominator)[0]
         except ArithmeticError as exc:
             raise Sigma6Error(str(exc)) from exc
     return total

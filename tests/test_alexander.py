@@ -5,11 +5,12 @@ det(tV - V^T) of the closed-braid surface.
 """
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
 from braidcob.alexander import alexander
-from braidcob.seifert import seifert_matrix
+from braidcob.seifert import seifert_blocks, seifert_matrix
 from braidcob.words import (
     components,
     conjugate,
@@ -359,11 +360,123 @@ def test_packed_burau_matches_list_build(monkeypatch):
     assert calls["unpack"] > 25 and calls["pack"] == 0, calls
 
 
+# --- the Bareiss determinant on packed integers against coefficient lists ---
+
+
+def _list_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _list_div(a, b):
+    """a / b for b dividing a in Z[t]; fails if the division is not exact."""
+    if not a:
+        return []
+    a, q = a[:], [0] * (len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i], rem = divmod(a[i + len(b) - 1], b[-1])
+        assert not rem, "inexact polynomial division"
+        for j, y in enumerate(b, i):
+            a[j] -= q[i] * y
+    assert not any(a), "inexact polynomial division"
+    return q
+
+
+def _reference_det(a):
+    """
+    The Bareiss determinant over coefficient lists that the packed one
+    replaced, up to sign; rows of a are consumed. A row whose entry in the
+    pivot column is zero waits at level[i] and catches up by
+    pivots[k] / pivots[level[i]] when it is next used.
+    """
+    n = len(a)
+    pivots = [[1]]
+    level = [0] * n
+
+    def catch_up(i, k):
+        if level[i] != k:
+            num, den = pivots[k], pivots[level[i]]
+            a[i] = [[]] * k + [_list_div(_list_mul(x, num), den)
+                               for x in a[i][k:]]
+            level[i] = k
+        return a[i]
+
+    for k in range(n):
+        r = next((r for r in range(k, n) if a[r][k]), None)
+        if r is None:
+            return []
+        a[k], a[r] = a[r], a[k]
+        level[k], level[r] = level[r], level[k]
+        top = catch_up(k, k)
+        p = top[k]
+        for i in range(k + 1, n):
+            if not a[i][k]:
+                continue
+            row = catch_up(i, k)
+            minus_f = [-c for c in row[k]]
+            a[i] = [[]] * (k + 1) + [
+                _list_div(_list_add(_list_mul(p, x), _list_mul(minus_f, y)),
+                          pivots[k])
+                for x, y in zip(row[k + 1:], top[k + 1:])
+            ]
+            level[i] = k + 1
+        pivots.append(p)
+    return pivots[n]
+
+
+def _reference_alexander(w):
+    """det(t^s I - M) / (1 + ... + t^{n-1}) on lists, units cleared."""
+    cols, s = _reference_burau_columns(w)
+    rows = [[[-c for c in y] for y in row] for row in zip(*cols)]
+    for i, row in enumerate(rows):
+        row[i] = _list_add(row[i], [0] * s + [1])
+    q = _list_div(_reference_det(rows), [1] * w.strands)
+    if not q:
+        return (0,)
+    while not q[0]:
+        q.pop(0)
+    return tuple(q) if q[-1] > 0 else tuple(-c for c in q)
+
+
+def test_packed_determinant_matches_list_bareiss():
+    rng = random.Random(9090)
+    words = [make_word(1, []), make_word(2, [1, -1]), torus_word(6, 18),
+             make_word(3, [1, -2] * 300)]  # coefficients past 2^64
+    for _ in range(120):
+        n = rng.randint(2, 9)
+        # a random subset of the generators: unused ones split the closure
+        cols = [c for c in range(1, n) if rng.random() < 0.85] or [1]
+        words.append(make_word(n, [rng.choice(cols) * rng.choice((1, -1))
+                                   for _ in range(rng.randint(0, 40))]))
+    words += [b for w in words[4:40] for b in seifert_blocks(w)]
+    zero = big = 0
+    for w in words:
+        got = alexander(w).coefficients
+        assert got == _reference_alexander(w), w
+        zero += got == (0,)
+        big += max(map(abs, got)) >> 64 > 0
+    assert zero >= 15 and big >= 1, (zero, big)
+
+
 def test_unpack_reads_balanced_digits():
-    for K in (64, 128):
+    for K in (8, 16, 64, 128):
         top = 2 ** (K - 1) - 1
         for coeffs in ([1], [-1], [0, 0, 5], [top, -top], [-3, 0, 0, 7, -1]):
             x = sum(c << (K * i) for i, c in enumerate(coeffs))
             assert alex._unpack(x, K) == coeffs, (K, coeffs)
             assert alex._pack(coeffs, K) == x, (K, coeffs)
     assert alex._unpack(0, 64) == [] and alex._pack([], 64) == 0
+    # three digits at K = 8, from either end of (-2^7, 2^7) and around 0
+    for coeffs in itertools.product((-127, -64, -1, 0, 1, 63, 127), repeat=3):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        x = alex._pack(coeffs, 8)
+        assert x == sum(c << (8 * i) for i, c in enumerate(coeffs))
+        assert alex._unpack(x, 8) == coeffs, coeffs

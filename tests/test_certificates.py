@@ -451,3 +451,18 @@ def test_same_link_is_group_level():
     b = state(make_word(3, [2, 1, 2]))
     assert same_link(a, b)
     assert not same_link(a, state(make_word(3, [1, 2])))
+
+
+def test_same_link_compares_assertions_as_multisets():
+    def asserted(*summands):
+        return FormalLink(assertions=summands)
+
+    paper = AssertedSummand("K", 1, 2, "from paper")
+    table = AssertedSummand("K", 1, 2, "from table")
+    known, unknown = AssertedSummand("L", 1, -2), AssertedSummand("L", 1, None)
+    # summands that tie on label, components and sigma6 in either order
+    assert same_link(asserted(paper, table), asserted(table, paper))
+    assert same_link(asserted(unknown, known), asserted(known, unknown))
+    # one justification apart, or one copy more, is another multiset
+    assert not same_link(asserted(paper, table), asserted(paper, paper))
+    assert not same_link(asserted(paper), asserted(paper, paper))

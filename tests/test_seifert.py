@@ -10,7 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from braidcob.seifert import seifert_blocks, seifert_matrix
+from braidcob.seifert import _surface_pieces, seifert_blocks, seifert_matrix
 from braidcob.signature import signature_at
 from braidcob.words import components, make_word
 
@@ -306,3 +306,37 @@ def test_seifert_blocks_relabel_columns():
         make_word(3, [1, 2, -1, 2]),
     ]
     assert seifert_blocks(make_word(4, [1, 2, 3])) == []
+
+
+def _union_find_pieces(w):
+    """Pieces of the surface by union-find of the strands over used columns."""
+    parent = list(range(w.strands))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for k in w.letters:
+        parent[find(abs(k) - 1)] = find(abs(k))
+    return len({find(i) for i in range(w.strands)})
+
+
+def test_surface_pieces_match_union_find():
+    rng = random.Random(2718)
+    words = [make_word(1, []), make_word(5, []), make_word(40, [])]
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        # a random subset of the generators, so some are left unused
+        cols = [c for c in range(1, n) if rng.random() < 0.6]
+        letters = [rng.choice(cols) * rng.choice((1, -1))
+                   for _ in range(rng.randint(0, 60))] if cols else []
+        words.append(make_word(n, letters))
+    seen = set()
+    for w in words:
+        want = _union_find_pieces(w)
+        assert _surface_pieces(w) == want, w
+        seen.add((want == 1, want == w.strands))
+    # connected, fully split and partly split surfaces all occur
+    assert {(True, False), (False, True), (False, False)} <= seen, seen

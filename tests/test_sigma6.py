@@ -264,16 +264,38 @@ def test_one_kernel_call_per_block(monkeypatch):
 
     monkeypatch.setattr(signature, "_pencil_signature", counting)
     monkeypatch.setattr(signature, "signature_at", never)
-    cases = [(trefoil_sum_word(5), 5, 10), (torus_word(6, 7), 1, 10),
+    # one call per distinct block: the five trefoil summands are one block
+    cases = [(trefoil_sum_word(5), 1, 10), (torus_word(6, 7), 1, 10),
              (make_word(4, [1, 2, 3]), 0, 0),
-             (make_word(5, [1, 1, 1, -4, -4, -4]), 2, 0)]
+             (make_word(5, [1, 1, 1, -4, -4, -4]), 2, 0),
+             (make_word(7, [1, 1, 1, -3, -3, -3, 5, 5, 5]), 2, 2)]
     for w, blocks, value in cases:
         calls.clear()
         assert sigma6(w) == value
         assert len(calls) == blocks, w
         assert calls == [
             signature._point_past_sixth(signature._certified_offset(coeffs))
-            for _, coeffs in _nonzero_blocks(w)], (w, calls)
+            for _, coeffs in dict(_nonzero_blocks(w)).items()], (w, calls)
+
+
+def test_equal_blocks_are_evaluated_once(monkeypatch):
+    counts = {"kernel": 0, "alexander": 0}
+    kernel, alex = signature._pencil_signature, signature.alexander
+
+    def counting_kernel(V, p, q):
+        counts["kernel"] += 1
+        return kernel(V, p, q)
+
+    def counting_alexander(w):
+        counts["alexander"] += 1
+        return alex(w)
+
+    monkeypatch.setattr(signature, "_pencil_signature", counting_kernel)
+    monkeypatch.setattr(signature, "alexander", counting_alexander)
+    w = trefoil_sum_word(20)
+    assert seifert_blocks(w) == [make_word(2, [1, 1, 1])] * 20
+    assert sigma6(w) == 40
+    assert counts == {"kernel": 1, "alexander": 1}, counts
 
 
 def test_exact_kernel_matches_signature_at_oracle():

@@ -700,6 +700,40 @@ def test_exact_path_matches_ldl_on_differential_corpus(monkeypatch):
     assert kinds["exact"] >= 1500, kinds
 
 
+def test_signature_at_is_the_sum_over_block_occurrences():
+    """
+    signature_at(w) evaluates each distinct Seifert block once and counts it
+    with its multiplicity; the oracle evaluates every occurrence on its own
+    and adds the surface's extra pieces to the nullity.
+    """
+    from braidcob.replication import trefoil_sum_word
+    from braidcob.seifert import _surface_pieces, seifert_blocks
+    from braidcob.signature import SignatureProfile
+
+    rng = random.Random(4711)
+    cases = [case for case in _exact_path_cases(1009) if rng.random() < 0.3]
+    cases += [(w, Fraction(rng.randrange(1, 12), 12))
+              for w in _split_words(7, 40) + _zero_tail_words(11, 80)]
+    # equal blocks off and on their roots, and equal blocks with Delta = 0
+    repeated = [trefoil_sum_word(6), make_word(7, [1, -1, 3, -3, 5, -5]),
+                make_word(8, [1, 1, 1, -3, -3, -3, 5, 5, 5, 7, -7]),
+                make_word(9, [1, 2] * 4 + [5, 6] * 4 + [8, 8, 8])]
+    cases += [(w, theta) for w in repeated
+              for theta in (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2),
+                            Fraction(7, 12), Fraction(2, 7))]
+    repeats = 0
+    for w, theta in cases:
+        blocks = seifert_blocks(w)
+        parts = [signature_at(block, theta) for block in blocks]
+        want = SignatureProfile(
+            theta, sum(p.signature for p in parts),
+            sum(p.nullity for p in parts) + _surface_pieces(w) - 1,
+            max((p.precision_bits for p in parts), default=0))
+        assert signature_at(w, theta) == want, (w, theta)
+        repeats += len(set(blocks)) < len(blocks)
+    assert len(cases) >= 700 and repeats >= 20, (len(cases), repeats)
+
+
 def test_ldl_runs_only_at_a_root_of_a_block(monkeypatch):
     from braidcob import signature
 
@@ -733,14 +767,24 @@ def test_ldl_runs_only_at_a_root_of_a_block(monkeypatch):
         assert calls and set(calls) == sizes, (w, theta, calls)
 
 
+def _exact_quotient(a, b):
+    """a / b in Z[t], coefficient lists lowest first; b must divide a."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i], rem = divmod(a[i + len(b) - 1], b[-1])
+        assert not rem, (a, b)
+        for j, y in enumerate(b, i):
+            a[j] -= q[i] * y
+    assert not any(a), (a, b)
+    return q
+
+
 def _cyclotomic_by_division(b):
     """Phi_b = (t^b - 1) / prod of Phi_d over the proper divisors d of b."""
-    from braidcob.alexander import _div
-
     poly = [-1] + [0] * (b - 1) + [1]
     for d in range(1, b):
         if b % d == 0:
-            poly = _div(poly, _cyclotomic_by_division(d))
+            poly = _exact_quotient(poly, _cyclotomic_by_division(d))
     return poly
 
 
