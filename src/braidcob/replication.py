@@ -37,9 +37,9 @@ from .links import FormalLink
 from .signature import torus_signature_oracle
 from .words import BraidWord, make_word
 
-DEFAULT_A = 20
-DEFAULT_B = 20
-DEFAULT_C = 200
+# the clover bound 5mn/18 - Am - Bn - C; Am + Bn + C is also the window of
+# theorem_bound, and C the constant of its 6-strand cost
+A, B, C = 20, 20, 200
 
 # letters of the recurring 6-strand pieces
 _BACB = (2, 1, 3, 2)
@@ -348,13 +348,7 @@ def gg_estimate(m: int, n: int) -> tuple[Fraction, int]:
     return Fraction(5 * m * n, 18), tol
 
 
-def clover_bound(
-    m: int,
-    n: int,
-    A: int = DEFAULT_A,
-    B: int = DEFAULT_B,
-    C: int = DEFAULT_C,
-) -> Fraction:
+def clover_bound(m: int, n: int) -> Fraction:
     """
     Lower bound 5mn/18 - Am - Bn - C for any clover invariant on T(m,n);
     ValueError unless m, n >= 1.
@@ -386,14 +380,7 @@ class BoundReport:
         }
 
 
-def theorem_bound(
-    m: int,
-    n: int,
-    N: int,
-    a: int = DEFAULT_A,
-    b: int = DEFAULT_B,
-    c: int = DEFAULT_C,
-) -> BoundReport:
+def theorem_bound(m: int, n: int, N: int) -> BoundReport:
     """
     Chained upper bound for d_chi(T(m,n), 3_1^N): the twisting step to
     T(6,6kl) # 3_1^t plus the 6-strand cost formula, against the signature
@@ -415,7 +402,7 @@ def theorem_bound(
     n_tref = N - t
     upper = (
         (2 * t + 10)
-        + (2 * n_tref - 10 * k * lq + c)
+        + (2 * n_tref - 10 * k * lq + C)
         + nongeneric
         + adjust
     )
@@ -425,7 +412,7 @@ def theorem_bound(
         m, n, Fraction(1, 6) + Fraction(1, 12 * m * n)
     )
     slack = upper - lower
-    window = a * m + b * n + c
+    window = A * m + B * n + C
     return BoundReport(
         m=m, n=n, N=N, upper=upper, sigma_estimate=gg_estimate(m, n)[0],
         lower=lower, slack=slack, window=window,

@@ -7,63 +7,72 @@ signature -2 on (1/6, 5/6). The public sigma6 flips the sign so that
 sigma6(positive trefoil) = +2, is additive over summands, and counts each
 positive trefoil summand as +2 and each negative one as -2.
 
-Numerical policy: signature_at is exact away from the jumps, the roots of
-the Alexander polynomial on the unit circle, where the signature is constant
-(Levine 1969; Tristram 1969). The Seifert matrix of a braid word is
-block-diagonal over the blocks of seifert_blocks, each with a connected
-surface, so the form (1-w)V + (1-conj(w))V^T of a block is singular exactly
-at the roots of the block's Alexander polynomial Delta, and the signature is
-the sum over the blocks. With theta = a/b, w is a primitive b-th root of
-unity, and Delta(w) = 0 exactly when the cyclotomic polynomial Phi_b divides
-Delta; that needs phi(b) <= deg Delta, so there is nothing to test when
-b > 2*deg^2, since phi(b) >= sqrt(b/2). For a block with Delta(w) != 0 the
-point evaluated is moved to a rational one on the same arc. With
-S = sum k|c_k| bounding |d Delta(e^{2 pi i t})/dt| / (2 pi), no root lies
-within |Delta(w)|/(2 pi S) of theta. In the coordinate v = cot(pi*theta),
-where |d theta/dv| <= 1/pi, the fraction q/p (p > 0) of least denominator
-within |Delta(w)|/(2S) of v therefore lies on the arc. The form is
-2*sin(pi*theta)^2 times (V + V^T) - i*v*(V - V^T), so at v = q/p it is a
-positive multiple of H = p(V + V^T) - iq(V - V^T). The enclosures of
-cot(pi*theta) and of w come from mpmath's interval arithmetic (the libmpi
-functions under mpmath.iv, which round outwards); |Delta(w)| is bounded
-below from Delta evaluated exactly at the midpoint z of the enclosure of w,
-minus |z - w| times a bound on |Delta'|. The interval precision starts at
-64 bits and doubles until the bounds certify the arc, which happens since
-Delta(w) != 0 is known exactly.
+Exact evaluation: the signature is constant away from the jumps, the roots
+of the Alexander polynomial on the unit circle (Levine 1969; Tristram
+1969). The Seifert matrix of a braid word is block-diagonal over the blocks
+of seifert_blocks, each with a connected surface, so the form (1-w)V +
+(1-conj(w))V^T of a block, w = e^{2 pi i theta}, is singular exactly at the
+roots of the block's Alexander polynomial Delta, and the signature is the
+sum over the blocks. In the coordinate v = cot(pi*theta) the form is
+2*sin(pi*theta)^2 times (V + V^T) - i*v*(V - V^T), so at a rational v =
+q/p (p > 0) it is a positive multiple of the Gaussian-integer matrix H =
+p(V + V^T) - iq(V - V^T), whose signature inertia._pencil_signature counts
+exactly. Each block is counted at one such point, proved to lie on a
+jump-free arc with the point asked for by a single root test.
 
-Only two inputs reach the mpmath LDL^T: a block with Delta(w) = 0 (Delta = 0
-included), and a SeifertMatrix argument. There the form is built at a
-working precision of prec bits and the inertia is read off the pivots of one
-sparse LDL^T. A number is taken for zero when it is at most eps =
-2^(-prec/2) times the largest row sum; a small pivot is replaced by a
-symmetric swap or a shear, and zeros are counted only when the whole
-remaining block is at most eps. The whole computation is repeated at doubled
-precision, and only a reproduced count is returned; past PRECISION_CAP_BITS
-it raises PrecisionError. The starting precision must lie in [64,
-PRECISION_CAP_BITS // 2], so that it is both meaningful and checked at least
-once; it is checked on every call, whichever path runs. sigma6 uses no
-floating point at all.
+The test. Delta is palindromic up to sign: once t - 1 is divided out of an
+anti-palindromic Delta, and t + 1 out of one of odd degree (their roots lie
+at theta = 0 and 1/2), it is t^e F(x) for a polynomial F over Z in x = t +
+1/t = 2cos(2*pi*theta) (_fold). As theta runs over [0, 1/2], x falls from 2
+to -2, and x = 2(v^2 - 1)/(v^2 + 1) is rational with v. F has no root on a
+closed rational interval [lo, hi] when F(lo) and F(hi) are nonzero and (1 +
+y)^d F((lo + hi*y)/(1 + y)) has no sign variation, since by Descartes' rule
+of signs it then has no positive root (Collins and Akritas 1976); two
+integer Taylor shifts compute it (_root_free). Conversely, the transform
+has no sign variation once the disc with diameter [lo, hi] holds no complex
+root of F (Obreschkoff's one-circle theorem; Alesina and Galuzzi 1998), so
+the test passes on every short enough interval around a point where F is
+nonzero. Both walks below ask only this test, and each ends because that
+value is first known to be nonzero, exactly.
 
-The limit at theta = 1/6 is certified, not searched for, block by block.
-With Phi6 = t^2 - t + 1 divided out of the block's Delta as often as it
-divides it, the quotient Q has Q(zeta6) = x + y*zeta6, the remainder of Q
-mod Phi6, for integers x, y not both zero, so N = |Q(zeta6)|^2 = x^2 + xy +
-y^2 >= 1; and S = sum k|q_k| bounds |Q'| on the unit circle. The block
-takes the width rho = min(1/2, 7r/(44S)) with r = isqrt(N*2^32 - 1)/2^16 <
-sqrt(N), and rho = 1/2 when S = 0. Since 22/7 > pi, 2*pi*rho*S < |Q(zeta6)|,
-so Q has no root on the arc (1/6, 1/6 + rho], and neither has Phi6, whose
-other root is at 5/6: the block's signature is constant there, and its
-value at any one point of the arc is the one-sided limit.
+signature_at takes theta to min(theta, 1 - theta), since the form at
+conj(w) is the conjugate of the form at w. With theta = a/b, Delta(w) = 0
+exactly when the cyclotomic polynomial Phi_b divides Delta; that needs
+phi(b) <= deg Delta, so there is nothing to test when b > 2*deg^2, since
+phi(b) >= sqrt(b/2). A block with Delta(w) != 0 is counted at v = 0 when
+theta = 1/2, and at v = 1 when F is root-free on all of [-2, 2], the
+bracket (0, infinity). Otherwise mpmath's interval arithmetic (the libmpi
+functions under mpmath.iv, which round outwards) encloses cot(pi*theta) in
+[vlo, vhi], and the simplest fractions lo in (vlo - r, vlo), taken as 0
+when it is negative, and hi in (vhi, vhi + r) bracket it, for windows r =
+1, 1/16, 1/256, ...; the interval precision doubles from 64 bits while the
+enclosure is not narrower than r. The first bracket with F root-free on
+[x(lo), x(hi)] gives v, the simplest fraction in (lo, hi). The walk ends
+because Delta(w) != 0, so F(x) != 0 at the point asked for.
 
-That point is rational in the coordinate u = tan(pi*theta) = 1/v. theta =
-1/6 is u = 1/sqrt3, and tan(pi*theta) climbs with slope at least 4*pi/3 > 4
-on [1/6, 1/2), so the fraction u* = p/q of least denominator in (1/sqrt3,
-1/sqrt3 + 4*rho) lies on the arc, and the block's signature there is that
-of the same H = p(V + V^T) - iq(V - V^T), at v = q/p.
+sigma6 takes the limit at theta = 1/6 block by block. Phi6 = t^2 - t + 1
+is t(x - 1), so x - 1 is divided out of F as often as it divides it; then
+F(1) != 0. The candidates are u = _point_past_sixth(delta) =
+tan(pi*theta*), theta* in (1/6, 1/6 + delta), for delta = 1/2, 1/32, ...,
+and the first u with F root-free on [x(u), 1] is the point: the block's
+signature is constant on (1/6, theta*], as Phi6 has its other root at 5/6,
+so its value there, that of H at v = 1/u, is the one-sided limit. The walk
+ends because F(1) != 0. sigma6 uses no floating point at all.
 
-Both callers find their point by one walk down the Stern-Brocot tree, which
-takes each run of turns the same way in one binary search, and count the
-signature of H exactly with inertia._pencil_signature.
+Both walks pick their fractions by one walk down the Stern-Brocot tree,
+which takes each run of turns the same way in one binary search.
+
+Only a block with Delta(w) = 0 (Delta = 0 included) reaches the mpmath
+LDL^T. There the form is built at a working precision of prec bits and the
+inertia is read off the pivots of one sparse LDL^T. A number is taken for
+zero when it is at most eps = 2^(-prec/2) times the largest row sum; a
+small pivot is replaced by a symmetric swap or a shear, and zeros are
+counted only when the whole remaining block is at most eps. The whole
+computation is repeated at doubled precision, and only a reproduced count
+is returned; past PRECISION_CAP_BITS it raises PrecisionError. The starting
+precision, BRAIDCOB_PRECISION_BITS, must lie in [64, PRECISION_CAP_BITS //
+2], so that it is both meaningful and checked at least once; it is checked
+on every call, whichever path runs.
 """
 
 from __future__ import annotations
@@ -72,20 +81,13 @@ import collections
 import dataclasses
 import os
 from fractions import Fraction
-from math import isqrt
+from itertools import accumulate
+from math import lcm
+from operator import add
 
 from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import from_int, to_rational
-from mpmath.libmp.libmpi import (
-    mpi_cos_sin,
-    mpi_div,
-    mpi_mul,
-    mpi_one,
-    mpi_pi,
-    mpi_shift,
-    mpi_square,
-    mpi_sub,
-)
+from mpmath.libmp.libmpi import mpi_cos_sin, mpi_div, mpi_mul, mpi_pi
 
 from .alexander import alexander
 from .inertia import _ldl_inertia, _pencil_signature
@@ -243,94 +245,137 @@ def _ends(x) -> tuple[Fraction, Fraction]:
     return Fraction(*to_rational(x[0])), Fraction(*to_rational(x[1]))
 
 
-def _abs_below(coeffs: tuple[int, ...], x: Fraction, y: Fraction,
-               bits: int) -> Fraction:
+def _deflate(coeffs: list[int], r: int) -> list[int]:
     """
-    A lower bound within 2^-bits of |P(x + iy)|, for the polynomial P with
-    these coefficients at dyadic x and y, by one exact Horner pass over the
-    Gaussian integers.
+    The quotient of the polynomial with these coefficients, lowest first,
+    by t - r, for a root r.
     """
-    scale = max(x.denominator, y.denominator)  # both powers of two
-    e = scale.bit_length() - 1
-    X, Y = int(x * scale), int(y * scale)
-    re = im = 0  # scale^d P(x + iy), d the degree
-    for k, c in enumerate(reversed(coeffs)):
-        re, im = re * X - im * Y + (c << e * k), re * Y + im * X
-    shift = 2 * (e * (len(coeffs) - 1) - bits)
-    norm = re * re + im * im
-    return Fraction(isqrt(norm >> shift if shift >= 0 else norm << -shift),
-                    1 << bits)
+    return list(accumulate(coeffs[:0:-1], lambda acc, c: c + r * acc))[::-1]
+
+
+def _fold(coeffs: tuple[int, ...]) -> list[int]:
+    """
+    The coefficients, lowest first, of F with Delta = t^e F(t + 1/t) times
+    t - 1 when Delta is anti-palindromic, times t + 1 when its degree is
+    then odd, for the nonzero Delta with these coefficients; ArithmeticError
+    when Delta is not palindromic up to sign.
+    """
+    c = list(coeffs)
+    if c != c[::-1]:
+        if c != [-x for x in reversed(c)]:
+            raise ArithmeticError(
+                f"internal error: {coeffs} is not palindromic up to sign")
+        c = _deflate(c, 1)
+    if len(c) % 2 == 0:
+        c = _deflate(c, -1)
+    e = len(c) // 2
+    # c = t^e (c_e + sum_j c_{e+j} s_j) with s_j = t^j + t^-j, where s_0 =
+    # 2, s_1 = x and s_{j+1} = x s_j - s_{j-1} are polynomials in x
+    f, prev, s = [c[e]] + [0] * e, [2], [0, 1]
+    for j in range(1, e + 1):
+        for k, y in enumerate(s):
+            f[k] += c[e + j] * y
+        s, prev = [y - z for y, z in zip([0] + s, prev + [0, 0])], s
+    return f
+
+
+def _scaled(f: list[int], a: int, b: int) -> list[int]:
+    """The coefficients of b^d f(a*x/b), lowest first, d = deg f."""
+    return [c * a ** k * b ** (len(f) - 1 - k) for k, c in enumerate(f)]
+
+
+def _shift(f: list[int], a: int) -> list[int]:
+    """f(x + a), coefficients lowest first, by Horner's rule in place."""
+    for i in range(len(f) - 1):
+        f[i:] = list(accumulate(reversed(f[i:]),
+                                lambda acc, c: c + a * acc))[::-1]
+    return f
+
+
+def _root_free(f: list[int], lo: Fraction, hi: Fraction) -> bool:
+    """
+    True only when the polynomial F with these coefficients, lowest first,
+    has no root on [lo, hi], lo < hi: F is nonzero at both ends and (1 +
+    y)^d F((lo + hi*y)/(1 + y)) has no sign variation (Descartes' rule; see
+    the module docstring). The first Taylor shift is by the end x0 of the
+    smaller denominator e, on e^d F(X/e), whose coefficients are short.
+    """
+    x0, x1 = (hi, lo) if hi.denominator <= lo.denominator else (lo, hi)
+    e, step = x0.denominator, x0.denominator * (x1 - x0)
+    # g(X) = e^d F(x0 + X/e), then h(z) = Q^d g((P/Q)z) for step = P/Q, so
+    # that h(0) and h(1) are positive multiples of F(x0) and F(x1)
+    g = _shift(_scaled(f, 1, e), x0.numerator)
+    h = _scaled(g, step.numerator, step.denominator)
+    positive = h[0] > 0
+    if not h[0] or not sum(h) or (sum(h) > 0) != positive:
+        return False
+    # the Taylor shift of the reversal of h by 1, (1 + y)^d h(1/(1 + y)),
+    # which fixes coefficient i in pass i and stops at a sign variation
+    h.reverse()
+    for i in range(len(h) - 1):
+        h[i:] = list(accumulate(reversed(h[i:]), add))[::-1]
+        if h[i] and (h[i] > 0) != positive:
+            return False
+    return True
+
+
+def _two_cos(v: Fraction) -> Fraction:
+    """2cos(2*pi*theta) for v = cot(pi*theta)."""
+    return 2 * (v * v - 1) / (v * v + 1)
 
 
 def _arc_point(coeffs: tuple[int, ...], theta: Fraction) -> tuple[int, int]:
     """
-    (p, q), p > 0, with q/p the fraction of least denominator within
-    |Delta(w)|/(2S) of cot(pi*theta), w = e^{2*pi*i*theta}, for the nonzero
-    Delta with these coefficients, S = sum k|c_k| and Delta(w) != 0 (see
-    the module docstring). The interval precision doubles from 64 bits
-    until the enclosures certify the arc.
+    (p, q), p > 0 and q >= 0, with v = q/p on the arc of cot(pi*theta), 0 <
+    theta <= 1/2, that the nonzero Delta with these coefficients proves
+    free of jumps, for Delta(w) != 0: v = 0 at theta = 1/2, else the
+    simplest fraction inside the first bracket of cot(pi*theta) that
+    _root_free certifies (see the module docstring).
     """
-    slope = sum(k * abs(c) for k, c in enumerate(coeffs))
-    if not slope:  # a nonzero constant: the whole circle is one arc
+    if theta == Fraction(1, 2):
         return 1, 0
+    f = _fold(coeffs)
+    if _root_free(f, Fraction(-2), Fraction(2)):  # the bracket (0, infinity)
+        return 1, 1
     a, b = from_int(theta.numerator), from_int(theta.denominator)
-    prec = 64
+    prec, r = 64, Fraction(1)
     while True:
         # intervals at prec bits: pi*theta, then its cosine and sine
         half = mpi_div(mpi_mul(mpi_pi(prec), (a, a), prec), (b, b), prec)
         c, s = mpi_cos_sin(half, prec)
         if _ends(s)[0] > 0:
             vlo, vhi = _ends(mpi_div(c, s, prec))
-            # w = cos(2*pi*theta) + i sin(2*pi*theta); z is the midpoint of
-            # its enclosure, and |z - w| <= eps
-            xlo, xhi = _ends(mpi_sub(mpi_shift(mpi_square(c, prec), 1),
-                                     mpi_one, prec))
-            ylo, yhi = _ends(mpi_shift(mpi_mul(s, c, prec), 1))
-            eps = (xhi - xlo + yhi - ylo) / 2
-            # |Delta'| <= S (1 + eps)^(d - 1) < 2S between z and w when
-            # d*eps <= 1/2
-            if len(coeffs) * eps <= Fraction(1, 2):
-                low = _abs_below(coeffs, (xlo + xhi) / 2, (ylo + yhi) / 2,
-                                 prec)
-                radius = (low - 2 * eps * slope) / (2 * slope)
-                if vhi - vlo < 2 * radius:
-                    v = _simplest_in(vhi - radius, vlo + radius)
+            if vhi - vlo < r:
+                lo = max(Fraction(0), _simplest_in(vlo - r, vlo))
+                hi = _simplest_in(vhi, vhi + r)
+                if _root_free(f, _two_cos(lo), _two_cos(hi)):
+                    v = _simplest_in(lo, hi)
                     return v.denominator, v.numerator
+                r /= 16
+                continue
         prec *= 2
 
 
-def signature_at(
-    w: BraidWord | SeifertMatrix,
-    theta: Fraction,
-    precision_bits: int | None = None,
-) -> SignatureProfile:
+def signature_at(w: BraidWord, theta: Fraction) -> SignatureProfile:
     """
     Signature and nullity of the closure of w at omega = e^{2*pi*i*theta},
-    0 < theta < 1. On a braid word each distinct Seifert block is evaluated
-    once and counted with its multiplicity. A block whose Alexander
-    polynomial does not vanish at omega is counted exactly (precision_bits
-    0 in the profile); a block where it vanishes, and a SeifertMatrix
-    argument, go to the mpmath LDL^T, whose counts must reproduce
-    identically when the working precision is doubled; otherwise the
-    precision escalates up to a cap. precision_bits is its starting
-    precision, BRAIDCOB_PRECISION_BITS or DEFAULT_PRECISION_BITS when None;
-    ValueError when it lies outside [MIN_PRECISION_BITS,
-    PRECISION_CAP_BITS // 2].
+    0 < theta < 1. Each distinct Seifert block is evaluated once and counted
+    with its multiplicity. A block whose Alexander polynomial does not
+    vanish at omega is counted exactly (precision_bits 0 in the profile); a
+    block where it vanishes goes to the mpmath LDL^T, whose counts must
+    reproduce identically when the working precision is doubled; otherwise
+    the precision escalates up to a cap. The starting precision is
+    precision_default(); ValueError when it lies outside
+    [MIN_PRECISION_BITS, PRECISION_CAP_BITS // 2].
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
-    if precision_bits is None:
-        prec, source = precision_default(), "BRAIDCOB_PRECISION_BITS"
-    else:
-        prec, source = precision_bits, "precision_bits"
+    prec = precision_default()
     if not MIN_PRECISION_BITS <= prec <= PRECISION_CAP_BITS // 2:
         raise ValueError(
-            f"starting precision {source}={prec} lies outside "
+            f"starting precision BRAIDCOB_PRECISION_BITS={prec} lies outside "
             f"[{MIN_PRECISION_BITS}, {PRECISION_CAP_BITS // 2}] bits")
-    if isinstance(w, SeifertMatrix):
-        total, zeros, used = _ldl_signature(w, theta, prec)
-        return SignatureProfile(theta, total, zeros + w.pieces - 1, used)
     total = zeros = used = 0
     for block, copies in collections.Counter(seifert_blocks(w)).items():
         coeffs = alexander(block).coefficients
@@ -340,7 +385,8 @@ def signature_at(
             zeros += copies * zero
             used = max(used, bits)
         else:
-            sig = _pencil_signature(V, *_arc_point(coeffs, theta))[0]
+            point = _arc_point(coeffs, min(theta, 1 - theta))
+            sig = _pencil_signature(V, *point)[0]
         total += copies * sig
     return SignatureProfile(theta, total, zeros + _surface_pieces(w) - 1, used)
 
@@ -378,26 +424,6 @@ def torus_signature_oracle(p: int, q: int, theta: Fraction) -> int:
             )
         total += q - 1 + 2 * (below - upto_hi)
     return total
-
-
-def _certified_offset(coeffs: tuple[int, ...]) -> Fraction:
-    """
-    A width rho in (0, 1/2] for which the nonzero polynomial with these
-    coefficients has no root on the arc (1/6, 1/6 + rho] of the unit circle
-    (see the module docstring).
-    """
-    while True:  # divide out Phi6; the remainder is Q(zeta6) = x + y*zeta6
-        quot, (x, y) = _cyclotomic_divmod(coeffs, 6)
-        if x or y:
-            break
-        coeffs = quot
-    slope = sum(k * abs(c) for k, c in enumerate(coeffs))
-    if not slope:
-        return Fraction(1, 2)
-    # r = isqrt(N*2^32 - 1)/2^16 < sqrt(N) = |Q(zeta6)| with N = x^2 + xy +
-    # y^2, and 22/7 > pi, so rho <= 7r/(44S) gives 2*pi*rho*S < |Q(zeta6)|
-    r = isqrt(((x * x + x * y + y * y) << 32) - 1)
-    return min(Fraction(1, 2), Fraction(7 * r, 44 * slope << 16))
 
 
 def _run(holds) -> int:
@@ -466,11 +492,29 @@ def _point_past_sixth(delta: Fraction) -> Fraction:
     return _simplest_between(lambda x, y: 3 * x * x < y * y, above)
 
 
+def _sixth_point(coeffs: tuple[int, ...]) -> Fraction:
+    """
+    The first u = _point_past_sixth(delta), delta = 1/2, 1/32, ..., with
+    the nonzero Delta with these coefficients proved free of roots on the
+    arc (1/6, theta*], u = tan(pi*theta*), Phi6 aside (see the module
+    docstring).
+    """
+    f = _fold(coeffs)
+    while not sum(f):  # x - 1, that is Phi6, divides F
+        f = _deflate(f, 1)
+    delta = Fraction(1, 2)
+    while True:
+        u = _point_past_sixth(delta)
+        if _root_free(f, _two_cos(1 / u), Fraction(1)):
+            return u
+        delta /= 16
+
+
 def _sigma6_of_word(w: BraidWord) -> int:
     """
     Paper-convention sigma_6 of one closure: minus the sum over its Seifert
     blocks of the standard signature just past theta = 1/6, each taken
-    exactly at one rational point of the arc certified free of jumps. Equal
+    exactly at one rational point of an arc certified free of jumps. Equal
     blocks, such as the summands of a connected sum of trefoils, are
     evaluated once and counted with their multiplicity.
     """
@@ -482,7 +526,7 @@ def _sigma6_of_word(w: BraidWord) -> int:
                 f"sigma6 is undefined for {w}: block {block} has Alexander "
                 f"polynomial 0, so its form is singular at every theta"
             )
-        u = _point_past_sixth(_certified_offset(poly.coefficients))
+        u = _sixth_point(poly.coefficients)
         try:
             total -= copies * _pencil_signature(
                 seifert_matrix(block), u.numerator, u.denominator)[0]
@@ -497,9 +541,9 @@ def sigma6(link: FormalLink | BraidWord) -> int:
     sigma6(positive trefoil) = +2, additive over summands, +2 per positive
     trefoil counter and -2 per negative one. Asserted summands must declare
     their value. Each Seifert block of a closure is evaluated once and
-    exactly, at a rational point of the arc (1/6, 1/6 + rho] whose width
-    rho the block's Alexander polynomial certifies free of signature jumps.
-    Raises Sigma6Error when a block's Alexander polynomial is 0.
+    exactly, at a rational point past 1/6 that its Alexander polynomial
+    proves free of signature jumps up to 1/6. Raises Sigma6Error when a
+    block's Alexander polynomial is 0.
     """
     if isinstance(link, BraidWord):
         link = FormalLink(closures=(link,))

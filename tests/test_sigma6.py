@@ -1,19 +1,35 @@
 """
 sigma6 against independent paths: the delta-halving limit (evaluate the whole
 Seifert form at 1/6 + delta for delta = 2^-10, 2^-11, ... until three
-consecutive values agree with no extra nullity), the mpmath signature_at at
-each block's certified offset 1/6 + rho (a SeifertMatrix argument, so that
-the LDL^T runs), the earlier power-of-two offset, the lattice count for
-torus links, and exact checks of the certified offset and of the rational
-point past 1/6. The pairwise lattice count also checks the floor count of
-torus_signature_oracle and the lower bound of theorem_bound at every scale.
+consecutive values agree with no extra nullity), the mpmath LDL^T on the
+whole Seifert matrix at each block's slope-bound offset 1/6 + rho, the
+earlier power-of-two offset, the lattice count for torus links, and exact
+checks of the root-free points and of the rational point past 1/6. The
+slope-bound point choice that the Descartes root test replaced lives here as
+the reference: the pencil signature at its points must equal the one at
+the points of src. The pairwise lattice count also checks the floor count
+of torus_signature_oracle and the lower bound of theorem_bound at every
+scale.
 """
 
 import math
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from mpmath import mp, mpf
+from mpmath.libmp import from_int
+from mpmath.libmp.libmpi import (
+    mpi_cos_sin,
+    mpi_div,
+    mpi_mul,
+    mpi_one,
+    mpi_pi,
+    mpi_shift,
+    mpi_square,
+    mpi_sub,
+)
 
 import braidcob.inertia as inertia
 import braidcob.signature as signature
@@ -30,6 +46,7 @@ from braidcob.replication import (
 from braidcob.seifert import seifert_blocks, seifert_matrix
 from braidcob.signature import (
     Sigma6Error,
+    SignatureProfile,
     sigma6,
     signature_at,
     torus_signature_oracle,
@@ -37,11 +54,21 @@ from braidcob.signature import (
 from braidcob.words import make_word
 
 
+def _ldl_profile(V, theta):
+    """
+    The mpmath LDL^T on the whole Seifert matrix V at theta, with nullity
+    zeros + V.pieces - 1 as signature_at reports for a braid word.
+    """
+    total, zeros, bits = signature._ldl_signature(
+        V, theta, signature.precision_default())
+    return SignatureProfile(theta, total, zeros + V.pieces - 1, bits)
+
+
 def _halving_sigma6(w, delta=Fraction(1, 1024), halvings=20):
     V = seifert_matrix(w)
     window = []
     for _ in range(halvings + 1):
-        prof = signature_at(V, Fraction(1, 6) + delta)
+        prof = _ldl_profile(V, Fraction(1, 6) + delta)
         if prof.nullity == V.pieces - 1:
             window.append(prof.signature)
         else:
@@ -128,6 +155,84 @@ def _power_of_two_offset(coeffs, delta_start=Fraction(1, 1024)):
     return delta
 
 
+# ---------------------------------------------------------------------------
+# the slope-bound point choice, kept as the reference for the root test
+# ---------------------------------------------------------------------------
+
+def _certified_offset(coeffs):
+    """
+    A width rho in (0, 1/2] with no root of the nonzero polynomial with
+    these coefficients on the arc (1/6, 1/6 + rho]: with Phi6 divided out,
+    the quotient Q has Q(zeta6) = x + y*zeta6 != 0, and S = sum k|q_k|
+    bounds |Q'| on the unit circle. r = isqrt(N*2^32 - 1)/2^16 < sqrt(N) =
+    |Q(zeta6)| for N = x^2 + xy + y^2, and 22/7 > pi, so rho = min(1/2,
+    7r/(44S)) gives 2*pi*rho*S < |Q(zeta6)|.
+    """
+    while True:
+        quot, (x, y) = signature._cyclotomic_divmod(coeffs, 6)
+        if x or y:
+            break
+        coeffs = quot
+    slope = sum(k * abs(c) for k, c in enumerate(coeffs))
+    if not slope:
+        return Fraction(1, 2)
+    r = isqrt(((x * x + x * y + y * y) << 32) - 1)
+    return min(Fraction(1, 2), Fraction(7 * r, 44 * slope << 16))
+
+
+def _abs_below(coeffs, x, y, bits):
+    """
+    A lower bound within 2^-bits of |P(x + iy)|, for the polynomial P with
+    these coefficients at dyadic x and y, by one exact Horner pass over the
+    Gaussian integers.
+    """
+    scale = max(x.denominator, y.denominator)  # both powers of two
+    e = scale.bit_length() - 1
+    X, Y = int(x * scale), int(y * scale)
+    re = im = 0  # scale^d P(x + iy), d the degree
+    for k, c in enumerate(reversed(coeffs)):
+        re, im = re * X - im * Y + (c << e * k), re * Y + im * X
+    shift = 2 * (e * (len(coeffs) - 1) - bits)
+    norm = re * re + im * im
+    return Fraction(isqrt(norm >> shift if shift >= 0 else norm << -shift),
+                    1 << bits)
+
+
+def _slope_arc_point(coeffs, theta):
+    """
+    (p, q), p > 0, with q/p the fraction of least denominator within
+    |Delta(w)|/(2S) of cot(pi*theta), w = e^{2*pi*i*theta}, for the nonzero
+    Delta with these coefficients, S = sum k|c_k| and Delta(w) != 0: no
+    root lies within |Delta(w)|/(2*pi*S) of theta, and |d theta/dv| <= 1/pi
+    for v = cot(pi*theta). |Delta(w)| is bounded below from Delta at the
+    midpoint z of an interval enclosure of w, minus |z - w| times 2S; the
+    interval precision doubles from 64 bits until the bounds certify the
+    arc.
+    """
+    slope = sum(k * abs(c) for k, c in enumerate(coeffs))
+    if not slope:  # a nonzero constant: the whole circle is one arc
+        return 1, 0
+    a, b = from_int(theta.numerator), from_int(theta.denominator)
+    prec = 64
+    while True:
+        half = mpi_div(mpi_mul(mpi_pi(prec), (a, a), prec), (b, b), prec)
+        c, s = mpi_cos_sin(half, prec)
+        if signature._ends(s)[0] > 0:
+            vlo, vhi = signature._ends(mpi_div(c, s, prec))
+            xlo, xhi = signature._ends(mpi_sub(
+                mpi_shift(mpi_square(c, prec), 1), mpi_one, prec))
+            ylo, yhi = signature._ends(mpi_shift(mpi_mul(s, c, prec), 1))
+            eps = (xhi - xlo + yhi - ylo) / 2
+            if len(coeffs) * eps <= Fraction(1, 2):
+                low = _abs_below(coeffs, (xlo + xhi) / 2, (ylo + yhi) / 2,
+                                 prec)
+                radius = (low - 2 * eps * slope) / (2 * slope)
+                if vhi - vlo < 2 * radius:
+                    v = signature._simplest_in(vhi - radius, vlo + radius)
+                    return v.denominator, v.numerator
+        prec *= 2
+
+
 def _nonzero_blocks(w):
     """(block, coefficients of Delta) for each block with Delta != 0."""
     for block in seifert_blocks(w):
@@ -139,13 +244,13 @@ def _nonzero_blocks(w):
 def _offset_signatures(w):
     """
     (block, rho, the mpmath signature at 1/6 + rho) for each Seifert block
-    whose Alexander polynomial is not 0, with rho its certified offset.
+    whose Alexander polynomial is not 0, with rho its slope-bound offset.
     This is how sigma6 took each block's limit before the exact kernel.
     """
     out = []
     for block, coeffs in _nonzero_blocks(w):
-        rho = signature._certified_offset(coeffs)
-        prof = signature_at(seifert_matrix(block), Fraction(1, 6) + rho)
+        rho = _certified_offset(coeffs)
+        prof = _ldl_profile(seifert_matrix(block), Fraction(1, 6) + rho)
         assert prof.nullity == 0, block
         out.append((block, rho, prof.signature))
     return out
@@ -273,9 +378,8 @@ def test_one_kernel_call_per_block(monkeypatch):
         calls.clear()
         assert sigma6(w) == value
         assert len(calls) == blocks, w
-        assert calls == [
-            signature._point_past_sixth(signature._certified_offset(coeffs))
-            for _, coeffs in dict(_nonzero_blocks(w)).items()], (w, calls)
+        assert calls == [signature._sixth_point(coeffs) for _, coeffs
+                         in dict(_nonzero_blocks(w)).items()], (w, calls)
 
 
 def test_equal_blocks_are_evaluated_once(monkeypatch):
@@ -358,7 +462,7 @@ def test_singular_pencil_is_an_internal_error(monkeypatch):
     assert "sigma6" not in str(got.value).lower()
     assert signature._pencil_signature(V, 11, 19)[0] == -1
     with monkeypatch.context() as m:
-        m.setattr(signature, "_point_past_sixth", lambda delta: Fraction(1))
+        m.setattr(signature, "_sixth_point", lambda coeffs: Fraction(1))
         with pytest.raises(Sigma6Error, match="internal error"):
             sigma6(w)
     # signature_at at theta = 1/3, off the roots, sent to the same point
@@ -378,36 +482,103 @@ def test_cli_sigma6_of_zero_alexander_word_exits_1(capsys):
     assert "Traceback" not in err
 
 
+def _turn(coeffs, b):
+    """coeffs times the cyclotomic polynomial Phi_b, b in (1, 2, 6)."""
+    phi = {1: (-1, 1), 2: (1, 1), 6: (1, -1, 1)}[b]
+    out = [0] * (len(coeffs) + len(phi) - 1)
+    for i, x in enumerate(coeffs):
+        for j, y in enumerate(phi):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 @pytest.mark.parametrize("n", [7, 13, 25, 601, 1199, 1200, 4801])
 @pytest.mark.parametrize("phi6_power", [0, 2])
 def test_certified_offset_avoids_roots_of_unity(n, phi6_power):
-    # t^n - 1 has its roots at exactly theta = k/n; (1/6, 1/6 + rho] must
-    # hold none of them
-    coeffs = [-1] + [0] * (n - 1) + [1]
+    # t^n - 1 has its roots at exactly theta = k/n: the sigma6 point must
+    # lie before the first of them past 1/6, and the arc point of a theta
+    # between two of them strictly between the two (up to n = 1200: at n =
+    # 4801 one arc walk takes half a minute of degree-2400 Taylor shifts)
+    coeffs = (-1,) + (0,) * (n - 1) + (1,)
     for _ in range(phi6_power):
-        coeffs = [a - b + c for a, b, c in
-                  zip(coeffs + [0, 0], [0] + coeffs + [0], [0, 0] + coeffs)]
-    rho = signature._certified_offset(tuple(coeffs))
-    assert 0 < rho <= Fraction(1, 2)
-    k = n // 6 + 1  # the first k/n past 1/6
-    assert Fraction(k, n) > Fraction(1, 6) + rho, (n, rho)
+        coeffs = _turn(coeffs, 6)
+    u = signature._sixth_point(coeffs)
+    first = n // 6 + 1
+    with mp.workprec(128):
+        assert mp.atan(mpf(u.numerator) / u.denominator) / mp.pi \
+            < mpf(first) / n, (n, u)
+    for k in (first, n // 3, (n - 1) // 2) if n <= 1200 else ():
+        theta = Fraction(2 * k + 1, 2 * n)
+        assert not signature._vanishes_at(coeffs, theta.denominator)
+        p, q = signature._arc_point(coeffs, theta)
+        with mp.workprec(128):
+            at = mp.acot(mpf(q) / p) / mp.pi
+            assert mpf(k) / n < at < mpf(k + 1) / n, (n, k, p, q)
 
 
-def test_certified_offset_of_trefoil_is_delta_start():
-    # Delta(3_1) = Phi6 leaves nothing to bound, so the width is the whole
-    # 1/2 that stops short of Phi6's other root at 5/6
-    assert signature._certified_offset((1, -1, 1)) == Fraction(1, 2)
-    assert signature._certified_offset((1,)) == Fraction(1, 2)
-    # whose simplest point is u = tan(pi/4) = 1, not 11/19 as at 1/1024
+def test_sigma6_point_of_trefoil_is_one():
+    # Delta(3_1) = Phi6 leaves a constant, and Delta(4_1) = -1 + 3t - t^2
+    # folds to 3 - x, with its root at x = 3 off [x(1), 1] = [0, 1]: the
+    # first candidate, u = tan(pi/4) = 1, not 11/19 as at 1/1024
     assert signature._point_past_sixth(Fraction(1, 2)) == 1
-    # Delta(4_1) = -1 + 3t - t^2 is x + y*zeta6 = 2*zeta6 there, so N = 4,
-    # S = 5 and r = isqrt(2^34 - 1)/2^16
-    assert signature._certified_offset((-1, 3, -1)) \
-        == Fraction(7 * (2 ** 17 - 1), 44 * 5 << 16)
+    for coeffs in ((1, -1, 1), (1,), (-1, 3, -1), _turn((1, -1, 1), 6)):
+        assert signature._sixth_point(coeffs) == 1, coeffs
+    assert sigma6(make_word(2, [1, 1, 1])) == 2
+
+
+def test_sigma6_point_avoids_a_root_at_the_closed_end():
+    # Delta(T(2,4)) = (1 - t)(1 + t^2) folds to x, whose root x = 0 is the
+    # closed end x(1) of [x(1), 1], theta = 1/4: the walk must go past u = 1
+    w = make_word(2, [1, 1, 1, 1])
+    coeffs = alexander(w).coefficients
+    assert signature._fold(coeffs) in ([0, 1], [0, -1])
+    assert not signature._root_free([0, 1], Fraction(0), Fraction(1))
+    assert not signature._root_free([0, 1], Fraction(-1), Fraction(0))
+    assert signature._root_free([0, 1], Fraction(1, 2), Fraction(1))
+    u = signature._sixth_point(coeffs)
+    assert Fraction(1, 3) < u * u < 1, u
+    assert sigma6(w) == -torus_signature_oracle(
+        2, 4, Fraction(1, 6) + Fraction(1, 96))
+    # signature_at at theta = 1/4 + 1/1000, next to that root
+    theta = Fraction(1, 4) + Fraction(1, 1000)
+    assert signature_at(w, theta).signature \
+        == torus_signature_oracle(2, 4, theta)
+
+
+def test_fold_of_synthetic_deltas():
+    # anti-palindromic: 1 - t + t^2 - t^3 = -(t - 1)(1 + t^2) = -(t - 1) t x
+    assert signature._fold((1, -1, 1, -1)) == [0, -1]
+    # odd palindromic: 1 + t^3 = (t + 1)(t^2 - t + 1) = (t + 1) t (x - 1)
+    assert signature._fold((1, 0, 0, 1)) == [-1, 1]
+    for coeffs in ((1, 2, 3), (1, 1, 0, 1), (2, -1, -2)):
+        with pytest.raises(ArithmeticError, match="internal error"):
+            signature._fold(coeffs)
+    # Delta = (t - 1)^i (t + 1)^j t^e F(t + 1/t) on the seeded corpora; a
+    # block's Delta = det(tV - V^T) has t^h Delta(1/t) = (-1)^h Delta(t), h
+    # the size of V, so only the synthetic inputs above need t + 1
+    folded = {(0, 0): 0, (1, 0): 0}
+    for w in _seeded_words(77, 120) + _zero_pivot_words(2024, 120):
+        for _, coeffs in _nonzero_blocks(w):
+            f = signature._fold(coeffs)
+            e = len(f) - 1
+            back = [0] * (2 * e + 1)
+            power = [1]  # t^e x^k, as coefficients of t^(e-k) ... t^(e+k)
+            for k, c in enumerate(f):
+                for i, y in enumerate(power):
+                    back[e - k + 2 * i] += c * y
+                power = list(map(sum, zip([0] + power, power + [0])))
+            i = int(coeffs != coeffs[::-1])
+            j = int((len(coeffs) - i) % 2 == 0)
+            for b, times in ((1, i), (2, j)):
+                for _ in range(times):
+                    back = _turn(back, b)
+            assert tuple(back) == coeffs, (w, coeffs, f)
+            folded[i, j] += 1
+    assert min(folded.values()) >= 50, folded
 
 
 def test_certified_offset_is_no_narrower_than_power_of_two_offset():
-    # on every block of the seeded corpora the certified width is at least
+    # on every block of the seeded corpora the slope-bound width is at least
     # the old power-of-two offset, so its point past 1/6 has no larger
     # denominator, and both points give the same exact signature
     words = _seeded_words(77, 120) + _seeded_words(6161, 220)
@@ -415,7 +586,7 @@ def test_certified_offset_is_no_narrower_than_power_of_two_offset():
     blocks = wider = 0
     for w in words:
         for block, coeffs in _nonzero_blocks(w):
-            rho, delta = (signature._certified_offset(coeffs),
+            rho, delta = (_certified_offset(coeffs),
                           _power_of_two_offset(coeffs))
             assert rho >= delta, (block, rho, delta)
             u, old = (signature._point_past_sixth(rho),
@@ -430,6 +601,39 @@ def test_certified_offset_is_no_narrower_than_power_of_two_offset():
             blocks += 1
             wider += u.denominator < old.denominator
     assert blocks >= 400 and wider >= blocks // 2, (blocks, wider)
+
+
+def test_root_test_points_match_slope_bound_points():
+    # the pencil signature at the root-tested points of src equals the one
+    # at the slope-bound points, for sigma6 and at theta = k/997 on both
+    # halves of the circle (no Delta here has the degree 996 of Phi_997);
+    # the root-tested sigma6 points are no larger
+    rng = random.Random(997)
+    words = _seeded_words(77, 120) + _seeded_words(6161, 220)
+    words += _zero_pivot_words(2024, 120)
+    blocks = 0
+    bits = {"slope": 0, "root": 0}  # of the sigma6 points
+    for w in words:
+        for block, coeffs in _nonzero_blocks(w):
+            blocks += 1
+            V = seifert_matrix(block)
+            old = signature._point_past_sixth(_certified_offset(coeffs))
+            new = signature._sixth_point(coeffs)
+            for key, u in (("slope", old), ("root", new)):
+                bits[key] += (u.numerator * u.denominator).bit_length()
+            pairs = [((old.numerator, old.denominator),
+                      (new.numerator, new.denominator))]
+            for k in rng.sample(range(1, 997), 3):
+                theta = Fraction(k, 997)
+                pairs.append((_slope_arc_point(coeffs, theta),
+                              signature._arc_point(coeffs,
+                                                   min(theta, 1 - theta))))
+            for (p, q), (p2, q2) in pairs:
+                assert (signature._pencil_signature(V, p, q)[0]
+                        == signature._pencil_signature(V, p2, q2)[0]
+                        ), (block, (p, q), (p2, q2))
+    assert blocks >= 300, blocks
+    assert bits["root"] <= bits["slope"], bits
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +791,13 @@ def _kernel_points(w, seed, count):
     rng = random.Random(seed)
     for block, coeffs in _nonzero_blocks(w):
         V = seifert_matrix(block)
-        u = signature._point_past_sixth(signature._certified_offset(coeffs))
+        u = signature._sixth_point(coeffs)
         yield block, V, u.numerator, u.denominator
         for _ in range(count):
             theta = Fraction(rng.randrange(1, 997), 997)
             if not signature._vanishes_at(coeffs, theta.denominator):
-                yield (block, V) + signature._arc_point(coeffs, theta)
+                yield (block, V) + signature._arc_point(
+                    coeffs, min(theta, 1 - theta))
 
 
 def test_split_kernel_matches_reference_on_seeded_corpora(monkeypatch):

@@ -268,6 +268,19 @@ def test_frozen_fixture_file():
     assert abs(23 - 20) <= 12
 
 
+def _ldl_profile(V, theta):
+    """
+    The mpmath LDL^T on the whole Seifert matrix V at theta, the oracle for
+    signature_at, with nullity zeros + V.pieces - 1 as for a braid word.
+    """
+    from braidcob import signature
+
+    total, zeros, bits = signature._ldl_signature(
+        V, theta, signature.precision_default())
+    return signature.SignatureProfile(theta, total, zeros + V.pieces - 1,
+                                      bits)
+
+
 def _dense_inertia(M, eps):
     """
     Symmetrically pivoted LDL^T with 1x1 and 2x2 pivots on full storage:
@@ -418,7 +431,7 @@ def test_sparse_form_matches_dense_construction():
     for w in words:
         for theta in thetas:
             want = _dense_profile(w, theta, paths)
-            assert signature_at(seifert_matrix(w), theta) == want, (w, theta)
+            assert _ldl_profile(seifert_matrix(w), theta) == want, (w, theta)
             got = signature_at(w, theta)
             assert (got.signature, got.nullity) == (
                 want.signature, want.nullity), (w, theta)
@@ -486,7 +499,7 @@ def test_sparse_ldl_matches_dense_oracle_on_differential_corpus(monkeypatch):
     paths = set()
     for w, theta in cases:
         seen.clear()
-        prof = signature_at(seifert_matrix(w), theta)
+        prof = _ldl_profile(seifert_matrix(w), theta)
         assert prof == _dense_profile(w, theta, paths), (w, theta)
         _, _, zero, swaps, shears = seen[0]
         ran["swap"] += swaps > 0
@@ -530,19 +543,18 @@ def test_precision_doubles_to_the_cap_then_raises(monkeypatch, capsys):
         return prec, 0, 0, 0, 0  # a different count at every precision
 
     # theta = 1/6 is a root of the trefoil's Alexander polynomial, so the
-    # word reaches the LDL^T there, as a SeifertMatrix does at any theta
+    # word reaches the LDL^T there, as the whole matrix does at any theta
     monkeypatch.setattr(signature, "_inertia_at", unstable)
     trefoil = make_word(2, [1, 1, 1])
-    for w in (trefoil, seifert_matrix(trefoil)):
+    V = seifert_matrix(trefoil)
+    for run in (lambda: signature_at(trefoil, Fraction(1, 6)),
+                lambda: _ldl_profile(V, Fraction(1, 6)),
+                lambda: _ldl_profile(V, Fraction(1, 2))):
         asked.clear()
         with pytest.raises(PrecisionError,
                            match=f"{PRECISION_CAP_BITS} bits"):
-            signature_at(w, Fraction(1, 6))
+            run()
         assert asked == [128, 256, 512, 1024, 2048, 4096]
-    asked.clear()
-    with pytest.raises(PrecisionError, match=f"{PRECISION_CAP_BITS} bits"):
-        signature_at(seifert_matrix(trefoil), Fraction(1, 2))
-    assert asked == [128, 256, 512, 1024, 2048, 4096]
     asked.clear()
     code = main(["link", "sigma", "--theta", "1/6",
                  "--strands", "2", "--word", "1,1,1"])
@@ -556,9 +568,10 @@ def test_precision_doubles_to_the_cap_then_raises(monkeypatch, capsys):
         return (1, 0, 0, 0, prec) if prec >= 512 else (prec, 0, 0, 0, 0)
 
     monkeypatch.setattr(signature, "_inertia_at", settles)
-    for w in (trefoil, seifert_matrix(trefoil)):
+    for run in (lambda: signature_at(trefoil, Fraction(1, 6)),
+                lambda: _ldl_profile(V, Fraction(1, 6))):
         asked.clear()
-        prof = signature_at(w, Fraction(1, 6))
+        prof = run()
         assert (prof.signature, prof.precision_bits) == (1, 512)
         assert asked == [128, 256, 512, 1024]
 
@@ -569,10 +582,10 @@ def test_precision_env_override(monkeypatch):
     monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", "192")
     assert precision_default() == 192
     trefoil = make_word(2, [1, 1, 1])
-    # the LDL^T starts there: at a root, and on a SeifertMatrix anywhere
+    # the LDL^T starts there: at a root, and on the whole matrix anywhere
     prof = signature_at(trefoil, Fraction(1, 6))
     assert (prof.signature, prof.nullity, prof.precision_bits) == (-1, 1, 192)
-    prof = signature_at(seifert_matrix(trefoil), Fraction(1, 2))
+    prof = _ldl_profile(seifert_matrix(trefoil), Fraction(1, 2))
     assert (prof.signature, prof.nullity, prof.precision_bits) == (-2, 0, 192)
     # off the roots the count is exact
     prof = signature_at(trefoil, Fraction(1, 2))
@@ -585,38 +598,40 @@ def test_precision_env_override(monkeypatch):
 def test_starting_precision_out_of_range(monkeypatch, capsys, bits):
     """
     Below 64 bits the count is noise that doubling can reproduce, and past
-    PRECISION_CAP_BITS // 2 it is never checked at a second precision; only
-    None means the default.
+    PRECISION_CAP_BITS // 2 it is never checked at a second precision;
+    BRAIDCOB_PRECISION_BITS is the one setting, checked on every call.
     """
     from braidcob.cli import main
 
     monkeypatch.delenv("BRAIDCOB_PRECISION_BITS", raising=False)
-    with pytest.raises(ValueError, match=rf"precision_bits={bits} lies "
-                                         rf"outside \[64, 2048\]"):
-        signature_at(torus_word(3, 7), Fraction(13, 60), bits)
     argv = ["link", "sigma", "--strands", "2", "--word", "1,1,1",
             "--theta", "1/3"]
     assert main(argv) == 0
     assert capsys.readouterr().out == "signature -2, nullity 0\n"
     monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", str(bits))
-    with pytest.raises(ValueError, match=f"BRAIDCOB_PRECISION_BITS={bits} "):
-        signature_at(make_word(2, [1, 1, 1]), Fraction(1, 3))
+    for w, theta in ((torus_word(3, 7), Fraction(13, 60)),
+                     (make_word(2, [1, 1, 1]), Fraction(1, 3))):
+        with pytest.raises(ValueError,
+                           match=rf"BRAIDCOB_PRECISION_BITS={bits} lies "
+                                 rf"outside \[64, 2048\]"):
+            signature_at(w, theta)
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and f"BRAIDCOB_PRECISION_BITS={bits} lies" in err
     assert "Traceback" not in err
 
 
-def test_starting_precision_range_ends():
+def test_starting_precision_range_ends(monkeypatch):
     w = torus_word(3, 7)
     for bits in (64, 2048):
-        prof = signature_at(seifert_matrix(w), Fraction(13, 60), bits)
+        monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", str(bits))
+        prof = _ldl_profile(seifert_matrix(w), Fraction(13, 60))
         assert (prof.signature, prof.nullity, prof.precision_bits) == (
             -6, 0, bits)
-        prof = signature_at(w, Fraction(1, 21), bits)  # a root of Delta
+        prof = signature_at(w, Fraction(1, 21))  # a root of Delta
         assert (prof.signature, prof.nullity, prof.precision_bits) == (
             -1, 1, bits)
-        prof = signature_at(w, Fraction(13, 60), bits)
+        prof = signature_at(w, Fraction(13, 60))
         assert (prof.signature, prof.nullity, prof.precision_bits) == (
             -6, 0, 0)
 
@@ -684,7 +699,7 @@ def test_exact_path_matches_ldl_on_differential_corpus(monkeypatch):
         calls.clear()
         got = signature_at(w, theta)
         exact = not calls
-        want = signature_at(seifert_matrix(w), theta)
+        want = _ldl_profile(seifert_matrix(w), theta)
         assert (got.signature, got.nullity) == (
             want.signature, want.nullity), (w, theta)
         assert (got.precision_bits == 0) == exact, (w, theta)
