@@ -1,8 +1,11 @@
 """
 braidcob: braid words, link signatures, and cobordism-distance certificates.
+
+The function alexander is not re-exported: braidcob.alexander is its module,
+so call braidcob.alexander.alexander.
 """
 
-from .alexander import AlexanderPolynomial, alexander
+from .alexander import AlexanderPolynomial
 from .certificates import (
     CertificateError,
     CertificateReport,

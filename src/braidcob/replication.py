@@ -394,8 +394,8 @@ def theorem_bound(m: int, n: int, N: int) -> BoundReport:
             f"theorem_bound needs N >= 7mn/24 = {Fraction(7 * m * n, 24)}, "
             f"got N={N}"
         )
-    k = max(1, round(m / 6))
-    lq = max(1, round(n / 6))
+    k = max(1, round(Fraction(m, 6)))  # a float m / 6 is inexact past 2^53
+    lq = max(1, round(Fraction(n, 6)))
     adjust = 0 if (m == 6 * k and n == 6 * lq) else 3 * (m + n)
     nongeneric = 36 * k if gcd(k, lq) != 1 else 0
     t = -(-(k * lq) // 2)  # ceil(kl/2) >= (k-1)(l-1)/2

@@ -391,15 +391,62 @@ def signature_at(w: BraidWord, theta: Fraction) -> SignatureProfile:
     return SignatureProfile(theta, total, zeros + _surface_pieces(w) - 1, used)
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """
+    sum_{k=0}^{n-1} floor((a*k + b)/m) for n, a, b >= 0 and m >= 1, by the
+    Euclid-like reduction (Concrete Mathematics 3.5): take the whole parts
+    of a/m and b/m out, then count the same lattice points by columns, which
+    swaps the roles of a and m. O(log m) steps.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _clamped_sum(c: int, k: int, cap: int, slope: int, step: int) -> int:
+    """
+    sum_{i=1}^{k} min(cap, max(0, floor((c - i*slope)/step))) for
+    cap >= 0 and slope, step >= 1. The floor falls as i grows, so the terms
+    are a run of cap (i <= top), then plain floors (top < i <= last), then
+    a run of 0; the plain floors, read from i = last down, are a floor sum
+    with nonnegative slope and intercept.
+    """
+    top = min(k, max(0, (c - cap * step) // slope))
+    last = min(k, max(0, (c - step) // slope))
+    n = max(0, last - top)
+    return top * cap + _floor_sum(n, step, slope, c - last * slope)
+
+
 def torus_signature_oracle(p: int, q: int, theta: Fraction) -> int:
     """
     Standard-convention signature of the torus link T(p,q) at
     e^{2*pi*i*theta}, away from its jumps, by lattice counting: each pair
     (i,j) in [1,p-1]x[1,q-1] contributes -1 when (i/p + j/q - theta) mod 2
     lies in (0,1) and +1 when it lies in (1,2). Fully independent of Seifert
-    matrices. With theta = a/b and lo = a*p*q - i*q*b, (i,j) gives +1
-    exactly when j*p*b < lo or j*p*b > lo + p*q*b, and a jump when it is
-    equal to either end, so each i takes four floor divisions.
+    matrices.
+
+    With theta = a/b, step = p*b, lo_i = a*p*q - i*q*b and hi_i = lo_i +
+    q*step, (i,j) gives +1 exactly when j*step < lo_i or j*step > hi_i, and
+    a jump when it equals either end. Let f(x) = min(q-1, max(0,
+    floor(x/step))), the number of j in [1, q-1] with j*step <= x. Row i
+    gives q - 1 + 2*(f(lo_i - 1) - f(hi_i)), and holds a jump exactly when
+    f(lo_i - 1) != f(lo_i) or f(hi_i - 1) != f(hi_i). Over i = 1..p-1 the
+    count is (p-1)(q-1) + 2*(S(-1) - S(q*step)), where S(d) = sum_i
+    f(a*p*q + d - i*q*b) is a clamped floor sum of a linear function of i,
+    O(log(p*q*b)) integer steps (_clamped_sum). As f(x) - f(x-1) is 0 or 1,
+    rows 1..k hold a jump exactly when S(0) - S(-1) + S(q*step) -
+    S(q*step - 1) > 0 over them, so bisection on k finds the first such
+    row, and the error names the (i, j) a row-by-row scan would meet first.
     """
     if p < 1 or q < 1:
         raise ValueError(f"T(p,q) needs p, q >= 1, got {p},{q}")
@@ -408,22 +455,32 @@ def torus_signature_oracle(p: int, q: int, theta: Fraction) -> int:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
     a, b = theta.numerator, theta.denominator
     step = p * b
-    total = 0
-    for i in range(1, p):
-        lo = a * p * q - i * q * b
-        hi = lo + q * step
-        # how many j in [1, q-1] have j*step <= x, for x = lo-1, lo, hi-1, hi
-        below, upto_lo, below_hi, upto_hi = (
-            min(q - 1, max(0, x // step)) for x in (lo - 1, lo, hi - 1, hi)
+    c, span = a * p * q, q * step
+
+    def count(x):  # f(x) above
+        return min(q - 1, max(0, x // step))
+
+    def sums(k):
+        return [_clamped_sum(c + d, k, q - 1, q * b, step)
+                for d in (-1, 0, span - 1, span)]
+
+    below, upto_lo, below_hi, upto_hi = sums(p - 1)
+    if below != upto_lo or below_hi != upto_hi:
+        first, last = 1, p - 1  # the first jump row lies in [first, last]
+        while first < last:
+            mid = (first + last) // 2
+            s = sums(mid)
+            if s[0] != s[1] or s[2] != s[3]:
+                last = mid
+            else:
+                first = mid + 1
+        x = c - first * q * b
+        j = count(x) if count(x - 1) != count(x) else count(x + span)
+        raise ValueError(
+            f"evaluation at jump: theta={theta} hits i/p+j/q for "
+            f"(i,j)=({first},{j})"
         )
-        if below != upto_lo or below_hi != upto_hi:
-            j = upto_lo if below != upto_lo else upto_hi
-            raise ValueError(
-                f"evaluation at jump: theta={theta} hits i/p+j/q for "
-                f"(i,j)=({i},{j})"
-            )
-        total += q - 1 + 2 * (below - upto_hi)
-    return total
+    return (p - 1) * (q - 1) + 2 * (below - upto_hi)
 
 
 def _run(holds) -> int:

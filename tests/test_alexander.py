@@ -4,11 +4,12 @@ reduced-Burau determinant over Q[t, 1/t], and the Seifert determinant
 det(tV - V^T) of the closed-braid surface.
 """
 
-import importlib
 import itertools
 import random
 from fractions import Fraction
 
+import braidcob
+import braidcob.alexander as alex
 from braidcob.alexander import alexander
 from braidcob.seifert import seifert_blocks, seifert_matrix
 from braidcob.words import (
@@ -18,10 +19,6 @@ from braidcob.words import (
     markov_stabilize,
     mirror,
 )
-
-
-# the module, not the function braidcob re-exports under the same name
-alex = importlib.import_module("braidcob.alexander")
 
 
 def torus_word(m, n):
@@ -156,6 +153,13 @@ def _divide(num, den):
         _Poly({d + lo - dlo: v for d, v in quot.items()}),
         _Poly(shifted),
     )
+
+
+def test_module_and_function_import_forms():
+    # the package names the module, not the function inside it
+    assert alex is braidcob.alexander
+    assert callable(alex._burau_columns)
+    assert alexander is alex.alexander
 
 
 def test_trefoil():

@@ -5,8 +5,10 @@ round trip for every built-in certificate.
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
+from test_sigma6 import _row_count
 
 from braidcob.certificates import MAX_WIRE_STEPS
 from braidcob.cli import main
@@ -222,6 +224,22 @@ def test_paper_theorem_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m,n,N,upper,lower,slack,window,pass"
     assert all(line.endswith("True") for line in lines[1:])
+
+
+@pytest.mark.parametrize("n", [1000000007, 10**400], ids=["1e9+7", "1e400"])
+def test_paper_theorem_table_at_a_far_grid_point_is_bounded(capsys, n):
+    # the lattice count takes O(log mn) steps, so n past 10^9 costs nothing;
+    # past 10^308, n / 6 would overflow a float
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--json", "paper", "theorem-table",
+                       "--grid", f"6,{n}", "--offsets", "0")
+    assert code == 0 and time.perf_counter() - start < 2
+    rows = {(r["m"], r["n"]): r for r in json.loads(out)}
+    count = _row_count(6, n, Fraction(1, 6) + Fraction(1, 12 * 6 * n))
+    six_n, n_six = rows[6, n], rows[n, 6]
+    assert six_n["lower"] - 2 * six_n["N"] == count
+    assert n_six["lower"] - 2 * n_six["N"] == count
+    assert all(r["pass"] for r in rows.values())
 
 
 @pytest.mark.parametrize("text", [

@@ -9,7 +9,8 @@ slope-bound point choice that the Descartes root test replaced lives here as
 the reference: the pencil signature at its points must equal the one at
 the points of src. The pairwise lattice count also checks the floor count
 of torus_signature_oracle and the lower bound of theorem_bound at every
-scale.
+scale, and the row-by-row count that the floor sums replaced is kept here
+as their reference, down to the text of each jump error.
 """
 
 import math
@@ -99,6 +100,38 @@ def _lattice_sigma6(p, q, theta=None):
                 raise ValueError(f"jump at (i,j)=({i},{j})")
             total += 1 if x > half else -1
     return -total
+
+
+def _row_count(p, q, theta):
+    """
+    torus_signature_oracle row by row, O(p): with theta = a/b, step = p*b
+    and lo = a*p*q - i*q*b, (i,j) gives +1 exactly when j*step < lo or
+    j*step > lo + q*step, and a jump when it is equal to either end, so
+    each i takes four floor divisions.
+    """
+    if p < 1 or q < 1:
+        raise ValueError(f"T(p,q) needs p, q >= 1, got {p},{q}")
+    theta = Fraction(theta)
+    if not 0 < theta < 1:
+        raise ValueError(f"theta must lie in (0,1), got {theta}")
+    a, b = theta.numerator, theta.denominator
+    step = p * b
+    total = 0
+    for i in range(1, p):
+        lo = a * p * q - i * q * b
+        hi = lo + q * step
+        # how many j in [1, q-1] have j*step <= x, for x = lo-1, lo, hi-1, hi
+        below, upto_lo, below_hi, upto_hi = (
+            min(q - 1, max(0, x // step)) for x in (lo - 1, lo, hi - 1, hi)
+        )
+        if below != upto_lo or below_hi != upto_hi:
+            j = upto_lo if below != upto_lo else upto_hi
+            raise ValueError(
+                f"evaluation at jump: theta={theta} hits i/p+j/q for "
+                f"(i,j)=({i},{j})"
+            )
+        total += q - 1 + 2 * (below - upto_hi)
+    return total
 
 
 def _seeded_words(seed, count):
@@ -322,6 +355,79 @@ def test_floor_count_matches_pairwise_count():
         assert torus_signature_oracle(p, q, theta) == want, (p, q, theta)
         kinds["knot" if math.gcd(p, q) == 1 else "link"] += 1
     assert min(kinds.values()) >= 200, kinds
+
+
+def _count_or_jump(f, p, q, theta):
+    """f(p, q, theta), or the text of the ValueError it raises at a jump."""
+    try:
+        return f(p, q, theta)
+    except ValueError as exc:
+        return f"raises {exc}"
+
+
+def test_floor_sums_match_row_count_on_every_small_case():
+    # values and the exact jump text, p or q = 1, links and knots included
+    kinds = {"jump": 0, "link": 0, "knot": 0}
+    for b in range(2, 37):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
+            theta = Fraction(a, b)
+            for p in range(1, 25):
+                for q in range(1, 25):
+                    want = _count_or_jump(_row_count, p, q, theta)
+                    got = _count_or_jump(torus_signature_oracle, p, q, theta)
+                    assert got == want, (p, q, theta)
+                    kinds["jump" if isinstance(want, str) else
+                          "knot" if math.gcd(p, q) == 1 else "link"] += 1
+    assert min(kinds.values()) >= 1000, kinds
+
+
+def test_floor_sums_are_symmetric_in_p_and_q_at_scale():
+    # odd draws sit on a jump i/p + j/q; both orders must raise there
+    rng = random.Random(1217)
+    jumps = 0
+    for k in range(500):
+        p, q = rng.randint(2, 10**12), rng.randint(2, 10**12)
+        if k % 2:
+            theta = Fraction(rng.randrange(1, p), p) + Fraction(
+                rng.randrange(1, q), q)
+            theta -= math.floor(theta)
+            if theta == 0:
+                continue
+        else:
+            theta = Fraction(rng.randrange(1, 10**6), 10**6 + 1)
+        want = _count_or_jump(torus_signature_oracle, p, q, theta)
+        got = _count_or_jump(torus_signature_oracle, q, p, theta)
+        if isinstance(want, str):
+            assert isinstance(got, str) and "jump" in want and "jump" in got
+            jumps += 1
+        else:
+            assert got == want, (p, q, theta)
+    assert jumps >= 200, jumps
+
+
+def test_floor_sums_match_row_count_at_large_q():
+    # past 1/6, generic, and on a jump i/p + j/q, for p <= 6
+    rng = random.Random(607)
+    jumps = 0
+    for p in range(1, 7):
+        for k in range(60):
+            q = rng.randint(2, 10**9)
+            theta = [
+                Fraction(1, 6) + Fraction(1, 12 * p * q),
+                Fraction(rng.randrange(1, 10**4), 10**4 + 7),
+                Fraction(rng.randrange(1, max(p, 2)), p)
+                + Fraction(rng.randrange(1, q), q),
+            ][k % 3]
+            theta -= math.floor(theta)
+            if theta == 0:
+                continue
+            want = _count_or_jump(_row_count, p, q, theta)
+            assert _count_or_jump(torus_signature_oracle, p, q, theta) == \
+                want, (p, q, theta)
+            jumps += isinstance(want, str)
+    assert jumps >= 50, jumps
 
 
 def _theorem_rows(m, n):
