@@ -48,6 +48,10 @@ from .words import (MAX_WIRE_LETTERS, MAX_WIRE_STRANDS, BraidWord,
 # than p/q with both at the cap, or with an exponent, is refused unparsed
 THETA_MAX_BITS = 1024
 _THETA_MAX_CHARS = 2 * len(str(1 << THETA_MAX_BITS)) + 1
+# the most rows one paper theorem-table call computes, len(grid)^2 times
+# len(offsets); the grid 1,...,256 with offset 0 takes about 2 s on a
+# 2-vCPU machine
+THEOREM_TABLE_MAX_ROWS = 65_536
 
 
 class CliError(Exception):
@@ -231,6 +235,11 @@ def _cmd_paper_theorem_table(args):
     try:
         grid = [int(x) for x in args.grid.split(",")]
         offsets = [int(x) for x in args.offsets.split(",")]
+        rows = len(grid) ** 2 * len(offsets)
+        if rows > THEOREM_TABLE_MAX_ROWS:
+            raise CliError(
+                f"the table has {rows} rows, which exceeds "
+                f"THEOREM_TABLE_MAX_ROWS = {THEOREM_TABLE_MAX_ROWS}", 1)
         reports = theorem_table(grid, grid, offsets)
     except ValueError as exc:
         raise CliError(f"bad grid: {exc}", 1)

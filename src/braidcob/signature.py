@@ -62,6 +62,23 @@ ends because F(1) != 0. sigma6 uses no floating point at all.
 Both walks pick their fractions by one walk down the Stern-Brocot tree,
 which takes each run of turns the same way in one binary search.
 
+Block records. What does not depend on theta is kept per distinct block:
+a _Block holds V = seifert_matrix(block), the coefficients of Delta =
+alexander(block) and, once sigma6 first asks for it, the point u =
+_sixth_point(Delta). The last _RECORDS = 64 records used are kept, keyed
+by the block's BraidWord; a block of more than _RECORD_LETTERS = 256
+letters is evaluated but not kept. A block has fewer Seifert rows than
+letters, and a record, key included, takes at most about 280 bytes a row
+(measured on torus, two-strand and random mixed-sign blocks of 256
+letters), so the kept records take at most about 5 MB. The records pay
+off when one process evaluates the same block again: sigma6 and
+signature_at of one word, signature_at at several theta, the start, end
+and assertions of certificates that share words, or summands repeated
+across words. Everything that depends on theta (the cyclotomic test, the
+arc point, the pencil and the LDL^T) runs on every call: the records hold
+no signature values, since keeping one per arc or per block grew the
+resident set of a benchmark run past its bound.
+
 Only a block with Delta(w) = 0 (Delta = 0 included) reaches the mpmath
 LDL^T. There the form is built at a working precision of prec bits and the
 inertia is read off the pivots of one sparse LDL^T. A number is taken for
@@ -79,6 +96,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import os
 from fractions import Fraction
 from itertools import accumulate
@@ -116,7 +134,9 @@ class Sigma6Error(RuntimeError):
 def precision_default() -> int:
     """
     BRAIDCOB_PRECISION_BITS, or DEFAULT_PRECISION_BITS when it is unset or
-    empty; ValueError naming the variable when it is not an integer.
+    empty; ValueError naming the variable when it is not an integer. The
+    benchmark tracer (benchmarks/tracer.py) calls it by this name after
+    every traced signature_at, so renaming it breaks traced runs.
     """
     env = os.environ.get("BRAIDCOB_PRECISION_BITS")
     if not env:
@@ -134,7 +154,8 @@ class SignatureProfile:
     Signature and nullity at omega = exp(2*pi*i*theta). precision_bits is 0
     when the count is exact; otherwise it is the starting precision whose
     mpmath LDL^T count the doubled run reproduced, the largest over the
-    Seifert blocks that needed it.
+    Seifert blocks that needed it. The benchmark tracer reads
+    precision_bits by this name after every traced signature_at.
     """
 
     theta: Fraction
@@ -356,17 +377,53 @@ def _arc_point(coeffs: tuple[int, ...], theta: Fraction) -> tuple[int, int]:
         prec *= 2
 
 
+# the block records kept: the last _RECORDS used, each of a block of at most
+# _RECORD_LETTERS letters (module docstring)
+_RECORDS = 64
+_RECORD_LETTERS = 256
+
+
+@dataclasses.dataclass(frozen=True)
+class _Block:
+    """
+    What a Seifert block's evaluations share at every theta: its Seifert
+    matrix V, the coefficients of its Alexander polynomial, and the sigma6
+    point u, computed on first use.
+    """
+
+    V: SeifertMatrix
+    delta: tuple[int, ...]
+
+    @functools.cached_property
+    def u(self) -> Fraction:
+        return _sixth_point(self.delta)
+
+
+def _new_record(block: BraidWord) -> _Block:
+    return _Block(seifert_matrix(block), alexander(block).coefficients)
+
+
+_kept_record = functools.lru_cache(maxsize=_RECORDS)(_new_record)
+
+
+def _block_record(block: BraidWord) -> _Block:
+    """The kept record of block, or a new one past _RECORD_LETTERS letters."""
+    if len(block) > _RECORD_LETTERS:
+        return _new_record(block)
+    return _kept_record(block)
+
+
 def signature_at(w: BraidWord, theta: Fraction) -> SignatureProfile:
     """
     Signature and nullity of the closure of w at omega = e^{2*pi*i*theta},
-    0 < theta < 1. Each distinct Seifert block is evaluated once and counted
-    with its multiplicity. A block whose Alexander polynomial does not
-    vanish at omega is counted exactly (precision_bits 0 in the profile); a
-    block where it vanishes goes to the mpmath LDL^T, whose counts must
-    reproduce identically when the working precision is doubled; otherwise
-    the precision escalates up to a cap. The starting precision is
-    precision_default(); ValueError when it lies outside
-    [MIN_PRECISION_BITS, PRECISION_CAP_BITS // 2].
+    0 < theta < 1. Each distinct Seifert block is evaluated once, from its V
+    and Delta in the block records, and counted with its multiplicity. A
+    block whose Alexander polynomial does not vanish at omega is counted
+    exactly (precision_bits 0 in the profile); a block where it vanishes
+    goes to the mpmath LDL^T, whose counts must reproduce identically when
+    the working precision is doubled; otherwise the precision escalates up
+    to a cap. The starting precision is precision_default(); ValueError
+    when it lies outside [MIN_PRECISION_BITS, PRECISION_CAP_BITS // 2].
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -378,15 +435,14 @@ def signature_at(w: BraidWord, theta: Fraction) -> SignatureProfile:
             f"[{MIN_PRECISION_BITS}, {PRECISION_CAP_BITS // 2}] bits")
     total = zeros = used = 0
     for block, copies in collections.Counter(seifert_blocks(w)).items():
-        coeffs = alexander(block).coefficients
-        V = seifert_matrix(block)
-        if _vanishes_at(coeffs, theta.denominator):
-            sig, zero, bits = _ldl_signature(V, theta, prec)
+        rec = _block_record(block)
+        if _vanishes_at(rec.delta, theta.denominator):
+            sig, zero, bits = _ldl_signature(rec.V, theta, prec)
             zeros += copies * zero
             used = max(used, bits)
         else:
-            point = _arc_point(coeffs, min(theta, 1 - theta))
-            sig = _pencil_signature(V, *point)[0]
+            point = _arc_point(rec.delta, min(theta, 1 - theta))
+            sig = _pencil_signature(rec.V, *point)[0]
         total += copies * sig
     return SignatureProfile(theta, total, zeros + _surface_pieces(w) - 1, used)
 
@@ -554,8 +610,10 @@ def _sixth_point(coeffs: tuple[int, ...]) -> Fraction:
     The first u = _point_past_sixth(delta), delta = 1/2, 1/32, ..., with
     the nonzero Delta with these coefficients proved free of roots on the
     arc (1/6, theta*], u = tan(pi*theta*), Phi6 aside (see the module
-    docstring).
+    docstring). ValueError when Delta = 0, which has no such arc.
     """
+    if not any(coeffs):
+        raise ValueError("Alexander polynomial 0 vanishes on every arc")
     f = _fold(coeffs)
     while not sum(f):  # x - 1, that is Phi6, divides F
         f = _deflate(f, 1)
@@ -571,22 +629,23 @@ def _sigma6_of_word(w: BraidWord) -> int:
     """
     Paper-convention sigma_6 of one closure: minus the sum over its Seifert
     blocks of the standard signature just past theta = 1/6, each taken
-    exactly at one rational point of an arc certified free of jumps. Equal
-    blocks, such as the summands of a connected sum of trefoils, are
-    evaluated once and counted with their multiplicity.
+    exactly at one rational point of an arc certified free of jumps, the
+    point u of the block's record. Equal blocks, such as the summands of a
+    connected sum of trefoils, are evaluated once and counted with their
+    multiplicity.
     """
     total = 0
     for block, copies in collections.Counter(seifert_blocks(w)).items():
-        poly = alexander(block)
-        if poly.is_zero():
+        rec = _block_record(block)
+        if rec.delta == (0,):
             raise Sigma6Error(
                 f"sigma6 is undefined for {w}: block {block} has Alexander "
                 f"polynomial 0, so its form is singular at every theta"
             )
-        u = _sixth_point(poly.coefficients)
+        u = rec.u
         try:
             total -= copies * _pencil_signature(
-                seifert_matrix(block), u.numerator, u.denominator)[0]
+                rec.V, u.numerator, u.denominator)[0]
         except ArithmeticError as exc:
             raise Sigma6Error(str(exc)) from exc
     return total

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from test_sigma6 import _row_count
 
+import braidcob.cli as cli
 from braidcob.certificates import MAX_WIRE_STEPS
-from braidcob.cli import main
+from braidcob.cli import THEOREM_TABLE_MAX_ROWS, main
 from braidcob.words import MAX_WIRE_LETTERS, MAX_WIRE_STRANDS
 
 
@@ -240,6 +241,36 @@ def test_paper_theorem_table_at_a_far_grid_point_is_bounded(capsys, n):
     assert six_n["lower"] - 2 * six_n["N"] == count
     assert n_six["lower"] - 2 * n_six["N"] == count
     assert all(r["pass"] for r in rows.values())
+
+
+@pytest.mark.parametrize("grid, offsets", [
+    (257, 1), (129, 4), (1000, 21), (10 ** 5, 1)])
+def test_paper_theorem_table_refuses_past_the_row_cap(
+        capsys, monkeypatch, grid, offsets):
+    def never(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "theorem_table", never)
+    rows = grid * grid * offsets
+    start = time.perf_counter()
+    code, out, err = run(capsys, "paper", "theorem-table",
+                         "--grid", ",".join(map(str, range(1, grid + 1))),
+                         "--offsets", ",".join(map(str, range(offsets))))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == (f"error: the table has {rows} rows, which exceeds "
+                   f"THEOREM_TABLE_MAX_ROWS = {THEOREM_TABLE_MAX_ROWS}\n")
+
+
+@pytest.mark.parametrize("grid, offsets", [
+    ("5,7", "0,5,10"), ("6", "2,9,20"), ("2,399", "0,10,20")])
+def test_paper_theorem_table_under_the_row_cap_runs(capsys, grid, offsets):
+    code, out, _ = run(capsys, "--json", "paper", "theorem-table",
+                       "--grid", grid, "--offsets", offsets)
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == len(grid.split(",")) ** 2 * len(offsets.split(","))
+    assert all(r["pass"] for r in rows)
 
 
 @pytest.mark.parametrize("text", [

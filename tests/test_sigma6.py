@@ -10,7 +10,9 @@ the reference: the pencil signature at its points must equal the one at
 the points of src. The pairwise lattice count also checks the floor count
 of torus_signature_oracle and the lower bound of theorem_bound at every
 scale, and the row-by-row count that the floor sums replaced is kept here
-as their reference, down to the text of each jump error.
+as their reference, down to the text of each jump error. The per-block
+records that signature_at and sigma6 share must give the same values cold
+and warm, build each block once, and keep only the last used.
 """
 
 import math
@@ -586,6 +588,108 @@ def test_cli_sigma6_of_zero_alexander_word_exits_1(capsys):
     assert code == 1
     assert "Alexander polynomial 0" in err
     assert "Traceback" not in err
+
+
+# roots of the Alexander polynomials of T(3,4), T(2,5) and the trefoil, so
+# that signature_at reaches the mpmath LDL^T, and points off them
+_RECORD_THETAS = tuple(Fraction(*t) for t in (
+    (1, 12), (1, 10), (1, 6), (1, 4), (3, 10), (1, 3), (5, 12), (1, 2),
+    (389, 1009), (7, 9)))
+
+
+def _record_outcomes(words):
+    """signature_at profiles at _RECORD_THETAS and sigma6, per word."""
+    return [([signature_at(w, theta) for theta in _RECORD_THETAS],
+             _outcome(sigma6, w)) for w in words]
+
+
+def test_block_records_change_no_value():
+    words = _seeded_words(6161, 40) + _zero_pivot_words(2024, 40)
+    words += [torus_word(3, 4), torus_word(2, 5), torus_word(6, 7),
+              trefoil_sum_word(3)]
+    cold = []
+    for w in words:
+        signature._kept_record.cache_clear()
+        cold += _record_outcomes([w])
+    assert sum(p.precision_bits > 0 for profiles, _ in cold
+               for p in profiles) >= 100  # the LDL^T ran
+    assert sum(s == "raises" for _, s in cold) >= 5
+    signature._kept_record.cache_clear()
+    assert _record_outcomes(words) == cold  # filling the records
+    assert _record_outcomes(words) == cold  # all warm
+
+
+def test_one_alexander_and_seifert_matrix_per_block(monkeypatch):
+    want = sigma6(torus_word(6, 18))
+    calls = {"alexander": 0, "seifert_matrix": 0}
+    for name in calls:
+        real = getattr(signature, name)
+
+        def counting(w, name=name, real=real):
+            calls[name] += 1
+            return real(w)
+
+        monkeypatch.setattr(signature, name, counting)
+    w = cabled_torus_word(1)
+    assert len(seifert_blocks(w)) == 1
+    for theta in _RECORD_THETAS:
+        signature_at(w, theta)
+    assert sigma6(w) == want
+    assert calls == {"alexander": 1, "seifert_matrix": 1}, calls
+
+
+def test_zero_alexander_block_raises_on_every_call():
+    w = make_word(4, [1, 1, 1, 3, -3])
+    zero = make_word(2, [1, -1])  # the block of columns 3 and -3
+    assert zero in seifert_blocks(w)
+    profile = signature_at(w, Fraction(1, 3))
+    for _ in range(3):
+        with pytest.raises(Sigma6Error, match="Alexander polynomial 0"):
+            sigma6(w)
+        assert signature_at(w, Fraction(1, 3)) == profile
+    hits = signature._kept_record.cache_info().hits
+    record = signature._block_record(zero)
+    assert signature._kept_record.cache_info().hits == hits + 1
+    for _ in range(2):  # the sigma6 point of Delta = 0 raises, not hangs
+        with pytest.raises(ValueError, match="Alexander polynomial 0"):
+            record.u
+    with pytest.raises(ValueError, match="Alexander polynomial 0"):
+        signature._sixth_point((0,))
+
+
+def test_block_records_keep_the_last_used(monkeypatch):
+    # sigma_1^n on two strands is one block of n letters
+    first, second, *rest = (make_word(2, [1] * n)
+                            for n in range(3, 4 + signature._RECORDS))
+    built = []
+    real = signature.alexander
+    monkeypatch.setattr(signature, "alexander",
+                        lambda w: built.append(w) or real(w))
+    want = {w: sigma6(w) for w in [first, second] + rest[:-1]}  # all kept
+    assert sigma6(first) == want[first]  # first is now used after second
+    assert len(built) == signature._RECORDS
+    sigma6(rest[-1])  # one record too many: second goes
+    assert signature._kept_record.cache_info().currsize == signature._RECORDS
+    del built[:]
+    assert sigma6(first) == want[first] and built == []
+    assert sigma6(second) == want[second] and built == [second]
+
+
+def test_long_block_is_evaluated_not_kept(monkeypatch):
+    monkeypatch.setattr(signature, "_RECORD_LETTERS", 6)
+    short, long = make_word(2, [1] * 5), make_word(2, [1] * 7)
+    want = {w: sigma6(w) for w in (short, long)}
+    profile = signature_at(long, Fraction(1, 3))
+    built = []
+    real = signature.alexander
+    monkeypatch.setattr(signature, "alexander",
+                        lambda w: built.append(w) or real(w))
+    for _ in range(2):
+        assert sigma6(short) == want[short]
+        assert sigma6(long) == want[long]
+        assert signature_at(long, Fraction(1, 3)) == profile
+    assert built == [long] * 4
+    assert signature._kept_record.cache_info().currsize == 1
 
 
 def _turn(coeffs, b):
