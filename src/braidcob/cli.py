@@ -48,9 +48,10 @@ from .words import (MAX_WIRE_LETTERS, MAX_WIRE_STRANDS, BraidWord,
 # than p/q with both at the cap, or with an exponent, is refused unparsed
 THETA_MAX_BITS = 1024
 _THETA_MAX_CHARS = 2 * len(str(1 << THETA_MAX_BITS)) + 1
-# the most rows one paper theorem-table call computes, len(grid)^2 times
-# len(offsets); the grid 1,...,256 with offset 0 takes about 2 s on a
-# 2-vCPU machine
+# the most rows one paper table computes or prints: theorem-table's
+# len(grid)^2 times len(offsets), and gg-table's mmax times nmax; the grid
+# 1,...,256 with offset 0 takes about 2 s on a 2-vCPU machine, and gg-table
+# at 256 x 256 about 0.2 s
 THEOREM_TABLE_MAX_ROWS = 65_536
 
 
@@ -215,12 +216,17 @@ def _cmd_cert_verify(args):
         raise CliError("signature lower bound exceeds realized cost", 1)
 
 
+def _check_table_rows(rows: int) -> None:
+    if rows > THEOREM_TABLE_MAX_ROWS:
+        raise CliError(
+            f"the table has {rows} rows, which exceeds "
+            f"THEOREM_TABLE_MAX_ROWS = {THEOREM_TABLE_MAX_ROWS}", 1)
+
+
 def _cmd_paper_gg_table(args):
-    rows = []
-    for m in range(1, args.mmax + 1):
-        for n in range(1, args.nmax + 1):
-            est, tol = gg_estimate(m, n)
-            rows.append((m, n, est, tol))
+    _check_table_rows(max(0, args.mmax) * max(0, args.nmax))
+    rows = [(m, n, *gg_estimate(m, n)) for m in range(1, args.mmax + 1)
+            for n in range(1, args.nmax + 1)]
     if args.json:
         print(json.dumps(
             [{"m": m, "n": n, "estimate": str(e), "tolerance": t}
@@ -235,11 +241,7 @@ def _cmd_paper_theorem_table(args):
     try:
         grid = [int(x) for x in args.grid.split(",")]
         offsets = [int(x) for x in args.offsets.split(",")]
-        rows = len(grid) ** 2 * len(offsets)
-        if rows > THEOREM_TABLE_MAX_ROWS:
-            raise CliError(
-                f"the table has {rows} rows, which exceeds "
-                f"THEOREM_TABLE_MAX_ROWS = {THEOREM_TABLE_MAX_ROWS}", 1)
+        _check_table_rows(len(grid) ** 2 * len(offsets))
         reports = theorem_table(grid, grid, offsets)
     except ValueError as exc:
         raise CliError(f"bad grid: {exc}", 1)

@@ -1,15 +1,11 @@
 """
-Inertia of the sparse Hermitian forms of a Seifert matrix V.
+Exact inertia of the sparse Gaussian-integer Hermitian forms of a Seifert
+matrix V.
 
-Both kernels read the nonzero entries of V straight into dict rows, in the
-time order of its basis, in which the form of a torus word is banded and the
-fill of the elimination stays inside the band.
-
-_ldl_inertia counts the pivots of a sparse LDL^T in mpmath, with a caller's
-eps for zero.
-
-_pencil_signature counts the signature of the Gaussian-integer Hermitian
-matrix H = p(V + V^T) - iq(V - V^T) exactly. Its pivots come from
+_pencil_signature reads the nonzero entries of V straight into dict rows,
+in the time order of its basis, in which the form of a torus word is
+banded and the fill of the elimination stays inside the band, and counts
+the signature of H = p(V + V^T) - iq(V - V^T) exactly. Its pivots come from
 fraction-free (Bareiss) elimination over Z[i] on the sparse rows, in which
 each division by the previous pivot is exact and, as in alexander, a row
 with a zero in the pivot column waits and is rescaled once when next used.
@@ -67,87 +63,7 @@ internal error.
 
 from __future__ import annotations
 
-from mpmath import mp
-
 from .seifert import SeifertMatrix
-
-
-def _swap(rows: list[dict], k: int, m: int) -> None:
-    """
-    Symmetric swap of rows and columns k and m of the stored form. The rows
-    with an entry in column k or m are read off the keys of rows k and m, so
-    a row must store an entry exactly where its transpose does.
-    """
-    for r in rows[k].keys() | rows[m].keys():
-        row = rows[r]
-        zk, zm = row.pop(k, None), row.pop(m, None)
-        if zm is not None:
-            row[k] = zm
-        if zk is not None:
-            row[m] = zk
-    rows[k], rows[m] = rows[m], rows[k]
-
-
-def _ldl_inertia(rows: list[dict], eps) -> tuple[int, int, int, int, int]:
-    """
-    (positive, negative, zero, swaps, shears) of the Hermitian form whose
-    row k is the dict rows[k] = {j: H[k][j]} of its nonzero entries, by a
-    sparse LDL^T that consumes rows, with the numbers of pivots fixed by a
-    swap and by a shear. Pivot k is taken in order while |d_k| > eps, so on
-    rows in time-major order the fill of a torus word stays inside a narrow
-    band. Otherwise the later row with the largest |diagonal| is swapped in
-    or, when every later diagonal is at most eps, row/col k += c * row/col m
-    with b = H[k][m] the largest off-diagonal entry of row k and c =
-    conj(b)/|b|, which makes the diagonal about 2|b| > 0. A row at most eps
-    is deferred to the end, since later updates can refill it; zeros are
-    counted only when the whole remaining block is at most eps.
-    """
-    h = len(rows)
-    diag = lambda i: abs(rows[i].get(i, 0).real)
-    pos = neg = swaps = shears = 0
-    k, end = 0, h  # rows[end:] were at most eps when deferred
-    while k < h:
-        if k == end:
-            if all(abs(x) <= eps for row in rows[k:] for x in row.values()):
-                break
-            end = h
-        top = rows[k]
-        if diag(k) <= eps:
-            m = max(range(k + 1, h), key=diag, default=k)
-            if diag(m) > eps:
-                _swap(rows, k, m)
-                swaps += 1
-            else:
-                m = max(top.keys() - {k}, key=lambda j: abs(top[j]),
-                        default=k)
-                if m == k or abs(top[m]) <= eps:
-                    end -= 1
-                    _swap(rows, k, end)
-                    continue
-                c = mp.conj(top[m]) / abs(top[m])
-                for r in list(rows[m]):
-                    rows[r][k] = rows[r].get(k, 0) + c * rows[r][m]
-                for j, x in rows[m].items():
-                    top[j] = top.get(j, 0) + mp.conj(c) * x
-                shears += 1
-            top = rows[k]
-        rows[k] = {}
-        d = top.pop(k).real
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        cols = list(top)
-        for n, i in enumerate(cols):
-            row = rows[i]
-            del row[k]
-            f = mp.conj(top[i]) / d  # H[i][k] / d
-            for j in cols[n:]:
-                row[j] = row.get(j, 0) - f * top[j]
-            for j in cols[n + 1:]:  # the updated form is Hermitian too
-                rows[j][i] = mp.conj(row[j])
-        k += 1
-    return pos, neg, h - k, swaps, shears
 
 
 # the split rule (see the module docstring for the measurements)

@@ -64,12 +64,13 @@ which takes each run of turns the same way in one binary search.
 
 Block records. What does not depend on theta is kept per distinct block:
 a _Block holds V = seifert_matrix(block), the coefficients of Delta =
-alexander(block) and, once sigma6 first asks for it, the point u =
-_sixth_point(Delta). The last _RECORDS = 64 records used are kept, keyed
-by the block's BraidWord; a block of more than _RECORD_LETTERS = 256
-letters is evaluated but not kept. A block has fewer Seifert rows than
-letters, and a record, key included, takes at most about 280 bytes a row
-(measured on torus, two-strand and random mixed-sign blocks of 256
+alexander(block) and, once first asked for, the fold F = _fold(Delta) that
+signature_at's arc walk tests and the point u = _sixth_point(Delta) of
+sigma6. The last _RECORDS = 64 records used are kept, keyed by the
+block's BraidWord; a block of more than _RECORD_LETTERS = 256 letters is
+evaluated but not kept. A block has fewer Seifert rows than letters, and a
+record, key included, takes at most about 280 bytes a row, F at most about
+22 more (measured on torus, two-strand and random mixed-sign blocks of 256
 letters), so the kept records take at most about 5 MB. The records pay
 off when one process evaluates the same block again: sigma6 and
 signature_at of one word, signature_at at several theta, the start, end
@@ -86,10 +87,11 @@ zero when it is at most eps = 2^(-prec/2) times the largest row sum; a
 small pivot is replaced by a symmetric swap or a shear, and zeros are
 counted only when the whole remaining block is at most eps. The whole
 computation is repeated at doubled precision, and only a reproduced count
-is returned; past PRECISION_CAP_BITS it raises PrecisionError. The starting
-precision, BRAIDCOB_PRECISION_BITS, must lie in [64, PRECISION_CAP_BITS //
-2], so that it is both meaningful and checked at least once; it is checked
-on every call, whichever path runs.
+is returned; it starts at DEFAULT_PRECISION_BITS = 128 and past
+PRECISION_CAP_BITS raises PrecisionError. The LDL^T has no setting, and it
+works in mpmath contexts of its own, one per precision and never changed
+once made, leaving mpmath's global precision alone, so signature_at is
+safe to call from several threads at once.
 """
 
 from __future__ import annotations
@@ -97,18 +99,17 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-import os
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import add
 
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import mp
 from mpmath.libmp import from_int, to_rational
 from mpmath.libmp.libmpi import mpi_cos_sin, mpi_div, mpi_mul, mpi_pi
 
 from .alexander import alexander
-from .inertia import _ldl_inertia, _pencil_signature
+from .inertia import _pencil_signature
 from .links import FormalLink
 from .seifert import (
     SeifertMatrix,
@@ -119,7 +120,6 @@ from .seifert import (
 from .words import BraidWord
 
 DEFAULT_PRECISION_BITS = 128
-MIN_PRECISION_BITS = 64
 PRECISION_CAP_BITS = 4096
 
 
@@ -133,19 +133,11 @@ class Sigma6Error(RuntimeError):
 
 def precision_default() -> int:
     """
-    BRAIDCOB_PRECISION_BITS, or DEFAULT_PRECISION_BITS when it is unset or
-    empty; ValueError naming the variable when it is not an integer. The
-    benchmark tracer (benchmarks/tracer.py) calls it by this name after
-    every traced signature_at, so renaming it breaks traced runs.
+    DEFAULT_PRECISION_BITS, the precision the LDL^T starts at. The benchmark
+    tracer (benchmarks/tracer.py) calls it by this name after every traced
+    signature_at, so renaming it breaks traced runs.
     """
-    env = os.environ.get("BRAIDCOB_PRECISION_BITS")
-    if not env:
-        return DEFAULT_PRECISION_BITS
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(
-            f"BRAIDCOB_PRECISION_BITS={env!r} is not an integer") from None
+    return DEFAULT_PRECISION_BITS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,30 +156,121 @@ class SignatureProfile:
     precision_bits: int
 
 
+def _swap(rows: list[dict], k: int, m: int) -> None:
+    """
+    Symmetric swap of rows and columns k and m of the stored form. The rows
+    with an entry in column k or m are read off the keys of rows k and m, so
+    a row must store an entry exactly where its transpose does.
+    """
+    for r in rows[k].keys() | rows[m].keys():
+        row = rows[r]
+        zk, zm = row.pop(k, None), row.pop(m, None)
+        if zm is not None:
+            row[k] = zm
+        if zk is not None:
+            row[m] = zk
+    rows[k], rows[m] = rows[m], rows[k]
+
+
+def _ldl_inertia(rows: list[dict], eps) -> tuple[int, int, int, int, int]:
+    """
+    (positive, negative, zero, swaps, shears) of the Hermitian form whose
+    row k is the dict rows[k] = {j: H[k][j]} of its nonzero entries, by a
+    sparse LDL^T that consumes rows, with the numbers of pivots fixed by a
+    swap and by a shear. Pivot k is taken in order while |d_k| > eps, so on
+    rows in time-major order the fill of a torus word stays inside a narrow
+    band. Otherwise the later row with the largest |diagonal| is swapped in
+    or, when every later diagonal is at most eps, row/col k += c * row/col m
+    with b = H[k][m] the largest off-diagonal entry of row k and c =
+    conj(b)/|b|, which makes the diagonal about 2|b| > 0. A row at most eps
+    is deferred to the end, since later updates can refill it; zeros are
+    counted only when the whole remaining block is at most eps.
+    """
+    h = len(rows)
+    diag = lambda i: abs(rows[i].get(i, 0).real)
+    pos = neg = swaps = shears = 0
+    k, end = 0, h  # rows[end:] were at most eps when deferred
+    while k < h:
+        if k == end:
+            if all(abs(x) <= eps for row in rows[k:] for x in row.values()):
+                break
+            end = h
+        top = rows[k]
+        if diag(k) <= eps:
+            m = max(range(k + 1, h), key=diag, default=k)
+            if diag(m) > eps:
+                _swap(rows, k, m)
+                swaps += 1
+            else:
+                m = max(top.keys() - {k}, key=lambda j: abs(top[j]),
+                        default=k)
+                if m == k or abs(top[m]) <= eps:
+                    end -= 1
+                    _swap(rows, k, end)
+                    continue
+                c = top[m].conjugate() / abs(top[m])
+                for r in list(rows[m]):
+                    rows[r][k] = rows[r].get(k, 0) + c * rows[r][m]
+                for j, x in rows[m].items():
+                    top[j] = top.get(j, 0) + c.conjugate() * x
+                shears += 1
+            top = rows[k]
+        rows[k] = {}
+        d = top.pop(k).real
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        cols = list(top)
+        for n, i in enumerate(cols):
+            row = rows[i]
+            del row[k]
+            f = top[i].conjugate() / d  # H[i][k] / d
+            for j in cols[n:]:
+                row[j] = row.get(j, 0) - f * top[j]
+            for j in cols[n + 1:]:  # the updated form is Hermitian too
+                rows[j][i] = row[j].conjugate()
+        k += 1
+    return pos, neg, h - k, swaps, shears
+
+
+@functools.cache
+def _context(prec: int):
+    """
+    An mpmath context at prec bits, one per precision since making one takes
+    about a millisecond; none is changed once made, so threads share them.
+    """
+    ctx = mp.clone()
+    ctx.prec = prec
+    return ctx
+
+
 def _inertia_at(V: SeifertMatrix, theta: Fraction, prec: int):
     """
     _ldl_inertia of the form (1-w)V + (1-conj(w))V^T, w = e^{2*pi*i*theta},
-    at prec bits.
+    at prec bits, in the mpmath context _context(prec).
     """
-    with workprec(prec):
-        ang = 2 * mp.pi * mpf(theta.numerator) / theta.denominator
-        c1 = 1 - mpc(mp.cos(ang), mp.sin(ang))
-        c2 = mp.conj(c1)
-        rows: list[dict] = [{} for _ in range(V.size)]
-        for i, j, v in V.nonzeros:
-            rows[i][j] = rows[i].get(j, 0) + c1 * v
-            rows[j][i] = rows[j].get(i, 0) + c2 * v
-        scale = max((sum(map(abs, row.values())) for row in rows), default=0)
-        return _ldl_inertia(rows, scale * mpf(2) ** (-(prec // 2)))
+    ctx = _context(prec)
+    ang = 2 * ctx.pi * ctx.mpf(theta.numerator) / theta.denominator
+    c1 = 1 - ctx.mpc(ctx.cos(ang), ctx.sin(ang))
+    c2 = c1.conjugate()
+    rows: list[dict] = [{} for _ in range(V.size)]
+    for i, j, v in V.nonzeros:
+        rows[i][j] = rows[i].get(j, 0) + c1 * v
+        rows[j][i] = rows[j].get(i, 0) + c2 * v
+    scale = max((sum(map(abs, row.values())) for row in rows), default=0)
+    return _ldl_inertia(rows, scale * ctx.mpf(2) ** (-(prec // 2)))
 
 
-def _ldl_signature(V: SeifertMatrix, theta: Fraction, prec: int
+def _ldl_signature(V: SeifertMatrix, theta: Fraction
                    ) -> tuple[int, int, int]:
     """
     (signature, zeros, precision) of the form of V at theta from
     _inertia_at, returned once the counts reproduce at doubled precision;
-    the precision escalates up to PRECISION_CAP_BITS, then PrecisionError.
+    the precision starts at DEFAULT_PRECISION_BITS and escalates up to
+    PRECISION_CAP_BITS, then PrecisionError.
     """
+    prec = DEFAULT_PRECISION_BITS
     last = _inertia_at(V, theta, prec)[:3]
     while prec * 2 <= PRECISION_CAP_BITS:
         check = _inertia_at(V, theta, prec * 2)[:3]
@@ -345,17 +428,16 @@ def _two_cos(v: Fraction) -> Fraction:
     return 2 * (v * v - 1) / (v * v + 1)
 
 
-def _arc_point(coeffs: tuple[int, ...], theta: Fraction) -> tuple[int, int]:
+def _arc_point(f: list[int], theta: Fraction) -> tuple[int, int]:
     """
     (p, q), p > 0 and q >= 0, with v = q/p on the arc of cot(pi*theta), 0 <
-    theta <= 1/2, that the nonzero Delta with these coefficients proves
-    free of jumps, for Delta(w) != 0: v = 0 at theta = 1/2, else the
-    simplest fraction inside the first bracket of cot(pi*theta) that
-    _root_free certifies (see the module docstring).
+    theta <= 1/2, that F = _fold(Delta), for the nonzero Delta, proves free
+    of jumps, for Delta(w) != 0: v = 0 at theta = 1/2, else the simplest
+    fraction inside the first bracket of cot(pi*theta) that _root_free
+    certifies (see the module docstring).
     """
     if theta == Fraction(1, 2):
         return 1, 0
-    f = _fold(coeffs)
     if _root_free(f, Fraction(-2), Fraction(2)):  # the bracket (0, infinity)
         return 1, 1
     a, b = from_int(theta.numerator), from_int(theta.denominator)
@@ -366,14 +448,13 @@ def _arc_point(coeffs: tuple[int, ...], theta: Fraction) -> tuple[int, int]:
         c, s = mpi_cos_sin(half, prec)
         if _ends(s)[0] > 0:
             vlo, vhi = _ends(mpi_div(c, s, prec))
-            if vhi - vlo < r:
+            while vhi - vlo < r:
                 lo = max(Fraction(0), _simplest_in(vlo - r, vlo))
                 hi = _simplest_in(vhi, vhi + r)
                 if _root_free(f, _two_cos(lo), _two_cos(hi)):
                     v = _simplest_in(lo, hi)
                     return v.denominator, v.numerator
                 r /= 16
-                continue
         prec *= 2
 
 
@@ -387,12 +468,16 @@ _RECORD_LETTERS = 256
 class _Block:
     """
     What a Seifert block's evaluations share at every theta: its Seifert
-    matrix V, the coefficients of its Alexander polynomial, and the sigma6
-    point u, computed on first use.
+    matrix V, the coefficients of its Alexander polynomial, and its fold F
+    and sigma6 point u, each computed on first use.
     """
 
     V: SeifertMatrix
     delta: tuple[int, ...]
+
+    @functools.cached_property
+    def f(self) -> list[int]:
+        return _fold(self.delta)
 
     @functools.cached_property
     def u(self) -> Fraction:
@@ -422,26 +507,20 @@ def signature_at(w: BraidWord, theta: Fraction) -> SignatureProfile:
     exactly (precision_bits 0 in the profile); a block where it vanishes
     goes to the mpmath LDL^T, whose counts must reproduce identically when
     the working precision is doubled; otherwise the precision escalates up
-    to a cap. The starting precision is precision_default(); ValueError
-    when it lies outside [MIN_PRECISION_BITS, PRECISION_CAP_BITS // 2].
+    to a cap.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0,1), got {theta}")
-    prec = precision_default()
-    if not MIN_PRECISION_BITS <= prec <= PRECISION_CAP_BITS // 2:
-        raise ValueError(
-            f"starting precision BRAIDCOB_PRECISION_BITS={prec} lies outside "
-            f"[{MIN_PRECISION_BITS}, {PRECISION_CAP_BITS // 2}] bits")
     total = zeros = used = 0
     for block, copies in collections.Counter(seifert_blocks(w)).items():
         rec = _block_record(block)
         if _vanishes_at(rec.delta, theta.denominator):
-            sig, zero, bits = _ldl_signature(rec.V, theta, prec)
+            sig, zero, bits = _ldl_signature(rec.V, theta)
             zeros += copies * zero
             used = max(used, bits)
         else:
-            point = _arc_point(rec.delta, min(theta, 1 - theta))
+            point = _arc_point(rec.f, min(theta, 1 - theta))
             sig = _pencil_signature(rec.V, *point)[0]
         total += copies * sig
     return SignatureProfile(theta, total, zeros + _surface_pieces(w) - 1, used)

@@ -3,6 +3,7 @@ CLI behavior: outputs, exit codes, JSON modes, and the generate/verify
 round trip for every built-in certificate.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -215,6 +216,41 @@ def test_paper_gg_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m,n,estimate,tolerance"
     assert "6,6,10,12" in lines
+
+
+@pytest.mark.parametrize("mmax, nmax", [(257, 256), (256, 257),
+                                        (100000, 100000)])
+def test_paper_gg_table_refuses_past_the_row_cap(capsys, monkeypatch,
+                                                 mmax, nmax):
+    def never(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "gg_estimate", never)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "paper", "gg-table", "--mmax", str(mmax),
+                         "--nmax", str(nmax))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == (f"error: the table has {mmax * nmax} rows, which exceeds "
+                   f"THEOREM_TABLE_MAX_ROWS = {THEOREM_TABLE_MAX_ROWS}\n")
+
+
+@pytest.mark.parametrize("argv, text, as_json", [
+    ((), "f02f1d1153ba9be8f0537ebf209d5c9af38ca58d0316c9b9f12d95da101475bb",
+     "7307d04b1d4ced3913cd767835a2a51892bb47681651e1680e89d903f0fc2013"),
+    (("--mmax", "256", "--nmax", "256"),
+     "3f8fca534973a3742ac76b146c0cc594a0497da127b36d952d7d66a775c318da",
+     "881e6eac663c0d9c6eb1ddcbca2f48b1a579b7e69f45f597353324b4ebbe0431"),
+    (("--mmax", "-3", "--nmax", "100000"),
+     hashlib.sha256(b"m,n,estimate,tolerance\n").hexdigest(),
+     hashlib.sha256(b"[]\n").hexdigest()),
+], ids=["6x6", "256x256", "empty"])
+def test_paper_gg_table_under_the_row_cap_runs(capsys, argv, text, as_json):
+    # the SHA-256 of the output before the cap was added
+    for prefix, digest in (((), text), (("--json",), as_json)):
+        code, out, _ = run(capsys, *prefix, "paper", "gg-table", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_paper_theorem_table(capsys):

@@ -245,7 +245,7 @@ def test_seifert_blocks_are_principal_submatrices():
                            for i in sx for j in sy), w
         for theta in (Fraction(1, 7), Fraction(2, 5), Fraction(5, 8)):
             # the mpmath LDL^T on the whole matrix against the blocks
-            total, zeros, _ = signature._ldl_signature(V, theta, 128)
+            total, zeros, _ = signature._ldl_signature(V, theta)
             parts = [signature_at(b, theta) for b in blocks]
             assert total == sum(p.signature for p in parts), w
             assert zeros == sum(p.nullity for p in parts), w

@@ -17,6 +17,8 @@ and warm, build each block once, and keep only the last used.
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import isqrt
 
@@ -62,8 +64,7 @@ def _ldl_profile(V, theta):
     The mpmath LDL^T on the whole Seifert matrix V at theta, with nullity
     zeros + V.pieces - 1 as signature_at reports for a braid word.
     """
-    total, zeros, bits = signature._ldl_signature(
-        V, theta, signature.precision_default())
+    total, zeros, bits = signature._ldl_signature(V, theta)
     return SignatureProfile(theta, total, zeros + V.pieces - 1, bits)
 
 
@@ -574,7 +575,7 @@ def test_singular_pencil_is_an_internal_error(monkeypatch):
         with pytest.raises(Sigma6Error, match="internal error"):
             sigma6(w)
     # signature_at at theta = 1/3, off the roots, sent to the same point
-    monkeypatch.setattr(signature, "_arc_point", lambda coeffs, theta: (1, 1))
+    monkeypatch.setattr(signature, "_arc_point", lambda f, theta: (1, 1))
     with pytest.raises(ArithmeticError, match="internal error") as got:
         signature_at(w, Fraction(1, 3))
     assert not isinstance(got.value, Sigma6Error)
@@ -617,6 +618,38 @@ def test_block_records_change_no_value():
     signature._kept_record.cache_clear()
     assert _record_outcomes(words) == cold  # filling the records
     assert _record_outcomes(words) == cold  # all warm
+
+
+def test_ldl_fallback_is_thread_safe():
+    """
+    The LDL^T works in an mpmath context of its own: six threads, switching
+    every microsecond, evaluate the words that reach it at theta = 389/1009
+    and get the single-thread profiles. With mpmath's global precision set
+    per call, threads hung or counted at another thread's precision.
+    """
+    theta = Fraction(389, 1009)
+    words = [w for w in _seeded_words(77, 40)
+             if signature_at(w, theta).precision_bits > 0]
+    assert len(words) == 8
+    want = [signature_at(w, theta) for w in words]
+    got = [None] * 6
+
+    def run(t):
+        got[t] = [signature_at(w, theta) for _ in range(5) for w in words]
+
+    threads = [threading.Thread(target=run, args=(t,), daemon=True)
+               for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want * 5] * 6
 
 
 def test_one_alexander_and_seifert_matrix_per_block(monkeypatch):
@@ -720,7 +753,7 @@ def test_certified_offset_avoids_roots_of_unity(n, phi6_power):
     for k in (first, n // 3, (n - 1) // 2) if n <= 1200 else ():
         theta = Fraction(2 * k + 1, 2 * n)
         assert not signature._vanishes_at(coeffs, theta.denominator)
-        p, q = signature._arc_point(coeffs, theta)
+        p, q = signature._arc_point(signature._fold(coeffs), theta)
         with mp.workprec(128):
             at = mp.acot(mpf(q) / p) / mp.pi
             assert mpf(k) / n < at < mpf(k + 1) / n, (n, k, p, q)
@@ -836,7 +869,7 @@ def test_root_test_points_match_slope_bound_points():
             for k in rng.sample(range(1, 997), 3):
                 theta = Fraction(k, 997)
                 pairs.append((_slope_arc_point(coeffs, theta),
-                              signature._arc_point(coeffs,
+                              signature._arc_point(signature._fold(coeffs),
                                                    min(theta, 1 - theta))))
             for (p, q), (p2, q2) in pairs:
                 assert (signature._pencil_signature(V, p, q)[0]
@@ -1007,7 +1040,7 @@ def _kernel_points(w, seed, count):
             theta = Fraction(rng.randrange(1, 997), 997)
             if not signature._vanishes_at(coeffs, theta.denominator):
                 yield (block, V) + signature._arc_point(
-                    coeffs, min(theta, 1 - theta))
+                    signature._fold(coeffs), min(theta, 1 - theta))
 
 
 def test_split_kernel_matches_reference_on_seeded_corpora(monkeypatch):

@@ -275,8 +275,7 @@ def _ldl_profile(V, theta):
     """
     from braidcob import signature
 
-    total, zeros, bits = signature._ldl_signature(
-        V, theta, signature.precision_default())
+    total, zeros, bits = signature._ldl_signature(V, theta)
     return signature.SignatureProfile(theta, total, zeros + V.pieces - 1,
                                       bits)
 
@@ -535,7 +534,6 @@ def test_precision_doubles_to_the_cap_then_raises(monkeypatch, capsys):
     from braidcob.cli import main
     from braidcob.signature import PRECISION_CAP_BITS, PrecisionError
 
-    monkeypatch.delenv("BRAIDCOB_PRECISION_BITS", raising=False)
     asked = []
 
     def unstable(V, theta, prec):
@@ -576,64 +574,45 @@ def test_precision_doubles_to_the_cap_then_raises(monkeypatch, capsys):
         assert asked == [128, 256, 512, 1024]
 
 
-def test_precision_env_override(monkeypatch):
-    from braidcob.signature import precision_default
-
-    monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", "192")
-    assert precision_default() == 192
-    trefoil = make_word(2, [1, 1, 1])
-    # the LDL^T starts there: at a root, and on the whole matrix anywhere
-    prof = signature_at(trefoil, Fraction(1, 6))
-    assert (prof.signature, prof.nullity, prof.precision_bits) == (-1, 1, 192)
-    prof = _ldl_profile(seifert_matrix(trefoil), Fraction(1, 2))
-    assert (prof.signature, prof.nullity, prof.precision_bits) == (-2, 0, 192)
-    # off the roots the count is exact
-    prof = signature_at(trefoil, Fraction(1, 2))
-    assert (prof.signature, prof.nullity, prof.precision_bits) == (-2, 0, 0)
-    monkeypatch.delenv("BRAIDCOB_PRECISION_BITS")
-    assert precision_default() == 128
-
-
-@pytest.mark.parametrize("bits", [0, -8, 1, 3000])
-def test_starting_precision_out_of_range(monkeypatch, capsys, bits):
+def test_no_environment_variable_changes_a_result(monkeypatch, capsys):
     """
-    Below 64 bits the count is noise that doubling can reproduce, and past
-    PRECISION_CAP_BITS // 2 it is never checked at a second precision;
-    BRAIDCOB_PRECISION_BITS is the one setting, checked on every call.
+    The LDL^T starts at 128 bits whatever BRAIDCOB_PRECISION_BITS, the
+    starting precision of earlier versions, holds: unset, not an integer,
+    or outside [64, 2048], the profiles and the CLI output are the same.
     """
+    from braidcob import signature
     from braidcob.cli import main
 
-    monkeypatch.delenv("BRAIDCOB_PRECISION_BITS", raising=False)
-    argv = ["link", "sigma", "--strands", "2", "--word", "1,1,1",
-            "--theta", "1/3"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out == "signature -2, nullity 0\n"
-    monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", str(bits))
-    for w, theta in ((torus_word(3, 7), Fraction(13, 60)),
-                     (make_word(2, [1, 1, 1]), Fraction(1, 3))):
-        with pytest.raises(ValueError,
-                           match=rf"BRAIDCOB_PRECISION_BITS={bits} lies "
-                                 rf"outside \[64, 2048\]"):
-            signature_at(w, theta)
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and f"BRAIDCOB_PRECISION_BITS={bits} lies" in err
-    assert "Traceback" not in err
-
-
-def test_starting_precision_range_ends(monkeypatch):
-    w = torus_word(3, 7)
-    for bits in (64, 2048):
-        monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", str(bits))
-        prof = _ldl_profile(seifert_matrix(w), Fraction(13, 60))
-        assert (prof.signature, prof.nullity, prof.precision_bits) == (
-            -6, 0, bits)
-        prof = signature_at(w, Fraction(1, 21))  # a root of Delta
-        assert (prof.signature, prof.nullity, prof.precision_bits) == (
-            -1, 1, bits)
-        prof = signature_at(w, Fraction(13, 60))
-        assert (prof.signature, prof.nullity, prof.precision_bits) == (
-            -6, 0, 0)
+    trefoil, t37 = make_word(2, [1, 1, 1]), torus_word(3, 7)
+    for value in (None, "abc", "0", "64", "3000"):
+        if value is None:
+            monkeypatch.delenv("BRAIDCOB_PRECISION_BITS", raising=False)
+        else:
+            monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", value)
+        signature._kept_record.cache_clear()
+        assert signature.precision_default() == 128
+        for w, theta, want in (
+                (trefoil, Fraction(1, 6), (-1, 1, 128)),  # a root of Delta
+                (t37, Fraction(1, 21), (-1, 1, 128)),
+                (make_word(4, [1, 1, 1, 3, -3]), Fraction(1, 3),
+                 (-2, 2, 128)),
+                (t37, Fraction(13, 60), (-6, 0, 0)),  # off the roots
+                (trefoil, Fraction(1, 2), (-2, 0, 0)),
+                (trefoil, Fraction(1, 3), (-2, 0, 0))):
+            prof = signature_at(w, theta)
+            got = (prof.signature, prof.nullity, prof.precision_bits)
+            assert got == want, (value, w, theta)
+        # the LDL^T on the whole matrix, at any theta
+        for w, theta, want in ((trefoil, Fraction(1, 2), (-2, 0, 128)),
+                               (t37, Fraction(13, 60), (-6, 0, 128))):
+            prof = _ldl_profile(seifert_matrix(w), theta)
+            got = (prof.signature, prof.nullity, prof.precision_bits)
+            assert got == want, (value, w, theta)
+        for theta, out in (("1/6", "signature -1, nullity 1\n"),
+                           ("1/3", "signature -2, nullity 0\n")):
+            code = main(["link", "sigma", "--strands", "2", "--word",
+                         "1,1,1", "--theta", theta])
+            assert (code, capsys.readouterr()) == (0, (out, "")), value
 
 
 def test_component_count_of_formal_links():
@@ -883,21 +862,3 @@ def test_cyclotomic_test_is_exact_on_both_sides_of_the_cut():
     for b in range(1, 5000):
         phi = sum(1 for k in range(1, b + 1) if gcd(k, b) == 1)
         assert 2 * phi * phi >= b, b
-
-
-def test_non_integer_precision_variable_is_named(monkeypatch, capsys):
-    from braidcob.cli import main
-    from braidcob.signature import precision_default
-
-    monkeypatch.setenv("BRAIDCOB_PRECISION_BITS", "abc")
-    with pytest.raises(ValueError, match="BRAIDCOB_PRECISION_BITS='abc' "
-                                         "is not an integer"):
-        precision_default()
-    with pytest.raises(ValueError, match="BRAIDCOB_PRECISION_BITS='abc'"):
-        signature_at(make_word(2, [1, 1, 1]), Fraction(1, 3))
-    code = main(["link", "sigma", "--strands", "2", "--word", "1,1,1",
-                 "--theta", "1/3"])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert "BRAIDCOB_PRECISION_BITS='abc' is not an integer" in err
-    assert "Traceback" not in err and "invalid literal" not in err
