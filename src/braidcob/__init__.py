@@ -38,15 +38,12 @@ from .replication import (
     coxeter_certificate,
     fourstrand_certificate,
     gg_estimate,
-    knot_K_word,
-    mccoy_genus_side,
     sixstrand_certificate,
     theorem_bound,
     theorem_table,
     torus_word,
     trefoil_stack_certificate,
     trefoil_sum_word,
-    twisting_bound,
 )
 from .seifert import SeifertMatrix, seifert_matrix
 from .signature import (

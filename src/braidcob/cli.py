@@ -3,9 +3,10 @@ Command-line surface: braid-word utilities, link invariants, certificate
 generation and verification, and the bound tables.
 
 Braid words come from --strands/--word (comma-separated signed letters) or
-from a JSON file {"n": <int>, "w": [<letters>]}. Machine-readable output via
---json. Exit codes: 0 success, 1 validation or verification failure, 2
-malformed input file.
+from a JSON file {"n": <int>, "w": [<letters>]}; --word and --word2 take a
+word whose first letter is negative as written, --word -1,2. Machine-readable
+output via --json. Exit codes: 0 success, 1 validation or verification
+failure, 2 malformed input file.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ _THETA_MAX_CHARS = 2 * len(str(1 << THETA_MAX_BITS)) + 1
 # 1,...,256 with offset 0 takes about 2 s on a 2-vCPU machine, and gg-table
 # at 256 x 256 about 0.2 s
 THEOREM_TABLE_MAX_ROWS = 65_536
+
+
+# the options that take a word; argparse reads a value such as -1,2 as an
+# option, so main joins it to its option as --word=-1,2 before parsing
+_WORD_OPTIONS = ("--word", "--word2")
 
 
 class CliError(Exception):
@@ -347,8 +353,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_word_values(argv: list[str]) -> list[str]:
+    """
+    argv with each value of --word or --word2 that starts with a minus sign
+    and a digit joined to its option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if negative and out and out[-1] in _WORD_OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser().parse_args(_join_word_values(argv))
     try:
         args.func(args)
     except CliError as exc:

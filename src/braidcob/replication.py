@@ -89,17 +89,6 @@ def cabled_torus_word(l: int) -> BraidWord:
     return make_word(6, framing + body * 2)
 
 
-def knot_K_word(k: int, l: int) -> BraidWord:
-    """(abcde)^(-1-6kl) delta in B_{6k}: the 0-framed (6,1)-cable knot."""
-    if k < 1 or l < 1:
-        raise ValueError(f"knot_K_word needs k, l >= 1, got {k},{l}")
-    if gcd(k, l) != 1:
-        raise ValueError(f"knot_K_word needs coprime k, l, got {k},{l}")
-    inv_abcde = (-5, -4, -3, -2, -1)
-    delta = tuple(range(1, 6 * k)) * (6 * l)
-    return make_word(6 * k, inv_abcde * (1 + 6 * k * l) + delta)
-
-
 # ---------------------------------------------------------------------------
 # the 4-strand reduction script
 # ---------------------------------------------------------------------------
@@ -315,25 +304,6 @@ def trefoil_stack_certificate(n: int, nprime: int) -> CobordismCertificate:
 # ---------------------------------------------------------------------------
 # bound formulas
 # ---------------------------------------------------------------------------
-
-
-def twisting_bound(k: int, l: int, t: int) -> int:
-    """Upper bound 2t+10 for d_chi(T(6k,6l), T(6,6kl) # 3_1^t)."""
-    if gcd(k, l) != 1:
-        raise ValueError(f"twisting_bound needs coprime k, l, got {k},{l}")
-    if 2 * t < (k - 1) * (l - 1):
-        raise ValueError(
-            f"twisting_bound needs t >= (k-1)(l-1)/2, got t={t} for "
-            f"k={k}, l={l}"
-        )
-    return 2 * t + 10
-
-
-def mccoy_genus_side(t: int) -> int:
-    """The 4-genus bound after t positive and t negative twists."""
-    if t < 0:
-        raise ValueError("twist count must be nonnegative")
-    return t
 
 
 def gg_estimate(m: int, n: int) -> tuple[Fraction, int]:

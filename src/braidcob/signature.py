@@ -35,6 +35,25 @@ the test passes on every short enough interval around a point where F is
 nonzero. Both walks below ask only this test, and each ends because that
 value is first known to be nonzero, exactly.
 
+Both walks test the square-free part F_sf = F / gcd(F, F') (_square_free)
+in place of F: it has the same real roots, each once, and one test costs
+O(d^2) Taylor-shift work, so a fold that is a power of a few factors, as on
+torus and cable blocks, is tested at a fraction of its degree (42 to 10 on
+the 6-strand cable block of cabled_torus_word(1), 972 to 196 on the start
+block of the l = 32 six-strand certificate). gcd(F, F') is certified
+modularly (Brown 1971). For a prime q that divides neither lc(F) nor deg F,
+F and F' keep their degrees mod q, so the gcd over Z reduces to a common
+divisor mod q and deg gcd(F, F') <= deg gcd(F mod q, F' mod q). The first
+prime below 2^30 (_prime) usually settles it at once: when its gcd has
+degree 0, F is square-free and comes back as it is. Otherwise the smaller
+of lc(F) gcd / lc(gcd) and lc(gcd) F / gcd is rebuilt from its images mod
+one prime after another by the Chinese remainder theorem, keeping only the
+primes of the least gcd degree k seen. It is tried once a prime leaves it
+unchanged, or at once when its coefficients are below the square root of
+the modulus, and accepted only if it gives a G of degree k that divides F
+and F' exactly over Z. That G is gcd(F, F') up to a unit, since no common
+divisor has a higher degree than k.
+
 signature_at takes theta to min(theta, 1 - theta), since the form at
 conj(w) is the conjugate of the form at w. With theta = a/b, Delta(w) = 0
 exactly when the cyclotomic polynomial Phi_b divides Delta; that needs
@@ -50,35 +69,38 @@ enclosure is not narrower than r. The first bracket with F root-free on
 [x(lo), x(hi)] gives v, the simplest fraction in (lo, hi). The walk ends
 because Delta(w) != 0, so F(x) != 0 at the point asked for.
 
-sigma6 takes the limit at theta = 1/6 block by block. Phi6 = t^2 - t + 1
-is t(x - 1), so x - 1 is divided out of F as often as it divides it; then
-F(1) != 0. The candidates are u = _point_past_sixth(delta) =
-tan(pi*theta*), theta* in (1/6, 1/6 + delta), for delta = 1/2, 1/32, ...,
-and the first u with F root-free on [x(u), 1] is the point: the block's
-signature is constant on (1/6, theta*], as Phi6 has its other root at 5/6,
-so its value there, that of H at v = 1/u, is the one-sided limit. The walk
-ends because F(1) != 0. sigma6 uses no floating point at all.
+sigma6 takes the limit at theta = 1/6 block by block. Phi6 = t^2 - t + 1 is
+t(x - 1), so x - 1 is divided out of F as often as it divides it, once at
+most in F_sf; then F(1) != 0. The candidates are u =
+_point_past_sixth(delta) = tan(pi*theta*), theta* in (1/6, 1/6 + delta),
+for delta = 1/2, 1/32, ..., and the first u with F root-free on [x(u), 1]
+is the point: the block's signature is constant on (1/6, theta*], as Phi6
+has its other root at 5/6, so its value there, that of H at v = 1/u, is the
+one-sided limit. The walk ends because F(1) != 0. sigma6 uses no floating
+point at all.
 
 Both walks pick their fractions by one walk down the Stern-Brocot tree,
 which takes each run of turns the same way in one binary search.
 
-Block records. What does not depend on theta is kept per distinct block:
-a _Block holds V = seifert_matrix(block), the coefficients of Delta =
-alexander(block) and, once first asked for, the fold F = _fold(Delta) that
-signature_at's arc walk tests and the point u = _sixth_point(Delta) of
-sigma6. The last _RECORDS = 64 records used are kept, keyed by the
-block's BraidWord; a block of more than _RECORD_LETTERS = 256 letters is
-evaluated but not kept. A block has fewer Seifert rows than letters, and a
-record, key included, takes at most about 280 bytes a row, F at most about
-22 more (measured on torus, two-strand and random mixed-sign blocks of 256
-letters), so the kept records take at most about 5 MB. The records pay
+Block records. What does not depend on theta is kept per distinct block: a
+_Block holds V = seifert_matrix(block), the coefficients of Delta =
+alexander(block) and, once first asked for, the square-free fold F_sf =
+_square_free(_fold(Delta)) that both walks test, with one gcd per record,
+and the point u = _sixth_point(F_sf) of sigma6. The last _RECORDS = 64
+records used are kept, keyed by the block's BraidWord; a block of more than
+_RECORD_LETTERS = 256 letters is evaluated but not kept. A block has fewer
+Seifert rows than letters, and a record, key included, takes at most about
+280 bytes a row, F_sf at most about 22 more, and less than F where F has a
+repeated factor: 8 bytes a row on T(6, 51), where F has 126 coefficients
+and F_sf 53 (measured on torus, two-strand and random mixed-sign blocks of
+256 letters), so the kept records take at most about 5 MB. The records pay
 off when one process evaluates the same block again: sigma6 and
-signature_at of one word, signature_at at several theta, the start, end
-and assertions of certificates that share words, or summands repeated
-across words. Everything that depends on theta (the cyclotomic test, the
-arc point, the pencil and the LDL^T) runs on every call: the records hold
-no signature values, since keeping one per arc or per block grew the
-resident set of a benchmark run past its bound.
+signature_at of one word, signature_at at several theta, the start, end and
+assertions of certificates that share words, or summands repeated across
+words. Everything that depends on theta (the cyclotomic test, the arc
+point, the pencil and the LDL^T) runs on every call: the records hold no
+signature values, since keeping one per arc or per block grew the resident
+set of a benchmark run past its bound.
 
 Only a block with Delta(w) = 0 (Delta = 0 included) reaches the mpmath
 LDL^T. There the form is built at a working precision of prec bits and the
@@ -100,9 +122,9 @@ import collections
 import dataclasses
 import functools
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
-from operator import add
+from itertools import accumulate, count
+from math import gcd, lcm
+from operator import add, mul
 
 from mpmath import mp
 from mpmath.libmp import from_int, to_rational
@@ -349,12 +371,29 @@ def _ends(x) -> tuple[Fraction, Fraction]:
     return Fraction(*to_rational(x[0])), Fraction(*to_rational(x[1]))
 
 
-def _deflate(coeffs: list[int], r: int) -> list[int]:
+def _divide(a: list[int], b: list[int], q: int = 0) -> list[int] | None:
     """
-    The quotient of the polynomial with these coefficients, lowest first,
-    by t - r, for a root r.
+    The quotient of the polynomial a by b, coefficients lowest first:
+    exactly over Z, or None when b does not divide a there; or, given a
+    prime q, mod q, for a b that is monic mod q and divides a mod q.
     """
-    return list(accumulate(coeffs[:0:-1], lambda acc, c: c + r * acc))[::-1]
+    a, b = a[::-1], b[::-1]
+    n = len(a) - len(b) + 1
+    out: list[int] = []  # highest first, a[i] = sum_j b[j] out[i - j]
+    for i, x in enumerate(a[:n] if q else a):
+        lo = max(0, i - n)  # the terms j > lo have out[i - j] known
+        x -= sum(map(mul, b[lo + 1:i + 1],
+                     reversed(out[max(0, i - len(b) + 1):i - lo])))
+        if q:
+            out.append(x % q)
+        elif i >= n:  # a coefficient of the remainder
+            if x:
+                return None
+        elif x % b[0]:
+            return None
+        else:
+            out.append(x // b[0])
+    return out[::-1]
 
 
 def _fold(coeffs: tuple[int, ...]) -> list[int]:
@@ -369,9 +408,9 @@ def _fold(coeffs: tuple[int, ...]) -> list[int]:
         if c != [-x for x in reversed(c)]:
             raise ArithmeticError(
                 f"internal error: {coeffs} is not palindromic up to sign")
-        c = _deflate(c, 1)
+        c = _divide(c, [-1, 1])
     if len(c) % 2 == 0:
-        c = _deflate(c, -1)
+        c = _divide(c, [1, 1])
     e = len(c) // 2
     # c = t^e (c_e + sum_j c_{e+j} s_j) with s_j = t^j + t^-j, where s_0 =
     # 2, s_1 = x and s_{j+1} = x s_j - s_{j-1} are polynomials in x
@@ -381,6 +420,103 @@ def _fold(coeffs: tuple[int, ...]) -> list[int]:
             f[k] += c[e + j] * y
         s, prev = [y - z for y, z in zip([0] + s, prev + [0, 0])], s
     return f
+
+
+def _monic_gcd(a: list[int], b: list[int], q: int) -> list[int]:
+    """
+    The monic gcd mod the prime q of the polynomials a and b, coefficients
+    lowest first, whose leading coefficients q does not divide, by Euclid's
+    algorithm.
+    """
+    a, b = [x % q for x in reversed(a)], [x % q for x in reversed(b)]
+    while b:
+        minus = q - pow(b[0], -1, q)
+        while len(a) >= len(b):  # a -= (a[0]/b[0]) t^k b, then strip
+            c = a[0] * minus % q
+            a = [(x + c * y) % q for x, y in zip(a[1:len(b)], b[1:])] \
+                + a[len(b):]
+            a = a[next((i for i, x in enumerate(a) if x), len(a)):]
+        a, b = b, a
+    inverse = pow(a[0], -1, q)
+    return [x * inverse % q for x in reversed(a)]
+
+
+@functools.cache
+def _prime(i: int) -> int:
+    """
+    The i-th prime below 2^30, largest first: 1073741789, 1073741783, ...
+    Miller-Rabin to the bases 2, 3, 5 and 7 decides primality below
+    3215031751.
+    """
+    n = _prime(i - 1) if i else 1 << 30
+    while True:
+        n -= 1
+        d, s = n - 1, 0
+        while not d & 1:
+            d, s = d >> 1, s + 1
+        for a in (2, 3, 5, 7):
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break  # a witnesses that n is composite
+        else:
+            return n
+
+
+def _square_free(f: list[int]) -> list[int]:
+    """
+    The square-free part F / gcd(F, F') of the polynomial F with these
+    coefficients, lowest first, made primitive with F's leading sign: F's
+    roots, each once. Zero and linear F come back primitive. The modular
+    certificate is in the module docstring.
+    """
+    if not any(f):
+        return f
+    f = [c // gcd(*f) for c in f]
+    d = len(f) - 1
+    if d < 2:
+        return f
+    df = [k * c for k, c in enumerate(f)][1:]
+    least, image, mod = d, [], 1
+    for q in map(_prime, count()):
+        if f[-1] * d % q == 0:  # F and F' must keep their degrees mod q
+            continue
+        g = _monic_gcd(f, df, q)
+        k = len(g) - 1
+        if not k:
+            return f
+        if k > least:  # an unlucky prime: F_sf has a repeated root mod q
+            continue
+        # lc(F) gcd(F, F') / lc(gcd) or, when that has the higher degree,
+        # lc(gcd) F / gcd, mod q: the one of degree at most d/2, whose
+        # coefficients are the shorter
+        part = ([c * f[-1] % q for c in g] if 2 * k <= d
+                else _divide([c % q for c in f], g, q))
+        if k < least:  # start again from the images at the lower degree
+            least, image, mod = k, [0] * len(part), 1
+        before = [c - mod if 2 * c > mod else c for c in image]
+        step = pow(mod, -1, q)
+        image = [c + mod * ((x - c) * step % q) for c, x in zip(image, part)]
+        mod *= q
+        guess = [c - mod if 2 * c > mod else c for c in image]
+        # try the candidate once a prime left it unchanged, or at once when
+        # its coefficients are so short that the next prime most likely will
+        if guess != before and max(map(abs, guess)) ** 2 >= mod:
+            continue
+        # guess has F's leading sign: divide out its content, and the sign
+        # too from a gcd, so that rest = F / common keeps F's sign
+        unit = -gcd(*guess) if 2 * k <= d and f[-1] < 0 else gcd(*guess)
+        guess = [c // unit for c in guess]
+        # common has degree k, so dividing F and F' makes it their gcd
+        common = guess if 2 * k <= d else _divide(f, guess)
+        rest = _divide(f, common) if common is not None else None
+        if rest is not None and _divide(df, common) is not None:
+            return rest
 
 
 def _scaled(f: list[int], a: int, b: int) -> list[int]:
@@ -431,10 +567,10 @@ def _two_cos(v: Fraction) -> Fraction:
 def _arc_point(f: list[int], theta: Fraction) -> tuple[int, int]:
     """
     (p, q), p > 0 and q >= 0, with v = q/p on the arc of cot(pi*theta), 0 <
-    theta <= 1/2, that F = _fold(Delta), for the nonzero Delta, proves free
-    of jumps, for Delta(w) != 0: v = 0 at theta = 1/2, else the simplest
-    fraction inside the first bracket of cot(pi*theta) that _root_free
-    certifies (see the module docstring).
+    theta <= 1/2, that F = _fold(Delta), or its square-free part, for the
+    nonzero Delta, proves free of jumps, for Delta(w) != 0: v = 0 at theta
+    = 1/2, else the simplest fraction inside the first bracket of
+    cot(pi*theta) that _root_free certifies (see the module docstring).
     """
     if theta == Fraction(1, 2):
         return 1, 0
@@ -468,8 +604,9 @@ _RECORD_LETTERS = 256
 class _Block:
     """
     What a Seifert block's evaluations share at every theta: its Seifert
-    matrix V, the coefficients of its Alexander polynomial, and its fold F
-    and sigma6 point u, each computed on first use.
+    matrix V, the coefficients of its Alexander polynomial, the square-free
+    part f of its fold that both root-test walks run on, and its sigma6
+    point u, each computed on first use.
     """
 
     V: SeifertMatrix
@@ -477,11 +614,11 @@ class _Block:
 
     @functools.cached_property
     def f(self) -> list[int]:
-        return _fold(self.delta)
+        return _square_free(_fold(self.delta))
 
     @functools.cached_property
     def u(self) -> Fraction:
-        return _sixth_point(self.delta)
+        return _sixth_point(self.f)
 
 
 def _new_record(block: BraidWord) -> _Block:
@@ -684,18 +821,18 @@ def _point_past_sixth(delta: Fraction) -> Fraction:
     return _simplest_between(lambda x, y: 3 * x * x < y * y, above)
 
 
-def _sixth_point(coeffs: tuple[int, ...]) -> Fraction:
+def _sixth_point(f: list[int]) -> Fraction:
     """
-    The first u = _point_past_sixth(delta), delta = 1/2, 1/32, ..., with
-    the nonzero Delta with these coefficients proved free of roots on the
-    arc (1/6, theta*], u = tan(pi*theta*), Phi6 aside (see the module
-    docstring). ValueError when Delta = 0, which has no such arc.
+    The first u = _point_past_sixth(delta), delta = 1/2, 1/32, ..., for
+    which F, with these coefficients, proves Delta free of roots on the arc
+    (1/6, theta*], u = tan(pi*theta*), Phi6 aside (see the module
+    docstring); F is the fold _fold(Delta) of the nonzero Delta or its
+    square-free part. ValueError when Delta = 0, which has no such arc.
     """
-    if not any(coeffs):
+    if not any(f):
         raise ValueError("Alexander polynomial 0 vanishes on every arc")
-    f = _fold(coeffs)
-    while not sum(f):  # x - 1, that is Phi6, divides F
-        f = _deflate(f, 1)
+    while not sum(f):  # x - 1, that is Phi6, divides F: once if square-free
+        f = _divide(f, [-1, 1])
     delta = Fraction(1, 2)
     while True:
         u = _point_past_sixth(delta)

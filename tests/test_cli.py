@@ -557,3 +557,34 @@ def test_cached_parser_gives_what_fresh_parsers_give(capsys):
     assert "--word2" in cached[0][2]
     assert json.loads(cached[1][1])["signature"] == -2
     assert cached[2][1].strip() == "-430"
+
+
+@pytest.mark.parametrize("argv", [
+    ["link", "sigma", "--strands", "3", "--word", "-1,2", "--theta", "1/3"],
+    ["link", "sigma", "--strands", "3", "--word", "-1,-2", "--sigma6"],
+    ["link", "alexander", "--strands", "3", "--word", "-1,2,-1,2"],
+    ["braid", "nf", "--strands", "3", "--word", "-1,2"],
+    ["braid", "eq", "--strands", "2", "--word", "-1", "--word2", "-1"],
+    ["braid", "eq", "--strands", "3", "--word", "1,-2", "--word2", "-2,1"],
+])
+def test_word_with_a_negative_first_letter_as_written(capsys, argv):
+    # "--word -1,2" reads as "--word=-1,2", with the same output
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--word", "--word2"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert len(joined) < len(argv)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *joined) == (0, out, "")
+    assert run(capsys, "--json", *argv) == run(capsys, "--json", *joined)
+
+
+def test_word_option_without_a_value_is_still_refused(capsys):
+    with pytest.raises(SystemExit) as got:
+        main(["link", "sigma", "--strands", "3", "--word", "--theta",
+              "1/3"])
+    assert got.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -18,8 +18,6 @@ from braidcob.replication import (
     coxeter_certificate,
     fourstrand_certificate,
     gg_estimate,
-    knot_K_word,
-    mccoy_genus_side,
     sixstrand_certificate,
     sixstrand_step_count,
     theorem_bound,
@@ -27,7 +25,6 @@ from braidcob.replication import (
     torus_word,
     trefoil_stack_certificate,
     trefoil_sum_word,
-    twisting_bound,
 )
 from braidcob.signature import signature_at
 from braidcob.words import components, exponent_sum, make_word
@@ -151,30 +148,6 @@ def test_sixstrand_step_count_is_28l_plus_152():
     for l in (2, 3):
         assert len(sixstrand_certificate(l).steps) == sixstrand_step_count(l)
         assert sixstrand_step_count(l) == 28 * l + 152
-
-
-def test_knot_K_word():
-    w = knot_K_word(2, 1)
-    assert w.strands == 12
-    assert components(w) == 1
-    k, l = 2, 3
-    w = knot_K_word(k, l)
-    assert components(w) == 1
-    assert exponent_sum(w) == 6 * l * (6 * k - 1) - 5 * (1 + 6 * k * l)
-    with pytest.raises(ValueError, match="coprime"):
-        knot_K_word(2, 2)
-
-
-def test_twisting_bound():
-    assert twisting_bound(2, 3, 1) == 12
-    assert twisting_bound(1, 1, 0) == 10
-    with pytest.raises(ValueError, match="coprime"):
-        twisting_bound(2, 2, 5)
-    with pytest.raises(ValueError, match="t >="):
-        twisting_bound(3, 4, 2)
-    assert mccoy_genus_side(4) == 4
-    with pytest.raises(ValueError):
-        mccoy_genus_side(-1)
 
 
 def test_gg_estimate():

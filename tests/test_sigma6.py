@@ -15,6 +15,7 @@ records that signature_at and sigma6 share must give the same values cold
 and warm, build each block once, and keep only the last used.
 """
 
+import functools
 import math
 import random
 import sys
@@ -269,6 +270,11 @@ def _slope_arc_point(coeffs, theta):
         prec *= 2
 
 
+def _walk_fold(coeffs):
+    """The polynomial both root-test walks of a block record run on."""
+    return signature._square_free(signature._fold(coeffs))
+
+
 def _nonzero_blocks(w):
     """(block, coefficients of Delta) for each block with Delta != 0."""
     for block in seifert_blocks(w):
@@ -487,8 +493,9 @@ def test_one_kernel_call_per_block(monkeypatch):
         calls.clear()
         assert sigma6(w) == value
         assert len(calls) == blocks, w
-        assert calls == [signature._sixth_point(coeffs) for _, coeffs
-                         in dict(_nonzero_blocks(w)).items()], (w, calls)
+        assert calls == [signature._sixth_point(_walk_fold(coeffs))
+                         for _, coeffs in dict(_nonzero_blocks(w)).items()
+                         ], (w, calls)
 
 
 def test_equal_blocks_are_evaluated_once(monkeypatch):
@@ -571,7 +578,7 @@ def test_singular_pencil_is_an_internal_error(monkeypatch):
     assert "sigma6" not in str(got.value).lower()
     assert signature._pencil_signature(V, 11, 19)[0] == -1
     with monkeypatch.context() as m:
-        m.setattr(signature, "_sixth_point", lambda coeffs: Fraction(1))
+        m.setattr(signature, "_sixth_point", lambda f: Fraction(1))
         with pytest.raises(Sigma6Error, match="internal error"):
             sigma6(w)
     # signature_at at theta = 1/3, off the roots, sent to the same point
@@ -745,7 +752,8 @@ def test_certified_offset_avoids_roots_of_unity(n, phi6_power):
     coeffs = (-1,) + (0,) * (n - 1) + (1,)
     for _ in range(phi6_power):
         coeffs = _turn(coeffs, 6)
-    u = signature._sixth_point(coeffs)
+    f = _walk_fold(coeffs)
+    u = signature._sixth_point(f)
     first = n // 6 + 1
     with mp.workprec(128):
         assert mp.atan(mpf(u.numerator) / u.denominator) / mp.pi \
@@ -753,7 +761,7 @@ def test_certified_offset_avoids_roots_of_unity(n, phi6_power):
     for k in (first, n // 3, (n - 1) // 2) if n <= 1200 else ():
         theta = Fraction(2 * k + 1, 2 * n)
         assert not signature._vanishes_at(coeffs, theta.denominator)
-        p, q = signature._arc_point(signature._fold(coeffs), theta)
+        p, q = signature._arc_point(f, theta)
         with mp.workprec(128):
             at = mp.acot(mpf(q) / p) / mp.pi
             assert mpf(k) / n < at < mpf(k + 1) / n, (n, k, p, q)
@@ -765,7 +773,7 @@ def test_sigma6_point_of_trefoil_is_one():
     # first candidate, u = tan(pi/4) = 1, not 11/19 as at 1/1024
     assert signature._point_past_sixth(Fraction(1, 2)) == 1
     for coeffs in ((1, -1, 1), (1,), (-1, 3, -1), _turn((1, -1, 1), 6)):
-        assert signature._sixth_point(coeffs) == 1, coeffs
+        assert signature._sixth_point(_walk_fold(coeffs)) == 1, coeffs
     assert sigma6(make_word(2, [1, 1, 1])) == 2
 
 
@@ -778,7 +786,7 @@ def test_sigma6_point_avoids_a_root_at_the_closed_end():
     assert not signature._root_free([0, 1], Fraction(0), Fraction(1))
     assert not signature._root_free([0, 1], Fraction(-1), Fraction(0))
     assert signature._root_free([0, 1], Fraction(1, 2), Fraction(1))
-    u = signature._sixth_point(coeffs)
+    u = signature._sixth_point(_walk_fold(coeffs))
     assert Fraction(1, 3) < u * u < 1, u
     assert sigma6(w) == -torus_signature_oracle(
         2, 4, Fraction(1, 6) + Fraction(1, 96))
@@ -818,6 +826,141 @@ def test_fold_of_synthetic_deltas():
             assert tuple(back) == coeffs, (w, coeffs, f)
             folded[i, j] += 1
     assert min(folded.values()) >= 50, folded
+
+
+def _rational_gcd(a, b):
+    """The monic gcd over Q of two polynomials, lowest first, by Euclid."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        while len(a) >= len(b):
+            c = a[-1] / b[-1]
+            for i, y in enumerate(b, len(a) - len(b)):
+                a[i] -= c * y
+            a.pop()
+        a, b = b, a
+    while not a[-1]:
+        a.pop()
+    return [x / a[-1] for x in a]
+
+
+def _derivative(f):
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_square_free_fold_keeps_every_point():
+    # the square-free part divides the fold, has its roots each once (a
+    # degree drop of deg gcd(F, F') over Q) and is its own square-free
+    # part; both walks give the points they give on the fold itself. The
+    # cable and the torus links add folds with high powers of a factor
+    rng = random.Random(997)
+    words = _seeded_words(77, 120) + _seeded_words(6161, 220)
+    words += _zero_pivot_words(2024, 120) + [cabled_torus_word(1)]
+    words += [torus_word(m, n) for m in (2, 3, 4, 6) for n in (6, 9, 12, 18)]
+    blocks = repeated = 0
+    for w in words:
+        for block, coeffs in _nonzero_blocks(w):
+            blocks += 1
+            f = signature._fold(coeffs)
+            part = signature._square_free(f)
+            assert signature._divide(f, part) is not None, (block, part)
+            assert len(part) == len(f) - len(_rational_gcd(f, _derivative(f))
+                                             ) + 1, (block, part)
+            assert _rational_gcd(part, _derivative(part)) == [1], block
+            assert part[-1] * f[-1] > 0 and math.gcd(*part) == 1, block
+            assert signature._square_free(part) == part, block
+            repeated += len(part) < len(f)
+            assert signature._sixth_point(part) \
+                == signature._sixth_point(f), block
+            for k in rng.sample(range(1, 997), 3):
+                theta = Fraction(min(k, 997 - k), 997)
+                if not signature._vanishes_at(coeffs, theta.denominator):
+                    assert signature._arc_point(part, theta) \
+                        == signature._arc_point(f, theta), (block, theta)
+    assert blocks >= 300 and repeated >= 15, (blocks, repeated)
+
+
+def test_square_free_part_of_synthetic_polynomials(monkeypatch):
+    p = signature._prime(0)
+    assert p == 1073741789 and signature._prime(1) == 1073741783
+    assert all(p % k for k in range(2, isqrt(p) + 1))
+    # x^2 + p is x^2 mod p, a square, but square-free over Z: the first
+    # prime's gcd has degree 1 and the exact path must return it unchanged
+    moduli = []
+    real = signature._monic_gcd
+    monkeypatch.setattr(signature, "_monic_gcd",
+                        lambda a, b, q: moduli.append(q) or real(a, b, q))
+    assert signature._square_free([p, 0, 1]) == [p, 0, 1]
+    assert moduli[:2] == [p, signature._prime(1)], moduli
+    # times (x + 1)^2, the first prime's gcd x(x + 1) is too high: the
+    # second prime's gcd x + 1 starts the images again
+    del moduli[:]
+    assert signature._square_free([p, 2 * p, p + 1, 2, 1]) == [p, p, 1, 1]
+    assert moduli[:2] == [p, signature._prime(1)], moduli
+    # p x^2 + 1 drops its degree mod p, so p is skipped
+    del moduli[:]
+    assert signature._square_free([1, 0, p]) == [1, 0, p]
+    assert moduli == [signature._prime(1)], moduli
+    # (x - 1)^2 (x + 3) = x^3 + x^2 - 5x + 3, here with content 2 and a
+    # negative leading sign; and (x - 1)(x + 3) is already square-free
+    assert signature._square_free([-6, 10, -2, -2]) == [3, -2, -1]
+    assert signature._square_free([3, 2, 1]) == [3, 2, 1]
+    # a repeated factor of high degree, and one of low degree
+    quintic, cubic = [1, -3, 0, 2, 5, 1], [2, 0, -1, 1]
+    for e, k in ((4, 1), (1, 3)):
+        f = functools.reduce(_times, [quintic] * e + [cubic] * k)
+        assert signature._square_free(f) == _times(quintic, cubic), (e, k)
+    # zero, constants and linear polynomials come back primitive
+    assert signature._square_free([0]) == [0]
+    assert signature._square_free([-4]) == [-1]
+    assert signature._square_free([6, -4]) == [3, -2]
+
+
+def _faked_gcds(monkeypatch, fakes):
+    """
+    Make _monic_gcd return the monic fakes[i], lowest first, at its call i
+    and the true gcd at the others; fail past eight calls. The primes asked
+    for are returned.
+    """
+    primes = []
+    real = signature._monic_gcd
+
+    def faked(a, b, q):
+        primes.append(q)
+        assert len(primes) <= 8, "too many primes"
+        fake = fakes.get(len(primes) - 1)
+        return [c % q for c in fake] if fake else real(a, b, q)
+
+    monkeypatch.setattr(signature, "_monic_gcd", faked)
+    return primes
+
+
+def test_square_free_part_refuses_what_the_certificate_does_not_prove(
+        monkeypatch):
+    # F = (x - 1)^2 (x + 1)(x + 2): a first image (x + 1)(x + 2) divides F
+    # but not F', so it is no common divisor and must be refused
+    f = [2, -1, -3, 1, 1]
+    primes = _faked_gcds(monkeypatch, {0: [2, 3, 1]})
+    assert signature._square_free(f) == [-2, -1, 2, 1]
+    assert len(primes) == 2, primes
+    # F = (x - 100000)^2 (x + 1)(x + 2): the gcd's image is too long to try
+    # after one prime, and a second prime whose gcd has the higher degree
+    # 2 must be skipped, not combined, for the third to confirm the first
+    root, one, two = [-100000, 1], [1, 1], [2, 1]
+    f = functools.reduce(_times, [root, root, one, two])
+    primes = _faked_gcds(monkeypatch, {1: _times(root, one)})
+    assert signature._square_free(f) == functools.reduce(
+        _times, [root, one, two])
+    assert len(primes) == 3, primes
 
 
 def test_certified_offset_is_no_narrower_than_power_of_two_offset():
@@ -861,7 +1004,7 @@ def test_root_test_points_match_slope_bound_points():
             blocks += 1
             V = seifert_matrix(block)
             old = signature._point_past_sixth(_certified_offset(coeffs))
-            new = signature._sixth_point(coeffs)
+            new = signature._sixth_point(_walk_fold(coeffs))
             for key, u in (("slope", old), ("root", new)):
                 bits[key] += (u.numerator * u.denominator).bit_length()
             pairs = [((old.numerator, old.denominator),
@@ -869,7 +1012,7 @@ def test_root_test_points_match_slope_bound_points():
             for k in rng.sample(range(1, 997), 3):
                 theta = Fraction(k, 997)
                 pairs.append((_slope_arc_point(coeffs, theta),
-                              signature._arc_point(signature._fold(coeffs),
+                              signature._arc_point(_walk_fold(coeffs),
                                                    min(theta, 1 - theta))))
             for (p, q), (p2, q2) in pairs:
                 assert (signature._pencil_signature(V, p, q)[0]
@@ -1034,13 +1177,13 @@ def _kernel_points(w, seed, count):
     rng = random.Random(seed)
     for block, coeffs in _nonzero_blocks(w):
         V = seifert_matrix(block)
-        u = signature._sixth_point(coeffs)
+        u = signature._sixth_point(_walk_fold(coeffs))
         yield block, V, u.numerator, u.denominator
         for _ in range(count):
             theta = Fraction(rng.randrange(1, 997), 997)
             if not signature._vanishes_at(coeffs, theta.denominator):
                 yield (block, V) + signature._arc_point(
-                    signature._fold(coeffs), min(theta, 1 - theta))
+                    _walk_fold(coeffs), min(theta, 1 - theta))
 
 
 def test_split_kernel_matches_reference_on_seeded_corpora(monkeypatch):
