@@ -338,8 +338,9 @@ def test_compose_bridges_group_equal_spellings():
     assert rep.total_cost == 1
 
 
-def test_json_round_trip():
-    cert = CobordismCertificate(
+def _all_ops_certificate():
+    """Every op once or more, with both kinds of assertion target."""
+    return CobordismCertificate(
         start=state(tre(), tpos=1),
         steps=(
             Equivalence(0, tre()),
@@ -360,12 +361,28 @@ def test_json_round_trip():
         end=state(make_word(2, [1])),
         metadata="round trip",
     )
+
+
+def test_json_round_trip():
+    cert = _all_ops_certificate()
     text = cert.dumps()
     back = CobordismCertificate.loads(text)
     assert back == cert
     assert json.loads(text)["steps"][6]["op"] == "tcube"
     # an empty target word must still travel as a word, not as a summand
     assert back.steps[-1].to_word == make_word(2, ())
+
+
+# sha256 prefix of _all_ops_certificate().dumps(): the one pin that covers
+# conj, stab, sum_split, sum_merge and an asserted-summand target
+ALL_OPS_GOLDEN = "a00cecff79625cbe"
+
+
+def test_all_ops_wire_output():
+    text = _all_ops_certificate().dumps()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == ALL_OPS_GOLDEN
+    ops = {step["op"] for step in json.loads(text)["steps"]}
+    assert len(ops) == 11
 
 
 # sha256 prefixes of cert.dumps() and of the compact verify report
