@@ -10,9 +10,10 @@ upper-bound witness for the cobordism distance; the report compares it with
 the lower bound |sigma6(start) - sigma6(end)|.
 
 Each step class owns its rule: OP (wire name), COST (saddles), WIRE (its
-(field, JSON key) pairs in wire order; a key whose field has a default may
-be left out) and apply(state). apply_step and the JSON codec dispatch
-through one registry built from the union Step, which lists each class once.
+(field, JSON key) pairs in wire order, one for every field; a key whose field
+has a default may be left out) and apply(state). apply_step and the JSON
+codec dispatch through one registry built from the union Step, which lists
+each class once.
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ def _closure(state: FormalLink, index: int) -> BraidWord:
     return state.closures[index]
 
 
+def _splice(state: FormalLink, step, w: BraidWord, cut: int,
+            new: tuple[int, ...] = ()) -> FormalLink:
+    """
+    state with `cut` letters of the step's closure w, from the step's
+    position on, replaced by `new`; the step has checked its position.
+    """
+    p = step.position
+    letters = w.letters[:p] + new + w.letters[p + cut:]
+    return state.replace_closure(step.closure, BraidWord(w.strands, letters))
+
+
 @dataclasses.dataclass(frozen=True)
 class Equivalence:
     closure: int
@@ -75,11 +87,7 @@ class Equivalence:
 
     def apply(self, state: FormalLink) -> FormalLink:
         w = _closure(state, self.closure)
-        try:
-            ok = equal(w, self.target)
-        except WordError as exc:
-            raise StepError(f"equivalence ill-formed: {exc}") from exc
-        if not ok:
+        if not equal(w, self.target):
             raise StepError(
                 f"equivalence fails: {w} is not the same braid as "
                 f"{self.target}"
@@ -97,10 +105,7 @@ class Conjugation:
 
     def apply(self, state: FormalLink) -> FormalLink:
         w = _closure(state, self.closure)
-        try:
-            return state.replace_closure(self.closure, conjugate(w, self.by))
-        except WordError as exc:
-            raise StepError(f"conjugation ill-formed: {exc}") from exc
+        return state.replace_closure(self.closure, conjugate(w, self.by))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,10 +150,7 @@ class SaddleDelete:
                 f"saddle delete position {self.position} out of range "
                 f"(word has {len(w.letters)} letters)"
             )
-        letters = w.letters[: self.position] + w.letters[self.position + 1:]
-        return state.replace_closure(
-            self.closure, BraidWord(w.strands, letters)
-        )
+        return _splice(state, self, w, 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,14 +169,7 @@ class SaddleInsert:
             raise StepError(
                 f"saddle insert position {self.position} out of range"
             )
-        letters = (
-            w.letters[: self.position]
-            + (self.letter,)
-            + w.letters[self.position:]
-        )
-        return state.replace_closure(
-            self.closure, BraidWord(w.strands, letters)
-        )
+        return _splice(state, self, w, 0, (self.letter,))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,10 +198,7 @@ class TCube:
                 f"t3-cube substring {list(cube)} absent at position "
                 f"{self.position} of {list(w.letters)}"
             )
-        letters = w.letters[: self.position] + w.letters[self.position + 3:]
-        state = state.replace_closure(
-            self.closure, BraidWord(w.strands, letters)
-        )
+        state = _splice(state, self, w, 3)
         if self.sign > 0:
             return dataclasses.replace(
                 state, trefoils_pos=state.trefoils_pos + 1
@@ -228,57 +220,44 @@ class CrossingChange:
             raise StepError(
                 f"crossing change position {self.position} out of range"
             )
-        letters = list(w.letters)
-        letters[self.position] = -letters[self.position]
-        return state.replace_closure(
-            self.closure, BraidWord(w.strands, tuple(letters))
-        )
+        return _splice(state, self, w, 1, (-w.letters[self.position],))
 
 
 @dataclasses.dataclass(frozen=True)
 class ConcordanceAssertion:
     """
-    Replace a closure by a concordant link taken on trust. The verifier
-    checks component counts always and declared sigma6 agreement when both
-    sides are evaluable; the justification must cite the source. On the
-    wire, the target is the "to" key: a word object if it has a "w" key,
-    otherwise an asserted summand.
+    Replace a closure by a concordant link taken on trust: a word, which
+    stays a closure, or an asserted summand, which leaves the closures. The
+    verifier checks component counts always and declared sigma6 agreement
+    when both sides are evaluable; the justification must cite the source.
     """
 
     closure: int
-    to_word: BraidWord | None = None
-    to_summand: AssertedSummand | None = None
+    to: BraidWord | AssertedSummand
     justification: str = ""
     COST = 0
     OP = "assert_conc"
-    WIRE = (("closure", "closure"), ("justification", "justification"))
+    WIRE = (("closure", "closure"), ("justification", "justification"),
+            ("to", "to"))
 
     def apply(self, state: FormalLink) -> FormalLink:
         w = _closure(state, self.closure)
-        if (self.to_word is None) == (self.to_summand is None):
-            raise StepError(
-                "assertion needs exactly one of to_word / to_summand"
-            )
+        is_word = isinstance(self.to, BraidWord)
         have = components(w)
-        if self.to_word is not None:
-            want = components(self.to_word)
-            if have != want:
-                raise StepError(
-                    f"assertion changes component count {have} -> {want}; "
-                    f"concordance preserves it"
-                )
-            return state.replace_closure(self.closure, self.to_word)
-        if have != self.to_summand.components:
+        want = components(self.to) if is_word else self.to.components
+        if have != want:
             raise StepError(
-                f"assertion changes component count {have} -> "
-                f"{self.to_summand.components}; concordance preserves it"
+                f"assertion changes component count {have} -> {want}; "
+                f"concordance preserves it"
             )
+        if is_word:
+            return state.replace_closure(self.closure, self.to)
         closures = list(state.closures)
         closures.pop(self.closure)
         return dataclasses.replace(
             state,
             closures=tuple(closures),
-            assertions=state.assertions + (self.to_summand,),
+            assertions=state.assertions + (self.to,),
         )
 
 
@@ -353,21 +332,22 @@ _READERS = {
     "int": _wire_int,
     "str": lambda value, key: str(value),
     "BraidWord": lambda value, key: BraidWord.from_json(value),
+    # a word object if it has a "w" key, otherwise an asserted summand
+    "BraidWord | AssertedSummand": lambda value, key: (
+        BraidWord if isinstance(value, dict) and "w" in value
+        else AssertedSummand
+    ).from_json(value),
 }
 
 
 def _decoding_plan(cls) -> tuple:
     """
     (key, reader, default) for each field of cls, in field order, so a
-    step is built positionally; default is MISSING for a required key, and
-    key is None for the fields that travel under "to".
+    step is built positionally; default is MISSING for a required key.
     """
     keys = dict(cls.WIRE)
-    return tuple(
-        (keys.get(f.name), _READERS[f.type] if f.name in keys else None,
-         f.default)
-        for f in dataclasses.fields(cls)
-    )
+    return tuple((keys[f.name], _READERS[f.type], f.default)
+                 for f in dataclasses.fields(cls))
 
 
 _STEP_TYPES = typing.get_args(Step)
@@ -382,14 +362,15 @@ def step_cost(step: Step) -> int:
 def apply_step(state: FormalLink, step: Step) -> FormalLink:
     """
     Apply one step, checking its validity condition; pure function. A
-    WordError from the step's rule is reported as a StepError.
+    WordError from the step's rule is reported as a StepError that names
+    the step's op.
     """
     if type(step) not in _STEP_TYPES:
         raise StepError(f"unknown step type {type(step).__name__}")
     try:
         return step.apply(state)
     except WordError as exc:
-        raise StepError(str(exc)) from exc
+        raise StepError(f"{step.OP}: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -436,10 +417,9 @@ def _step_to_json(step: Step) -> dict:
     out = {"op": step.OP}
     for name, key in step.WIRE:
         value = getattr(step, name)
-        out[key] = value.to_json() if isinstance(value, BraidWord) else value
-    if type(step) is ConcordanceAssertion:
-        to = step.to_word if step.to_word is not None else step.to_summand
-        out["to"] = to.to_json()
+        out[key] = (value.to_json()
+                    if isinstance(value, (BraidWord, AssertedSummand))
+                    else value)
     return out
 
 
@@ -459,13 +439,6 @@ def _step_from_json(data: dict) -> Step:
             raise KeyError(key)
         else:
             args.append(default)
-    if cls is ConcordanceAssertion:
-        closure, _, _, justification = args
-        to = data["to"]
-        if isinstance(to, dict) and "w" in to:
-            return cls(closure, BraidWord.from_json(to), None, justification)
-        return cls(closure, None, AssertedSummand.from_json(to),
-                   justification)
     return cls(*args)
 
 
@@ -501,7 +474,7 @@ class CertificateReport:
         }
 
 
-def _try_sigma6(link: FormalLink):
+def _try_sigma6(link: FormalLink | BraidWord):
     try:
         return sigma6(link)
     except Sigma6Error:
@@ -560,11 +533,9 @@ def _assertion_note(state: FormalLink, step: ConcordanceAssertion) -> str:
         src = _closure(state, step.closure)
     except StepError:
         return ""  # apply_step will report the real failure
-    source = _try_sigma6(FormalLink(closures=(src,)))
-    if step.to_word is not None:
-        target = _try_sigma6(FormalLink(closures=(step.to_word,)))
-    else:
-        target = step.to_summand.sigma6
+    source = _try_sigma6(src)
+    to = step.to
+    target = _try_sigma6(to) if isinstance(to, BraidWord) else to.sigma6
     if source is None or target is None:
         return "sigma6 not evaluated"
     if source != target:

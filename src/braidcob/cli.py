@@ -5,8 +5,8 @@ generation and verification, and the bound tables.
 Braid words come from --strands/--word (comma-separated signed letters) or
 from a JSON file {"n": <int>, "w": [<letters>]}; --word and --word2 take a
 word whose first letter is negative as written, --word -1,2. Machine-readable
-output via --json. Exit codes: 0 success, 1 validation or verification
-failure, 2 malformed input file.
+output via --json, given before the command or after it. Exit codes: 0
+success, 1 validation or verification failure, 2 malformed input file.
 """
 
 from __future__ import annotations
@@ -302,11 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = link.add_subparsers(dest="subcommand", required=True)
     sig = lsub.add_parser("sigma", help="Levine-Tristram signature")
     _add_word_args(sig)
-    sig.add_argument("--theta", help="rational p/q in (0,1); --json gives "
-                     "precision_bits 0 when the count is exact, as it is "
-                     "off the jumps")
-    sig.add_argument("--sigma6", action="store_true",
-                     help="the limit invariant at the sixth root")
+    point = sig.add_mutually_exclusive_group()
+    point.add_argument("--theta", help="rational p/q in (0,1); --json gives "
+                       "precision_bits 0 when the count is exact, as it is "
+                       "off the jumps")
+    point.add_argument("--sigma6", action="store_true",
+                       help="the limit invariant at the sixth root")
     sig.set_defaults(func=_cmd_link_sigma)
     alex = lsub.add_parser("alexander", help="Alexander polynomial")
     _add_word_args(alex)
@@ -341,6 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--n", type=int, required=True)
     cl.set_defaults(func=_cmd_paper_clover)
 
+    # --json after the command too; unset there, it leaves the value read
+    # before the command in place
+    for leaf in (nf, eq, sig, alex, gen, ver, gg, tt, cl):
+        leaf.add_argument("--json", action="store_true",
+                          default=argparse.SUPPRESS,
+                          help="machine-readable output")
     return parser
 
 

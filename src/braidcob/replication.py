@@ -237,7 +237,7 @@ def sixstrand_certificate(l: int) -> CobordismCertificate:
     steps.append(
         ConcordanceAssertion(
             0,
-            to_word=make_word(3, ()),
+            to=make_word(3, ()),
             justification=(
                 "mirror-symmetric halves make the split-off link smoothly "
                 "concordant to the trivial link"

@@ -89,6 +89,19 @@ def test_saddle_steps():
         apply_step(state(make_word(2, [])), SaddleDelete(0, 0))
 
 
+@pytest.mark.parametrize("step, text", [
+    (Equivalence(0, make_word(3, [1])), "equiv: strand count mismatch"),
+    (Conjugation(0, make_word(3, [2])), "conj: strand count mismatch"),
+    (MarkovStab(0, 0), "stab: stabilization sign"),
+    (MarkovDestab(0), "destab: destabilization needs"),
+    (SaddleInsert(0, 0, 5), "saddle_ins: letter 5"),
+])
+def test_word_errors_become_step_errors_naming_the_op(step, text):
+    with pytest.raises(StepError, match=text) as exc:
+        apply_step(state(tre()), step)
+    assert exc.value.index is None
+
+
 def test_crossing_change():
     out = apply_step(state(tre()), CrossingChange(0, 1))
     assert out.closures[0].letters == (1, -1, 1)
@@ -115,7 +128,7 @@ def test_assertion_checks_components():
     ok = apply_step(
         s,
         ConcordanceAssertion(
-            0, to_summand=AssertedSummand("trivial-4", 4, 0, "cited")
+            0, to=AssertedSummand("trivial-4", 4, 0, "cited")
         ),
     )
     assert ok.closures == ()
@@ -124,7 +137,7 @@ def test_assertion_checks_components():
         apply_step(
             s,
             ConcordanceAssertion(
-                0, to_summand=AssertedSummand("knot", 1, 0, "cited")
+                0, to=AssertedSummand("knot", 1, 0, "cited")
             ),
         )
 
@@ -132,12 +145,12 @@ def test_assertion_checks_components():
 def test_assertion_to_word():
     s = state(make_word(2, [1, 1]))  # Hopf link, 2 components
     out = apply_step(
-        s, ConcordanceAssertion(0, to_word=make_word(2, [1, 1, 1, 1]))
+        s, ConcordanceAssertion(0, to=make_word(2, [1, 1, 1, 1]))
     )
     assert out.closures[0].letters == (1, 1, 1, 1)
     with pytest.raises(StepError, match="component count"):
         apply_step(
-            s, ConcordanceAssertion(0, to_word=make_word(3, [1, 1, 2, 2]))
+            s, ConcordanceAssertion(0, to=make_word(3, [1, 1, 2, 2]))
         )
 
 
@@ -210,7 +223,7 @@ def test_verify_unknown_sigma6_degrades_bound():
     summand = AssertedSummand("mystery", 1, None, "cited")
     cert = CobordismCertificate(
         start=state(tre()),
-        steps=(ConcordanceAssertion(0, to_summand=summand),),
+        steps=(ConcordanceAssertion(0, to=summand),),
         end=FormalLink(assertions=(summand,)),
     )
     rep = verify(cert)
@@ -225,7 +238,7 @@ def test_assertion_sigma6_mismatch_fails_replay():
     # asserting the trefoil concordant to the unknot contradicts sigma6
     cert = CobordismCertificate(
         start=state(tre()),
-        steps=(ConcordanceAssertion(0, to_word=make_word(2, [1])),),
+        steps=(ConcordanceAssertion(0, to=make_word(2, [1])),),
         end=state(make_word(2, [1])),
     )
     with pytest.raises(StepError, match="sigma6 mismatch"):
@@ -352,11 +365,11 @@ def _all_ops_certificate():
             TCube(0, 0, 1, 1),
             CrossingChange(0, 0),
             ConcordanceAssertion(
-                0, to_summand=AssertedSummand("x", 1, 3, "cited")
+                0, to=AssertedSummand("x", 1, 3, "cited")
             ),
             SumMerge(0, 1, "connected"),
             SumSplit(0, 1),
-            ConcordanceAssertion(0, to_word=make_word(2, ())),
+            ConcordanceAssertion(0, to=make_word(2, ())),
         ),
         end=state(make_word(2, [1])),
         metadata="round trip",
@@ -370,7 +383,7 @@ def test_json_round_trip():
     assert back == cert
     assert json.loads(text)["steps"][6]["op"] == "tcube"
     # an empty target word must still travel as a word, not as a summand
-    assert back.steps[-1].to_word == make_word(2, ())
+    assert back.steps[-1].to == make_word(2, ())
 
 
 # sha256 prefix of _all_ops_certificate().dumps(): the one pin that covers
@@ -428,10 +441,10 @@ def test_step_table_covers_every_field():
     classes = typing.get_args(Step)
     assert len({cls.OP for cls in classes}) == len(classes) == 11
     for cls in classes:
+        # a field for every row and a row for every field; rows keep wire
+        # order, which may differ from the constructor's
         fields = [f.name for f in dataclasses.fields(cls)]
-        if cls is ConcordanceAssertion:  # both travel under the "to" key
-            fields = [f for f in fields if f not in ("to_word", "to_summand")]
-        assert [name for name, _ in cls.WIRE] == fields
+        assert sorted(name for name, _ in cls.WIRE) == sorted(fields)
         keys = [key for _, key in cls.WIRE]
         assert len(set(keys)) == len(keys) and "op" not in keys
 
@@ -447,7 +460,7 @@ def test_absent_optional_keys_take_the_defaults():
     ]
     steps = CobordismCertificate.from_json(data).steps
     assert steps == (MarkovStab(0, 1), SumMerge(0, 1, "disjoint"),
-                     ConcordanceAssertion(0, to_word=make_word(2, ())))
+                     ConcordanceAssertion(0, to=make_word(2, ())))
     data["steps"] = [{"op": "tcube", "closure": 0, "pos": 0, "gen": 1}]
     with pytest.raises(KeyError, match="sign"):
         CobordismCertificate.from_json(data)

@@ -143,6 +143,48 @@ def test_cert_verify_json_reparses(tmp_path, capsys):
     assert report["bound_ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("braid", "nf", "--strands", "3", "--word", "1,-2,1"),
+    ("braid", "eq", "--strands", "3", "--word", "1,2,1", "--word2", "2,1,2"),
+    ("link", "sigma", "--strands", "2", "--word", "1,1,1", "--theta", "1/3"),
+    ("link", "sigma", "--strands", "2", "--word", "1,1,1", "--sigma6"),
+    ("link", "alexander", "--strands", "3", "--word", "1,-2,1,-2"),
+    ("cert", "verify", "CERT"),
+    ("paper", "gg-table", "--mmax", "2", "--nmax", "3"),
+    ("paper", "theorem-table", "--grid", "6", "--offsets", "0"),
+    ("paper", "clover", "--m", "6", "--n", "6"),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_json_before_or_after_the_command(tmp_path, capsys, argv):
+    if "CERT" in argv:
+        path = tmp_path / "cert.json"
+        path.write_text(run(capsys, "cert", "gen", "fourstrand")[1])
+        argv = [str(path) if a == "CERT" else a for a in argv]
+    before = run(capsys, "--json", *argv)
+    assert before[0] == 0 and before[2] == ""
+    json.loads(before[1])
+    assert run(capsys, *argv, "--json") == before
+    assert run(capsys, "--json", *argv, "--json") == before
+    # and without the flag, the human-readable output
+    assert run(capsys, *argv)[1] != before[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--sigma6", "--theta", "1/3"),
+    ("--theta", "1/3", "--sigma6"),
+])
+def test_sigma6_and_theta_exclude_each_other(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["link", "sigma", "--strands", "2", "--word", "1,1,1", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err
+    # neither is a validation failure, not a usage error
+    code, out, err = run(capsys, "link", "sigma", "--strands", "2",
+                         "--word", "1,1,1")
+    assert code == 1 and out == ""
+    assert "need --theta p/q or --sigma6" in err
+
+
 def test_cert_verify_rejects_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"start": {}, "steps": [{"op": "teleport"}], "end": {}}')

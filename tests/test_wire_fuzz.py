@@ -3,9 +3,11 @@ Hostile JSON on the wire: a mutated certificate or word file must end in
 exit code 0, 1 or 2 from the CLI, with no exception escaping cli.main.
 
 Mutants start from the fourstrand, coxeter and trefoil_stack_certificate(1, 3)
-JSON and from small word files. Each mutation replaces a random leaf with a
-random JSON value (small integers, 1e999, NaN, booleans, strings, null,
-lists, objects), deletes a key, or truncates a list.
+JSON, from a small hand-built certificate whose assert_conc steps have a
+word target and a summand target, and from small word files. Each mutation
+replaces a random leaf with a random JSON value (small integers, 1e999, NaN,
+booleans, strings, null, lists, objects), deletes a key, or truncates a
+list.
 
 Integers stay small on purpose, so mutants stay cheap to replay. Sizes are
 bounded on the wire: a word has at most MAX_WIRE_STRANDS strands and
@@ -22,19 +24,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcob.certificates import MAX_WIRE_STEPS
+from braidcob.certificates import (
+    MAX_WIRE_STEPS,
+    CobordismCertificate,
+    ConcordanceAssertion,
+    SaddleInsert,
+    TCube,
+)
 from braidcob.cli import main
+from braidcob.links import AssertedSummand, FormalLink
 from braidcob.replication import (
     coxeter_certificate,
     fourstrand_certificate,
     trefoil_stack_certificate,
 )
-from braidcob.words import MAX_WIRE_LETTERS
+from braidcob.words import MAX_WIRE_LETTERS, make_word
+
+
+def _assertion_certificate():
+    """
+    A trefoil and a 4-strand unknot. The 4-strand unknot is asserted
+    concordant to another spelling of itself (a word target); the trefoil
+    loses its cube, one saddle closes it to an unknot, and that is asserted
+    concordant to a cited unknot (a summand target).
+    """
+    unknot = AssertedSummand("unknot", 1, 0, "cited")
+    return CobordismCertificate(
+        start=FormalLink(closures=(make_word(2, [1, 1, 1]),
+                                   make_word(4, [1, 2, 3]))),
+        steps=(
+            TCube(0, 0, 1, 1),
+            SaddleInsert(0, 0, 1),
+            ConcordanceAssertion(1, make_word(4, [3, 2, 1]), "same knot"),
+            ConcordanceAssertion(0, unknot),
+        ),
+        end=FormalLink(closures=(make_word(4, [3, 2, 1]),), trefoils_pos=1,
+                       assertions=(unknot,)),
+    )
+
 
 CERTIFICATES = [
     fourstrand_certificate().to_json(),
     coxeter_certificate().to_json(),
     trefoil_stack_certificate(1, 3).to_json(),
+    _assertion_certificate().to_json(),
 ]
 WORDS = [
     {"n": 2, "w": [1, 1, 1]},
@@ -121,12 +154,18 @@ def test_mutated_word_file_never_escapes(tmp_dir, data):
     assert _exit_code(tmp_dir, doc, argv) in (0, 1, 2)
 
 
+def test_assertion_seed_verifies(tmp_dir):
+    # unmutated, the seed replays to its declared end
+    assert _exit_code(tmp_dir, CERTIFICATES[-1], ["cert", "verify"]) == 0
+
+
 def _cycled(items, count):
     return (items * (count // len(items) + 1))[:count]
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["cap", "past"])
-@pytest.mark.parametrize("cert", CERTIFICATES, ids=["four", "coxeter", "stack"])
+@pytest.mark.parametrize("cert", CERTIFICATES,
+                         ids=["four", "coxeter", "stack", "assert"])
 def test_certificate_padded_to_the_step_cap(tmp_dir, cert, extra):
     # the steps repeated: read at the cap (replay then fails), unread past it
     doc = json.loads(json.dumps(cert))
