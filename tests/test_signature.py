@@ -782,6 +782,16 @@ def _cyclotomic_by_division(b):
     return poly
 
 
+def _divides(f, g):
+    """Whether the monic f divides g in Z[t], by long division."""
+    r = list(g)
+    for top in range(len(r) - 1, len(f) - 2, -1):
+        c = r[top]
+        for j, x in enumerate(f, top - len(f) + 1):
+            r[j] -= c * x
+    return not any(r)
+
+
 def test_cyclotomic_divmod_reconstructs_the_polynomial():
     # quotient * Phi_b + remainder is the polynomial, with deg Phi_b
     # remainder coefficients, on random polynomials of either degree side
@@ -822,14 +832,6 @@ def test_cyclotomic_test_is_exact_on_both_sides_of_the_cut():
 
     phis = {b: _cyclotomic_by_division(b) for b in range(2, 120)}
 
-    def divides(f, g):
-        r = list(g)
-        for top in range(len(r) - 1, len(f) - 2, -1):
-            c = r[top]
-            for j, x in enumerate(f, top - len(f) + 1):
-                r[j] -= c * x
-        return not any(r)
-
     def mul(f, g):
         out = [0] * (len(f) + len(g) - 1)
         for i, x in enumerate(f):
@@ -851,7 +853,7 @@ def test_cyclotomic_test_is_exact_on_both_sides_of_the_cut():
     for coeffs in polys:
         deg = len(coeffs) - 1
         for b in range(2, min(119, 2 * deg * deg + 40)):
-            want = len(phis[b]) - 1 <= deg and divides(phis[b], coeffs)
+            want = len(phis[b]) - 1 <= deg and _divides(phis[b], coeffs)
             assert _vanishes_at(coeffs, b) == want, (coeffs, b)
             below += b <= 2 * deg * deg
             above += b > 2 * deg * deg
@@ -862,3 +864,29 @@ def test_cyclotomic_test_is_exact_on_both_sides_of_the_cut():
     for b in range(1, 5000):
         phi = sum(1 for k in range(1, b + 1) if gcd(k, b) == 1)
         assert 2 * phi * phi >= b, b
+
+
+def test_cyclotomic_test_on_blocks_of_high_degree():
+    """
+    _vanishes_at agrees with long division by Phi_b where deg Delta is far
+    above b: T(6, 408) (degree 2035), cabled_torus_word(8) (degree 505)
+    and a 400-letter mixed-sign 6-strand word (degree 135, coefficients of
+    up to 80 bits), at every b from 2 to 59; and a 1024-bit denominator is
+    never a root.
+    """
+    from braidcob.alexander import alexander
+    from braidcob.replication import cabled_torus_word
+    from braidcob.signature import _vanishes_at
+
+    rng = random.Random(1)
+    mixed = make_word(6, [rng.choice((1, -1)) * rng.randint(1, 5)
+                          for _ in range(400)])
+    phis = {b: _cyclotomic_by_division(b) for b in range(2, 60)}
+    for w, hits in ((torus_word(6, 408), 10), (cabled_torus_word(8), 6),
+                    (mixed, 0)):
+        coeffs = alexander(w).coefficients
+        assert len(coeffs) - 1 > 2 * max(phis), len(coeffs)
+        got = [b for b in phis if _vanishes_at(coeffs, b)]
+        assert got == [b for b in phis if _divides(phis[b], coeffs)]
+        assert len(got) == hits, got
+        assert not _vanishes_at(coeffs, (1 << 1023) + 1)
