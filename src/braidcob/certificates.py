@@ -485,19 +485,17 @@ def verify(cert: CobordismCertificate) -> CertificateReport:
     """
     Replay all steps from the start state, add up costs, check the end state
     matches, and compare the signature lower bound with the realized cost.
-    Step failures raise StepError with the failing index; sigma6 failures
-    only degrade the bound fields to None ("not evaluated").
+    Step failures, and an assertion whose two sides have different sigma6,
+    raise StepError with the failing index; a sigma6 that cannot be
+    evaluated only degrades the bound fields to None ("not evaluated").
     """
     state = cert.start
     log: list[StepRecord] = []
     total = 0
     for idx, step in enumerate(cert.steps):
-        note = ""
-        if isinstance(step, ConcordanceAssertion):
-            note = _assertion_note(state, step)
-            if note.startswith("sigma6 mismatch"):
-                raise StepError(note, idx)
         try:
+            note = (_assertion_note(state, step)
+                    if isinstance(step, ConcordanceAssertion) else "")
             state = apply_step(state, step)
         except StepError as exc:
             raise StepError(exc.reason, idx) from exc
@@ -528,7 +526,10 @@ def verify(cert: CobordismCertificate) -> CertificateReport:
 
 
 def _assertion_note(state: FormalLink, step: ConcordanceAssertion) -> str:
-    """sigma6 consistency of an assertion: equal when both sides evaluate."""
+    """
+    sigma6 consistency of an assertion: equal when both sides evaluate;
+    StepError when they differ.
+    """
     try:
         src = _closure(state, step.closure)
     except StepError:
@@ -539,7 +540,7 @@ def _assertion_note(state: FormalLink, step: ConcordanceAssertion) -> str:
     if source is None or target is None:
         return "sigma6 not evaluated"
     if source != target:
-        return (
+        raise StepError(
             f"sigma6 mismatch across assertion: source {source}, "
             f"target {target}"
         )

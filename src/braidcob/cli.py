@@ -67,16 +67,19 @@ class CliError(Exception):
         self.code = code
 
 
+def _read_json(path, cls, what):
+    """cls.from_json of the JSON file at path; exit 2 when that fails."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}", 2)
+
+
 def _load_word(args, attr_word="word") -> BraidWord:
     path = getattr(args, "file", None)
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            return BraidWord.from_json(data)
-        except (OSError, ValueError, KeyError, TypeError,
-                RecursionError) as exc:
-            raise CliError(f"cannot read word file {path}: {exc}", 2)
+        return _read_json(path, BraidWord, "word file")
     text = getattr(args, attr_word, None)
     if text is None or args.strands is None:
         raise CliError("need --strands and --word, or --file", 1)
@@ -199,11 +202,7 @@ def _cmd_cert_gen(args):
 
 
 def _cmd_cert_verify(args):
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            cert = CobordismCertificate.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CliError(f"cannot read certificate {args.file}: {exc}", 2)
+    cert = _read_json(args.file, CobordismCertificate, "certificate")
     try:
         report = verify(cert)
     except (StepError, CertificateError, WordError) as exc:

@@ -58,7 +58,14 @@ signature_at takes theta to min(theta, 1 - theta), since the form at
 conj(w) is the conjugate of the form at w. With theta = a/b, Delta(w) = 0
 exactly when the cyclotomic polynomial Phi_b divides Delta; that needs
 phi(b) <= deg Delta, so there is nothing to test when b > 2*deg^2, since
-phi(b) >= sqrt(b/2). A block with Delta(w) != 0 is counted at v = 0 when
+phi(b) >= sqrt(b/2). Otherwise Phi_b is never built (_vanishes_at): t^b - 1
+is the square-free product of the Phi_d over the d | b, and each Phi_d with
+d < b divides t^(b/p) - 1 for a prime p | b/d, while the irreducible Phi_b
+divides none of them. So Phi_b divides Delta exactly when t^b - 1 divides R
+times the t^(b/p) - 1 over the primes p | b, for R = Delta mod t^b - 1 (the
+exponents of Delta folded mod b): R times each factor mod t^b - 1 is one
+pass over b coefficients, and Phi_b | Delta when the last product is zero.
+A block with Delta(w) != 0 is counted at v = 0 when
 theta = 1/2, and at v = 1 when F is root-free on all of [-2, 2], the
 bracket (0, infinity). Otherwise mpmath's interval arithmetic (the libmpi
 functions under mpmath.iv, which round outwards) encloses cot(pi*theta) in
@@ -124,7 +131,7 @@ import functools
 from fractions import Fraction
 from itertools import accumulate, count
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from mpmath import mp
 from mpmath.libmp import from_int, to_rational
@@ -307,63 +314,40 @@ def _ldl_signature(V: SeifertMatrix, theta: Fraction
     )
 
 
-def _cyclotomic_divmod(coeffs: tuple[int, ...], b: int
-                       ) -> tuple[list[int], list[int]]:
-    """
-    (quotient, remainder) of the polynomial with these coefficients, lowest
-    first, divided by the cyclotomic polynomial Phi_b (b >= 2); the
-    remainder has phi(b) = deg Phi_b coefficients.
-    """
-    primes, rest, p = [], b, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
-    n = b
-    for p in primes:
-        n = n // p * (p - 1)
-    rem = list(coeffs) + [0] * (n - len(coeffs))
-    quot = [0] * (len(rem) - n)
-    if not quot:
-        return quot, rem
-    # Phi_b is the product of (1 - t^(b/s))^mu(s) over the squarefree s | b,
-    # here as a power series cut after t^n = t^phi(b)
-    phi = [1] + [0] * n
-    for mask in range(1 << len(primes)):
-        d, odd = b, False
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                d, odd = d // p, not odd
-        if odd:  # divide by 1 - t^d
-            for i in range(d, n + 1):
-                phi[i] += phi[i - d]
-        else:  # multiply by 1 - t^d
-            for i in range(n, d - 1, -1):
-                phi[i] -= phi[i - d]
-    for top in range(len(rem) - 1, n - 1, -1):  # phi is monic
-        c = quot[top - n] = rem[top]
-        if c:
-            for j, x in enumerate(phi, top - n):
-                rem[j] -= c * x
-    return quot, rem[:n]
-
-
 def _vanishes_at(coeffs: tuple[int, ...], b: int) -> bool:
     """
-    Whether the polynomial with these coefficients vanishes at the primitive
-    b-th roots of unity (b >= 2), that is, whether Phi_b divides it; the
-    zero polynomial vanishes everywhere.
+    Whether the polynomial Delta with these coefficients vanishes at the
+    primitive b-th roots of unity (b >= 2), that is, whether Phi_b divides
+    it; the zero polynomial vanishes everywhere. Phi_b divides t^b - 1, so
+    it divides Delta exactly when it divides R = Delta mod t^b - 1, and
+    that holds exactly when R times the t^(b/p) - 1 over the primes p | b
+    is 0 mod t^b - 1: t^b - 1 is the square-free product of the Phi_d over
+    the d | b, each Phi_d with d < b divides t^(b/p) - 1 for a prime p |
+    b/d, and the irreducible Phi_b divides none of them.
     """
     if coeffs == (0,):
         return True
     deg = len(coeffs) - 1
     if b > 2 * deg * deg:  # phi(b) >= sqrt(b/2) > deg
         return False
-    return not any(_cyclotomic_divmod(coeffs, b)[1])
+    primes, rest, p, phi = [], b, 2, b
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+        phi -= phi // rest
+    if phi > deg:
+        return False
+    r = [sum(coeffs[k::b]) for k in range(b)]
+    for p in primes:  # r times t^(b/p) - 1, mod t^b - 1
+        s = b // p
+        r = list(map(sub, r[-s:] + r[:-s], r))
+    return not any(r)
 
 
 def _ends(x) -> tuple[Fraction, Fraction]:

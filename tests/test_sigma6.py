@@ -196,6 +196,20 @@ def _power_of_two_offset(coeffs, delta_start=Fraction(1, 1024)):
 # the slope-bound point choice, kept as the reference for the root test
 # ---------------------------------------------------------------------------
 
+def _phi6_divmod(coeffs):
+    """
+    (quotient, remainder) of the polynomial with these coefficients, lowest
+    first, divided by Phi6 = t^2 - t + 1; the remainder has two coefficients.
+    """
+    rem = list(coeffs) + [0] * (2 - len(coeffs))
+    quot = [0] * (len(rem) - 2)
+    for top in range(len(rem) - 1, 1, -1):  # subtract c t^(top-2) Phi6
+        c = quot[top - 2] = rem[top]
+        rem[top - 2] -= c
+        rem[top - 1] += c
+    return quot, rem[:2]
+
+
 def _certified_offset(coeffs):
     """
     A width rho in (0, 1/2] with no root of the nonzero polynomial with
@@ -206,7 +220,7 @@ def _certified_offset(coeffs):
     7r/(44S)) gives 2*pi*rho*S < |Q(zeta6)|.
     """
     while True:
-        quot, (x, y) = signature._cyclotomic_divmod(coeffs, 6)
+        quot, (x, y) = _phi6_divmod(coeffs)
         if x or y:
             break
         coeffs = quot

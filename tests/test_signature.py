@@ -792,34 +792,6 @@ def _divides(f, g):
     return not any(r)
 
 
-def test_cyclotomic_divmod_reconstructs_the_polynomial():
-    # quotient * Phi_b + remainder is the polynomial, with deg Phi_b
-    # remainder coefficients, on random polynomials of either degree side
-    from braidcob.signature import _cyclotomic_divmod
-
-    rng = random.Random(11)
-    for b in range(2, 62):
-        phi = _cyclotomic_by_division(b)
-        for _ in range(6):
-            coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 40))]
-            coeffs[-1] = coeffs[-1] or 1
-            quot, rem = _cyclotomic_divmod(tuple(coeffs), b)
-            assert len(rem) == len(phi) - 1, (coeffs, b)
-            back = rem + [0] * (len(coeffs) - len(rem))
-            for i, x in enumerate(quot):
-                for j, y in enumerate(phi):
-                    back[i + j] += x * y
-            assert back == coeffs + [0] * (len(back) - len(coeffs)), (
-                coeffs, b)
-            # a multiple of Phi_b divides exactly, with that quotient back
-            multiple = [0] * (len(coeffs) + len(phi) - 1)
-            for i, x in enumerate(coeffs):
-                for j, y in enumerate(phi):
-                    multiple[i + j] += x * y
-            assert _cyclotomic_divmod(tuple(multiple), b) == (
-                coeffs, [0] * (len(phi) - 1))
-
-
 def test_cyclotomic_test_is_exact_on_both_sides_of_the_cut():
     """
     _vanishes_at(coeffs, b) says whether Phi_b divides the polynomial; past
