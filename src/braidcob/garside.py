@@ -1,5 +1,6 @@
 """
-Left greedy normal form for braid words.
+Left greedy normal form for braid words, and the word problem by Dynnikov
+coordinates.
 
 Every braid is written as Delta^d * A_1 * ... * A_k where Delta is the
 positive half twist, each A_i is a nontrivial permutation braid (a positive
@@ -46,10 +47,37 @@ Groups, ch. 9).
 
 equal first cancels the longest common prefix and suffix of the two
 letter sequences: P*X*S = P*Y*S in the group B_n exactly when X = Y, so an
-equivalence that rewrites a window of a long word normal-forms only the
-window. It then rejects middles with different exponent sums or
-permutations (both homomorphisms out of B_n) before it computes any normal
-form.
+equivalence that rewrites a window of a long word reads only the window.
+It then rejects middles with different exponent sums or permutations (both
+homomorphisms out of B_n), and decides the rest by Dynnikov coordinates,
+never by normal forms.
+
+Dynnikov coordinates. An integral lamination of a disk with m punctures in
+a row is fixed by 2(m - 2) integers (a_1, b_1, ..., a_{m-2}, b_{m-2}), and
+B_m acts on them by piecewise-linear maps, each generator changing two
+adjacent pairs (Dynnikov, On a Yang-Baxter map and the Dehornoy ordering,
+Russian Math. Surveys 57, 2002). _dynnikov takes m = n + 2 and lets the
+letter sigma_i^{+-1} of B_n act as sigma_{i+1} of B_{n+2}, on the pairs i
+and i + 1 of the start vector (0, 1)^n. With x+ = max(x, 0) and
+x- = min(x, 0), and every right side read from the old values:
+
+- sigma_i: c = a_i - b_i- - a_{i+1} + b_{i+1}+;
+  a_i <- a_i + b_i+ + (b_{i+1}+ - c)+,      b_i <- b_{i+1} - c+,
+  a_{i+1} <- a_{i+1} + b_{i+1}- + (b_i- + c)-,  b_{i+1} <- b_i + c+.
+- sigma_i^{-1}: d = a_i + b_i- - a_{i+1} - b_{i+1}+;
+  a_i <- a_i - b_i+ - (b_{i+1}+ + d)+,      b_i <- b_{i+1} + d-,
+  a_{i+1} <- a_{i+1} - b_{i+1}- - (b_i- - d)-,  b_{i+1} <- b_i - d-.
+
+A braid is trivial exactly when it fixes (0, 1)^n (Dehornoy, Efficient
+solutions to the braid isotopy problem, Discrete Appl. Math. 156, 2008),
+so two words are equal exactly when they move (0, 1)^n to the same vector.
+The two extra punctures are needed because on D_n itself the full twist
+Delta^2 is the boundary twist: it fixes every lamination of D_n, yet it is
+not trivial; on D_{n+2} it moves (0, 1)^n for every n >= 2. The cost is a
+fixed number of integer operations per letter, and each letter grows the
+bit length of the coordinates by at most a constant, so the work is linear
+in the letters times the coordinate length, which is itself at most linear
+in the letters.
 
 Permutations are stored as 0-based image tuples in the diagrammatic
 convention of words.py: factor products apply the left factor first.
@@ -64,7 +92,6 @@ from .words import (
     Permutation,
     WordError,
     exponent_sum,
-    free_reduce,
     permutation,
 )
 
@@ -239,6 +266,40 @@ def normal_form(w: BraidWord) -> CanonicalBraid:
     return CanonicalBraid(n, delta_power, tuple(tuple(p) for p in perms))
 
 
+def _dynnikov(w: BraidWord,
+              start: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """
+    The Dynnikov coordinates (a_1, b_1, ..., a_n, b_n) that w gives the
+    start vector, by default (0, 1)^n; from (0, 1)^n they are a complete
+    invariant of the group element.
+    """
+    v = [0, 1] * w.strands if start is None else list(start)
+    for k in w.letters:
+        j = 2 * k - 2 if k > 0 else -2 * k - 2
+        a1, b1, a2, b2 = v[j:j + 4]
+        b1p, b1m = (b1, 0) if b1 > 0 else (0, b1)
+        b2p, b2m = (b2, 0) if b2 > 0 else (0, b2)
+        if k > 0:
+            c = a1 - b1m - a2 + b2p
+            cp = c if c > 0 else 0
+            e = b2p - c
+            f = b1m + c
+            v[j] = a1 + b1p + (e if e > 0 else 0)
+            v[j + 1] = b2 - cp
+            v[j + 2] = a2 + b2m + (f if f < 0 else 0)
+            v[j + 3] = b1 + cp
+        else:
+            d = a1 + b1m - a2 - b2p
+            dm = d if d < 0 else 0
+            e = b2p + d
+            f = b1m - d
+            v[j] = a1 - b1p - (e if e > 0 else 0)
+            v[j + 1] = b2 + dm
+            v[j + 2] = a2 - b2m - (f if f < 0 else 0)
+            v[j + 3] = b1 - dm
+    return tuple(v)
+
+
 def equal(w1: BraidWord, w2: BraidWord) -> bool:
     """
     Decide whether two words represent the same element of B_n.
@@ -246,8 +307,8 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
     The longest common prefix P and suffix S of the two letter sequences
     are cancelled first, so that w1 = P*X*S and w2 = P*Y*S; B_n is a group,
     so w1 = w2 exactly when X = Y. Only the middles X and Y reach the
-    invariants and the normal form. P and S may not overlap in the shorter
-    word: (1, 1) against (1, 1, 1) leaves X empty and Y = (1,).
+    invariants and the Dynnikov coordinates. P and S may not overlap in the
+    shorter word: (1, 1) against (1, 1, 1) leaves X empty and Y = (1,).
     """
     if w1.strands != w2.strands:
         raise WordError(
@@ -264,12 +325,9 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
     x = BraidWord(w1.strands, a[p:len(a) - s])
     y = BraidWord(w1.strands, b[p:len(b) - s])
     # Cheap invariants first (homomorphisms to Z and to S_n); they reject
-    # most unequal pairs without a normal form.
+    # most unequal pairs before any coordinates are computed.
     if exponent_sum(x) != exponent_sum(y):
         return False
     if permutation(x) != permutation(y):
         return False
-    r1, r2 = free_reduce(x), free_reduce(y)
-    if r1.letters == r2.letters:
-        return True
-    return normal_form(r1) == normal_form(r2)
+    return _dynnikov(x) == _dynnikov(y)

@@ -99,8 +99,10 @@ def same_link(a: FormalLink, b: FormalLink) -> bool:
     """
     Formal-link equality: equal counters, equal assertion multisets, and
     closures that match up to the word problem (group equality per summand).
+    Each closure is keyed by its strand count and its Dynnikov coordinates,
+    a complete invariant of the group element.
     """
-    from .garside import normal_form
+    from .garside import _dynnikov
 
     if a.trefoils_pos != b.trefoils_pos or a.trefoils_neg != b.trefoils_neg:
         return False
@@ -109,10 +111,7 @@ def same_link(a: FormalLink, b: FormalLink) -> bool:
     if len(a.closures) != len(b.closures):
         return False
 
-    def nf_key(w):
-        c = normal_form(w)
-        return (w.strands, c.infimum, c.factors)
+    def key(w):
+        return (w.strands, _dynnikov(w))
 
-    return sorted(map(nf_key, a.closures)) == sorted(
-        map(nf_key, b.closures)
-    )
+    return sorted(map(key, a.closures)) == sorted(map(key, b.closures))

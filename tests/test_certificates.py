@@ -4,8 +4,10 @@ Step semantics, replay, the lower-bound report, and the JSON wire format.
 
 import hashlib
 import json
+import time
 
 import pytest
+from test_cli import far_commuted_twins
 
 from braidcob.certificates import (
     CertificateError,
@@ -28,7 +30,7 @@ from braidcob.certificates import (
     verify,
 )
 from braidcob.links import AssertedSummand, FormalLink, same_link
-from braidcob.words import make_word
+from braidcob.words import MAX_WIRE_LETTERS, MAX_WIRE_STRANDS, make_word
 
 
 def tre():
@@ -481,6 +483,20 @@ def test_same_link_is_group_level():
     b = state(make_word(3, [2, 1, 2]))
     assert same_link(a, b)
     assert not same_link(a, state(make_word(3, [1, 2])))
+
+
+@pytest.mark.parametrize("n, words", [
+    (MAX_WIRE_STRANDS, far_commuted_twins(1024)),
+    # the slowest word seen at the letter cap: its coordinates grow to
+    # about 45 000 bits
+    (3, ([1, 2, 1] + [1, -2] * (MAX_WIRE_LETTERS // 2 - 3) + [1, 2, 1],
+         [2, 1, 2] + [1, -2] * (MAX_WIRE_LETTERS // 2 - 3) + [2, 1, 2])),
+], ids=["1024-strands", "3-strands"])
+def test_same_link_at_the_letter_cap_is_bounded(n, words):
+    a, b = (state(make_word(n, w)) for w in words)
+    start = time.perf_counter()
+    assert same_link(a, b)
+    assert time.perf_counter() - start < 5
 
 
 def test_same_link_compares_assertions_as_multisets():

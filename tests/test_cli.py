@@ -5,6 +5,7 @@ round trip for every built-in certificate.
 
 import hashlib
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -40,6 +41,30 @@ def test_braid_eq_not_equal(capsys):
     )
     assert code == 0
     assert out.strip() == "not equal"
+
+
+def far_commuted_twins(seed):
+    """
+    Two equal words at MAX_WIRE_STRANDS and MAX_WIRE_LETTERS that differ at
+    both ends (far commutations), so no common prefix or suffix cancels.
+    """
+    rng = random.Random(seed)
+    n = MAX_WIRE_STRANDS
+    middle = [rng.choice((1, -1)) * rng.randrange(1, n)
+              for _ in range(MAX_WIRE_LETTERS - 4)]
+    return [1, 3] + middle + [5, 7], [3, 1] + middle + [7, 5]
+
+
+def test_braid_eq_at_the_caps_is_bounded(capsys):
+    w1, w2 = far_commuted_twins(1024)
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "braid", "eq", "--strands", str(MAX_WIRE_STRANDS),
+        "--word", ",".join(map(str, w1)), "--word2", ",".join(map(str, w2)),
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.strip() == "equal"
 
 
 def test_braid_eq_bad_letters(capsys):

@@ -5,6 +5,7 @@ independent oracle, the letter-by-letter comb as a reference
 implementation, and a structural check that uses neither.
 """
 
+import itertools
 import random
 
 import pytest
@@ -314,19 +315,15 @@ def test_normal_form_matches_reference_on_the_large_word():
     _check_against_reference(_random_word(rng, n=36, length=1200))
 
 
-def test_normal_form_matches_reference_on_certificate_words(monkeypatch):
-    from braidcob.certificates import verify
+def test_normal_form_matches_reference_on_certificate_words():
+    from braidcob.certificates import apply_step
     from braidcob.replication import sixstrand_certificate
 
-    seen = []
-
-    def recording(w):
-        seen.append(w)
-        return normal_form(w)
-
-    monkeypatch.setattr(garside, "normal_form", recording)
-    assert verify(sixstrand_certificate(3)).bound_ok
-    monkeypatch.undo()
+    cert = sixstrand_certificate(3)
+    state, seen = cert.start, list(cert.start.closures)
+    for step in cert.steps:
+        state = apply_step(state, step)
+        seen.extend(w for w in state.closures if w not in seen)
     assert len(seen) >= 20
     for w in seen:
         _check_against_reference(w)
@@ -517,21 +514,112 @@ def test_equal_cancellation_edge_cases():
         equal(make_word(3, [1, 2]), make_word(4, [1, 2]))
 
 
-def test_equal_normal_forms_only_the_differing_middle(monkeypatch):
+def test_equal_reads_coordinates_of_only_the_differing_middle(monkeypatch):
     seen = []
+    dynnikov = garside._dynnikov
 
     def recording(w):
         seen.append(len(w.letters))
-        return normal_form(w)
+        return dynnikov(w)
+
+    def forbidden(w):
+        raise AssertionError("normal_form called")
 
     rng = random.Random(8)
     p = _random_word(rng, n=5, length=200)
     s = _random_word(rng, n=5, length=200)
     w1 = _wrap(p, make_word(5, [1, 2, 1]), s)
     w2 = _wrap(p, make_word(5, [2, 1, 2]), s)
-    monkeypatch.setattr(garside, "normal_form", recording)
+    monkeypatch.setattr(garside, "_dynnikov", recording)
+    monkeypatch.setattr(garside, "normal_form", forbidden)
     assert equal(w1, w2)
     assert seen and max(seen) <= 3
+
+
+# --- Dynnikov coordinates against the relations and the normal form -------
+
+
+def _act(n, letters, v):
+    return garside._dynnikov(make_word(n, letters), v)
+
+
+def test_dynnikov_action_satisfies_the_relations():
+    # the piecewise-linear maps satisfy the defining relations of B_n on
+    # every integer vector, not only on the orbit of (0, 1)^n
+    rng = random.Random(2002)
+    for trial in range(20000):
+        n = 3 + trial % 5
+        bound = (2, 40, 1 << 70)[trial % 3]
+        v = tuple(rng.randint(-bound, bound) for _ in range(2 * n))
+        i = rng.randrange(1, n)
+        assert _act(n, [i, -i], v) == v, (i, v)
+        assert _act(n, [-i, i], v) == v, (i, v)
+        if i < n - 1:
+            assert _act(n, [i, i + 1, i], v) == _act(n, [i + 1, i, i + 1], v)
+            assert (_act(n, [-i, -i - 1, -i], v)
+                    == _act(n, [-i - 1, -i, -i - 1], v))
+        far = [j for j in range(1, n) if abs(i - j) >= 2]
+        if far:
+            j = rng.choice(far)
+            a, b = rng.choice((i, -i)), rng.choice((j, -j))
+            assert _act(n, [a, b], v) == _act(n, [b, a], v), (a, b, v)
+
+
+@pytest.mark.parametrize("n, length, classes", [(3, 5, 263), (4, 4, 469)])
+def test_dynnikov_classes_are_the_normal_form_classes(n, length, classes):
+    # every word of at most `length` letters: the two invariants split the
+    # words into the same classes, so neither merges what the other splits
+    letters = [g for i in range(1, n) for g in (i, -i)]
+    by_dynnikov, by_normal_form = {}, {}
+    for size in range(length + 1):
+        for word in itertools.product(letters, repeat=size):
+            w = make_word(n, word)
+            by_dynnikov.setdefault(garside._dynnikov(w), []).append(word)
+            by_normal_form.setdefault(normal_form(w), []).append(word)
+    assert len(by_dynnikov) == len(by_normal_form) == classes
+    assert (sorted(by_dynnikov.values())
+            == sorted(by_normal_form.values()))
+
+
+def test_dynnikov_full_twist_moves_the_start_vector():
+    # Delta^2 is central and acts trivially on the laminations of D_n; the
+    # two extra punctures are what let the coordinates see it
+    for n in range(2, 8):
+        full_twist = power(make_word(n, list(range(1, n))), n)
+        assert normal_form(full_twist).infimum == 2
+        assert garside._dynnikov(full_twist) != (0, 1) * n
+        assert garside._dynnikov(make_word(n, [])) == (0, 1) * n
+
+
+def test_equal_matches_artin_oracle_on_pure_braid_twins():
+    # the twin inserts a conjugate of a pure braid into w: the exponent sum
+    # and the permutation agree, so only the coordinates decide. The
+    # commutator with the central Delta^2 is trivial; sigma_i^2 sigma_j^-2
+    # is not.
+    rng = random.Random(606)
+    verdicts = set()
+    for trial in range(300):
+        n = rng.randrange(3, 6)
+        w = _random_word(rng, n=n, length=rng.randrange(0, 9))
+        u = _random_word(rng, n=n, length=rng.randrange(0, 4))
+        if trial % 2:
+            i, j = rng.sample(range(1, n), 2)
+            core = make_word(n, [i, i, -j, -j])
+        else:
+            full_twist = power(make_word(n, list(range(1, n))), n)
+            g = _random_word(rng, n=n, length=rng.randrange(1, 4))
+            core = compose(compose(g, full_twist),
+                           compose(invert(g), invert(full_twist)))
+        pos = rng.randrange(len(w.letters) + 1)
+        twin = make_word(n, w.letters[:pos]
+                         + compose(compose(u, core), invert(u)).letters
+                         + w.letters[pos:])
+        assert exponent_sum(twin) == exponent_sum(w)
+        assert permutation(twin) == permutation(w)
+        got = equal(w, twin)
+        assert got == (_artin_images(w) == _artin_images(twin)), (w, twin)
+        verdicts.add(got)
+    assert verdicts == {False, True}
 
 
 def test_invariants_preserved_by_rewrites():
