@@ -11,8 +11,10 @@ the lower bound |sigma6(start) - sigma6(end)|.
 
 Each step class owns its rule: OP (wire name), COST (saddles), WIRE (its
 (field, JSON key) pairs in wire order, one for every field; a key whose field
-has a default may be left out) and apply(state). apply_step and the JSON
-codec dispatch through one registry built from the union Step, which lists
+has a default may be left out) and apply(state), which edits a ReplayState
+in place. verify replays every step on one ReplayState; apply_step wraps
+the same rules as a pure function of a FormalLink. Both, and the JSON
+codec, dispatch through one registry built from the union Step, which lists
 each class once.
 """
 
@@ -28,6 +30,7 @@ from .signature import Sigma6Error, sigma6
 from .words import (
     BraidWord,
     WordError,
+    _check_letter,
     _wire_int,
     components,
     compose,
@@ -57,24 +60,44 @@ class CertificateError(ValueError):
     """The replayed end state does not match the declared one."""
 
 
-def _closure(state: FormalLink, index: int) -> BraidWord:
-    if not 0 <= index < len(state.closures):
-        raise StepError(
-            f"closure index {index} out of range "
-            f"(state has {len(state.closures)})"
-        )
-    return state.closures[index]
-
-
-def _splice(state: FormalLink, step, w: BraidWord, cut: int,
-            new: tuple[int, ...] = ()) -> FormalLink:
+class ReplayState:
     """
-    state with `cut` letters of the step's closure w, from the step's
-    position on, replaced by `new`; the step has checked its position.
+    The mutable state a replay edits: one (strands, letters) pair per
+    closure, with the letters in a list that steps edit in place, plus the
+    trefoil counters and the asserted summands. Every rule checks its step
+    before it changes anything, so a failing step leaves the state as it
+    was. verify replays all steps on one state and freezes it once.
     """
-    p = step.position
-    letters = w.letters[:p] + new + w.letters[p + cut:]
-    return state.replace_closure(step.closure, BraidWord(w.strands, letters))
+
+    __slots__ = ("closures", "trefoils_pos", "trefoils_neg", "assertions")
+
+    def __init__(self, link: FormalLink):
+        self.closures = [(w.strands, list(w.letters)) for w in link.closures]
+        self.trefoils_pos = link.trefoils_pos
+        self.trefoils_neg = link.trefoils_neg
+        self.assertions = list(link.assertions)
+
+    def closure(self, index: int) -> tuple[int, list[int]]:
+        """The strand count and the (mutable) letters of a closure."""
+        if not 0 <= index < len(self.closures):
+            raise StepError(
+                f"closure index {index} out of range "
+                f"(state has {len(self.closures)})"
+            )
+        return self.closures[index]
+
+    def word(self, index: int) -> BraidWord:
+        n, letters = self.closure(index)
+        return BraidWord(n, tuple(letters))
+
+    def put(self, index: int, word: BraidWord) -> None:
+        self.closures[index] = (word.strands, list(word.letters))
+
+    def freeze(self) -> FormalLink:
+        closures = tuple(BraidWord(n, tuple(letters))
+                         for n, letters in self.closures)
+        return FormalLink(closures, self.trefoils_pos, self.trefoils_neg,
+                          tuple(self.assertions))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,14 +108,14 @@ class Equivalence:
     OP = "equiv"
     WIRE = (("closure", "closure"), ("target", "target"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
+    def apply(self, state: ReplayState) -> None:
+        w = state.word(self.closure)
         if not equal(w, self.target):
             raise StepError(
                 f"equivalence fails: {w} is not the same braid as "
                 f"{self.target}"
             )
-        return state.replace_closure(self.closure, self.target)
+        state.put(self.closure, self.target)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,9 +126,9 @@ class Conjugation:
     OP = "conj"
     WIRE = (("closure", "closure"), ("by", "g"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
-        return state.replace_closure(self.closure, conjugate(w, self.by))
+    def apply(self, state: ReplayState) -> None:
+        w = state.word(self.closure)
+        state.put(self.closure, conjugate(w, self.by))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,11 +139,9 @@ class MarkovStab:
     OP = "stab"
     WIRE = (("closure", "closure"), ("sign", "sign"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
-        return state.replace_closure(
-            self.closure, markov_stabilize(w, self.sign)
-        )
+    def apply(self, state: ReplayState) -> None:
+        w = state.word(self.closure)
+        state.put(self.closure, markov_stabilize(w, self.sign))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,9 +151,9 @@ class MarkovDestab:
     OP = "destab"
     WIRE = (("closure", "closure"),)
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
-        return state.replace_closure(self.closure, markov_destabilize(w))
+    def apply(self, state: ReplayState) -> None:
+        w = state.word(self.closure)
+        state.put(self.closure, markov_destabilize(w))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,14 +164,14 @@ class SaddleDelete:
     OP = "saddle_del"
     WIRE = (("closure", "closure"), ("position", "pos"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
-        if not 0 <= self.position < len(w.letters):
+    def apply(self, state: ReplayState) -> None:
+        _, letters = state.closure(self.closure)
+        if not 0 <= self.position < len(letters):
             raise StepError(
                 f"saddle delete position {self.position} out of range "
-                f"(word has {len(w.letters)} letters)"
+                f"(word has {len(letters)} letters)"
             )
-        return _splice(state, self, w, 1)
+        del letters[self.position]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,13 +184,14 @@ class SaddleInsert:
     WIRE = (("closure", "closure"), ("position", "pos"),
             ("letter", "letter"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
-        if not 0 <= self.position <= len(w.letters):
+    def apply(self, state: ReplayState) -> None:
+        n, letters = state.closure(self.closure)
+        if not 0 <= self.position <= len(letters):
             raise StepError(
                 f"saddle insert position {self.position} out of range"
             )
-        return _splice(state, self, w, 0, (self.letter,))
+        _check_letter(n, self.letter, self.position)
+        letters.insert(self.position, self.letter)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,25 +207,24 @@ class TCube:
     WIRE = (("closure", "closure"), ("position", "pos"),
             ("generator", "gen"), ("sign", "sign"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
+    def apply(self, state: ReplayState) -> None:
+        _, letters = state.closure(self.closure)
         if self.sign not in (1, -1) or self.generator < 1:
             raise StepError(
                 f"malformed t3-cube: gen={self.generator} sign={self.sign}"
             )
-        cube = (self.sign * self.generator,) * 3
-        if (not 0 <= self.position <= len(w.letters) - 3
-                or w.letters[self.position: self.position + 3] != cube):
+        p = self.position
+        cube = [self.sign * self.generator] * 3
+        if not 0 <= p <= len(letters) - 3 or letters[p: p + 3] != cube:
             raise StepError(
-                f"t3-cube substring {list(cube)} absent at position "
-                f"{self.position} of {list(w.letters)}"
+                f"t3-cube substring {cube} absent at position {p} of "
+                f"{letters}"
             )
-        state = _splice(state, self, w, 3)
+        del letters[p: p + 3]
         if self.sign > 0:
-            return dataclasses.replace(
-                state, trefoils_pos=state.trefoils_pos + 1
-            )
-        return dataclasses.replace(state, trefoils_neg=state.trefoils_neg + 1)
+            state.trefoils_pos += 1
+        else:
+            state.trefoils_neg += 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,13 +235,13 @@ class CrossingChange:
     OP = "crossing"
     WIRE = (("closure", "closure"), ("position", "pos"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
-        if not 0 <= self.position < len(w.letters):
+    def apply(self, state: ReplayState) -> None:
+        _, letters = state.closure(self.closure)
+        if not 0 <= self.position < len(letters):
             raise StepError(
                 f"crossing change position {self.position} out of range"
             )
-        return _splice(state, self, w, 1, (-w.letters[self.position],))
+        letters[self.position] = -letters[self.position]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -240,8 +261,8 @@ class ConcordanceAssertion:
     WIRE = (("closure", "closure"), ("justification", "justification"),
             ("to", "to"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
+    def apply(self, state: ReplayState) -> None:
+        w = state.word(self.closure)
         is_word = isinstance(self.to, BraidWord)
         have = components(w)
         want = components(self.to) if is_word else self.to.components
@@ -251,14 +272,10 @@ class ConcordanceAssertion:
                 f"concordance preserves it"
             )
         if is_word:
-            return state.replace_closure(self.closure, self.to)
-        closures = list(state.closures)
-        closures.pop(self.closure)
-        return dataclasses.replace(
-            state,
-            closures=tuple(closures),
-            assertions=state.assertions + (self.to,),
-        )
+            state.put(self.closure, self.to)
+        else:
+            del state.closures[self.closure]
+            state.assertions.append(self.to)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,8 +288,8 @@ class SumSplit:
     OP = "sum_split"
     WIRE = (("closure", "closure"), ("at", "at"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
-        w = _closure(state, self.closure)
+    def apply(self, state: ReplayState) -> None:
+        w = state.word(self.closure)
         if not 1 <= self.at < w.strands:
             raise StepError(f"split strand {self.at} out of range")
         lo, hi = [], []
@@ -285,12 +302,9 @@ class SumSplit:
                 raise StepError(
                     f"cannot split at strand {self.at}: column in use"
                 )
-        closures = list(state.closures)
-        closures[self.closure: self.closure + 1] = [
-            BraidWord(self.at, tuple(lo)),
-            BraidWord(w.strands - self.at, tuple(hi)),
+        state.closures[self.closure: self.closure + 1] = [
+            (self.at, lo), (w.strands - self.at, hi)
         ]
-        return dataclasses.replace(state, closures=tuple(closures))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -304,22 +318,22 @@ class SumMerge:
     OP = "sum_merge"
     WIRE = (("closure", "closure"), ("other", "other"), ("mode", "mode"))
 
-    def apply(self, state: FormalLink) -> FormalLink:
+    def apply(self, state: ReplayState) -> None:
         if self.mode not in ("disjoint", "connected"):
             raise StepError(f"unknown merge mode {self.mode!r}")
         if self.closure == self.other:
             raise StepError("cannot merge a closure with itself")
-        w1 = _closure(state, self.closure)
-        w2 = _closure(state, self.other)
+        w1 = state.word(self.closure)
+        w2 = state.word(self.other)
         offset = w1.strands if self.mode == "disjoint" else w1.strands - 1
         n = w1.strands + w2.strands - (0 if self.mode == "disjoint" else 1)
         merged = compose(BraidWord(n, w1.letters), shift(w2, offset, n))
-        closures = [
+        state.closures = [
             c for i, c in enumerate(state.closures)
             if i not in (self.closure, self.other)
         ]
-        closures.insert(min(self.closure, self.other), merged)
-        return dataclasses.replace(state, closures=tuple(closures))
+        state.closures.insert(min(self.closure, self.other),
+                              (n, list(merged.letters)))
 
 
 # every step type, listed once: the registry below is built from this union
@@ -359,18 +373,29 @@ def step_cost(step: Step) -> int:
     return step.COST
 
 
-def apply_step(state: FormalLink, step: Step) -> FormalLink:
+def _apply(state: ReplayState, step: Step) -> None:
     """
-    Apply one step, checking its validity condition; pure function. A
-    WordError from the step's rule is reported as a StepError that names
-    the step's op.
+    Apply one step to the replay state in place, checking its validity
+    condition. A WordError from the step's rule is reported as a StepError
+    that names the step's op.
     """
     if type(step) not in _STEP_TYPES:
         raise StepError(f"unknown step type {type(step).__name__}")
     try:
-        return step.apply(state)
+        step.apply(state)
     except WordError as exc:
         raise StepError(f"{step.OP}: {exc}") from exc
+
+
+def apply_step(state: FormalLink, step: Step) -> FormalLink:
+    """
+    Apply one step to a formal link, checking its validity condition; pure
+    function: the link is copied into a ReplayState, the step applied to
+    the copy, and the copy frozen into a new link.
+    """
+    replay = ReplayState(state)
+    _apply(replay, step)
+    return replay.freeze()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -483,25 +508,27 @@ def _try_sigma6(link: FormalLink | BraidWord):
 
 def verify(cert: CobordismCertificate) -> CertificateReport:
     """
-    Replay all steps from the start state, add up costs, check the end state
-    matches, and compare the signature lower bound with the realized cost.
+    Replay all steps on one ReplayState copied from the start, add up
+    costs, check that the frozen end state matches the declared end, and
+    compare the signature lower bound with the realized cost.
     Step failures, and an assertion whose two sides have different sigma6,
     raise StepError with the failing index; a sigma6 that cannot be
     evaluated only degrades the bound fields to None ("not evaluated").
     """
-    state = cert.start
+    replay = ReplayState(cert.start)
     log: list[StepRecord] = []
     total = 0
     for idx, step in enumerate(cert.steps):
         try:
-            note = (_assertion_note(state, step)
+            note = (_assertion_note(replay, step)
                     if isinstance(step, ConcordanceAssertion) else "")
-            state = apply_step(state, step)
+            _apply(replay, step)
         except StepError as exc:
             raise StepError(exc.reason, idx) from exc
         total += step_cost(step)
         log.append(StepRecord(idx, step.OP, step_cost(step), note))
 
+    state = replay.freeze()
     if not same_link(state, cert.end):
         raise CertificateError(
             "replayed end state does not match the declared end: "
@@ -525,15 +552,15 @@ def verify(cert: CobordismCertificate) -> CertificateReport:
     )
 
 
-def _assertion_note(state: FormalLink, step: ConcordanceAssertion) -> str:
+def _assertion_note(state: ReplayState, step: ConcordanceAssertion) -> str:
     """
     sigma6 consistency of an assertion: equal when both sides evaluate;
     StepError when they differ.
     """
     try:
-        src = _closure(state, step.closure)
+        src = state.word(step.closure)
     except StepError:
-        return ""  # apply_step will report the real failure
+        return ""  # the step's rule will report the real failure
     source = _try_sigma6(src)
     to = step.to
     target = _try_sigma6(to) if isinstance(to, BraidWord) else to.sigma6

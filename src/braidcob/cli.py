@@ -26,6 +26,7 @@ from .certificates import (
     verify,
 )
 from .garside import equal, normal_form
+from .links import check_wire_counts
 from .replication import (
     clover_bound,
     coxeter_certificate,
@@ -179,7 +180,8 @@ def _cmd_cert_gen(args):
         raise CliError("cert gen trefoils needs --n and --nprime", 1)
     # Refuse, before generating, what cert verify would refuse to read. The
     # step cap binds sixstrand first (its longest word has 60l + 30 letters)
-    # and the strand cap binds trefoils (3n' letters, 3(n' - n) steps).
+    # and the strand cap binds trefoils (3n' letters, 3(n' - n) steps). The
+    # caps on closures and asserted summands are checked after generating.
     steps = sixstrand_step_count(args.l) if args.kind == "sixstrand" else 0
     if steps > MAX_WIRE_STEPS:
         raise CliError(f"--l {args.l} gives {steps} steps, which exceeds "
@@ -196,6 +198,8 @@ def _cmd_cert_gen(args):
     }[args.kind]
     try:
         cert = generate()
+        for link in (cert.start, cert.end):
+            check_wire_counts(len(link.closures), len(link.assertions))
     except ValueError as exc:
         raise CliError(str(exc), 1)
     print(cert.dumps())

@@ -300,6 +300,22 @@ def _dynnikov(w: BraidWord,
     return tuple(v)
 
 
+def _common_prefix(a: tuple, b: tuple, limit: int) -> int:
+    """
+    The length of the longest common prefix of a and b, at most limit.
+    Bisects on slice equality, so the letters are compared by C-level tuple
+    comparisons of halving windows rather than one at a time in Python.
+    """
+    lo, hi = 0, limit  # a[:lo] == b[:lo], and no common prefix exceeds hi
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def equal(w1: BraidWord, w2: BraidWord) -> bool:
     """
     Decide whether two words represent the same element of B_n.
@@ -316,12 +332,8 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
         )
     a, b = w1.letters, w2.letters
     short = min(len(a), len(b))
-    p = 0
-    while p < short and a[p] == b[p]:
-        p += 1
-    s = 0
-    while s < short - p and a[-1 - s] == b[-1 - s]:
-        s += 1
+    p = _common_prefix(a, b, short)
+    s = _common_prefix(a[::-1], b[::-1], short - p)
     x = BraidWord(w1.strands, a[p:len(a) - s])
     y = BraidWord(w1.strands, b[p:len(b) - s])
     # Cheap invariants first (homomorphisms to Z and to S_n); they reject

@@ -15,6 +15,12 @@ import dataclasses
 
 from .words import BraidWord, _wire_int, components
 
+# the most closures and asserted summands one link on the wire may list,
+# since same_link and sigma6 work per closure and per summand; the shipped
+# certificates have one closure and no summands
+MAX_WIRE_CLOSURES = 1 << 10
+MAX_WIRE_ASSERTIONS = 1 << 10
+
 
 @dataclasses.dataclass(frozen=True)
 class AssertedSummand:
@@ -65,12 +71,6 @@ class FormalLink:
             a.components for a in self.assertions
         )
 
-    def replace_closure(self, index: int, word: BraidWord) -> "FormalLink":
-        closures = list(self.closures)
-        closures[index] = word
-        return FormalLink(tuple(closures), self.trefoils_pos,
-                          self.trefoils_neg, self.assertions)
-
     def to_json(self) -> dict:
         return {
             "closures": [w.to_json() for w in self.closures],
@@ -83,15 +83,27 @@ class FormalLink:
     def from_json(data: dict) -> "FormalLink":
         if not isinstance(data, dict):
             raise TypeError(f"a formal link must be an object, got {data!r}")
+        closures = data.get("closures", [])
+        assertions = data.get("asserted", [])
+        check_wire_counts(len(closures), len(assertions))
         return FormalLink(
-            closures=tuple(
-                BraidWord.from_json(c) for c in data.get("closures", [])
-            ),
+            closures=tuple(BraidWord.from_json(c) for c in closures),
             trefoils_pos=_wire_int(data.get("tpos", 0), "tpos"),
             trefoils_neg=_wire_int(data.get("tneg", 0), "tneg"),
-            assertions=tuple(
-                AssertedSummand.from_json(a) for a in data.get("asserted", [])
-            ),
+            assertions=tuple(AssertedSummand.from_json(a) for a in assertions),
+        )
+
+
+def check_wire_counts(closures: int, assertions: int) -> None:
+    """
+    Raise ValueError when a link has more closures or asserted summands
+    than a file may list.
+    """
+    if closures > MAX_WIRE_CLOSURES:
+        raise ValueError(f"closures: {closures} exceeds {MAX_WIRE_CLOSURES}")
+    if assertions > MAX_WIRE_ASSERTIONS:
+        raise ValueError(
+            f"asserted: {assertions} exceeds {MAX_WIRE_ASSERTIONS}"
         )
 
 

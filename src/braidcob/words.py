@@ -33,10 +33,25 @@ def _wire_int(value, key: str) -> int:
     """
     The one reader of integers in JSON input: a bool, a float (json reads
     1e999 as inf) or a string raises TypeError instead of being coerced.
+    BraidWord.from_json applies the same rule to all letters at once and
+    calls this only to name the first bad one.
     """
     if type(value) is not int:
         raise TypeError(f"{key}: expected an integer, got {value!r}")
     return value
+
+
+def _check_letter(strands: int, k: int, pos: int) -> None:
+    """Raise WordError unless k is a generator of B_strands; pos names it."""
+    if k == 0:
+        raise WordError(
+            f"letter 0 at position {pos} is not a generator: "
+            f"letters k need 1 <= |k| <= n-1={strands - 1}"
+        )
+    if abs(k) > strands - 1:
+        raise WordError(
+            f"letter {k} at position {pos} exceeds n-1={strands - 1}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,15 +71,7 @@ class BraidWord:
         ):
             return
         for pos, k in enumerate(letters):
-            if k == 0:
-                raise WordError(
-                    f"letter 0 at position {pos} is not a generator: "
-                    f"letters k need 1 <= |k| <= n-1={self.strands - 1}"
-                )
-            if abs(k) > self.strands - 1:
-                raise WordError(
-                    f"letter {k} at position {pos} exceeds n-1={self.strands - 1}"
-                )
+            _check_letter(self.strands, k, pos)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -87,7 +94,12 @@ class BraidWord:
             raise WordError(
                 f"w: {len(letters)} letters exceeds {MAX_WIRE_LETTERS}"
             )
-        return make_word(n, [_wire_int(k, "w") for k in letters])
+        # one C-level scan of the letter types; the loop only names the
+        # first letter that is not an integer
+        if not {int}.issuperset(map(type, letters)):
+            for k in letters:
+                _wire_int(k, "w")
+        return BraidWord(n, tuple(letters))
 
 
 @dataclasses.dataclass(frozen=True)

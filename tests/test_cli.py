@@ -3,6 +3,7 @@ CLI behavior: outputs, exit codes, JSON modes, and the generate/verify
 round trip for every built-in certificate.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -15,6 +16,8 @@ from test_sigma6 import _row_count
 import braidcob.cli as cli
 from braidcob.certificates import MAX_WIRE_STEPS
 from braidcob.cli import THEOREM_TABLE_MAX_ROWS, main
+from braidcob.links import (MAX_WIRE_ASSERTIONS, MAX_WIRE_CLOSURES,
+                            AssertedSummand)
 from braidcob.words import MAX_WIRE_LETTERS, MAX_WIRE_STRANDS
 
 
@@ -581,6 +584,26 @@ def test_cert_gen_refuses_what_verify_would_refuse(capsys, argv, cap):
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert cap in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["closures", "assertions"])
+def test_cert_gen_refuses_a_link_past_its_caps(capsys, monkeypatch, key):
+    # no generator makes more than one closure or any summand, so a
+    # generator is replaced by one that does
+    cert = cli.fourstrand_certificate()
+    if key == "closures":
+        items = cert.end.closures * (MAX_WIRE_CLOSURES + 1)
+        want = f"closures: {MAX_WIRE_CLOSURES + 1} exceeds {MAX_WIRE_CLOSURES}"
+    else:
+        items = (AssertedSummand("unknot", 1, 0),) * (MAX_WIRE_ASSERTIONS + 1)
+        want = (f"asserted: {MAX_WIRE_ASSERTIONS + 1} exceeds "
+                f"{MAX_WIRE_ASSERTIONS}")
+    end = dataclasses.replace(cert.end, **{key: items})
+    monkeypatch.setattr(cli, "fourstrand_certificate",
+                        lambda: dataclasses.replace(cert, end=end))
+    code, out, err = run(capsys, "cert", "gen", "fourstrand")
+    assert code == 1 and out == ""
+    assert want in err and "Traceback" not in err
 
 
 def test_cert_gen_trefoils_at_the_strand_cap_verifies(tmp_path, capsys):

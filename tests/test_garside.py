@@ -491,6 +491,56 @@ def test_equal_with_common_prefix_and_suffix_matches_reference():
     assert verdicts == {0: {True}, 1: {False}, 2: {False, True}}
 
 
+def _loop_common_prefix(a, b, limit):
+    # the per-letter loop that garside._common_prefix replaces
+    p = 0
+    while p < limit and a[p] == b[p]:
+        p += 1
+    return p
+
+
+def test_common_prefix_matches_the_letter_loop():
+    rng = random.Random(2525)
+    for _ in range(2000):
+        a = tuple(rng.choice((1, -1, 2)) for _ in range(rng.randrange(0, 40)))
+        cut = rng.randrange(0, len(a) + 1)
+        b = a[:cut] + tuple(rng.choice((1, -1, 2))
+                            for _ in range(rng.randrange(0, 40)))
+        limit = rng.randrange(0, min(len(a), len(b)) + 1)
+        assert (garside._common_prefix(a, b, limit)
+                == _loop_common_prefix(a, b, limit)), (a, b, limit)
+
+
+def test_equal_with_long_common_prefix_and_suffix_matches_reference():
+    # P and S of 100-300 letters around short middles that start or end
+    # like S or P, so the cancelled runs reach into the middles and the
+    # no-overlap rule decides where the suffix stops
+    rng = random.Random(4747)
+    verdicts = set()
+    for trial in range(60):
+        n = rng.randrange(2, 6)
+        p = _random_word(rng, n=n, length=rng.randrange(100, 301))
+        s = _random_word(rng, n=n, length=rng.randrange(100, 301))
+        x = _random_word(rng, n=n, length=rng.randrange(0, 7))
+        kind = trial % 4
+        if kind == 0:  # the last letter of X inverted
+            last = x.letters[-1] if x.letters else 1
+            y = make_word(n, x.letters[:-1] + (-last,))
+        elif kind == 1:  # Y repeats the head of S, or X the tail of P
+            y = make_word(n, x.letters + s.letters[:rng.randrange(1, 6)])
+        elif kind == 2:
+            y = make_word(n, p.letters[-rng.randrange(1, 6):] + x.letters)
+        else:
+            y = _random_rewrite(rng, x, moves=6)
+        w1, w2 = _wrap(p, x, s), _wrap(p, y, s)
+        got = equal(w1, w2)
+        assert got == (_reference_normal_form(w1)
+                       == _reference_normal_form(w2)), (w1, w2)
+        assert equal(w2, w1) == got
+        verdicts.add(got)
+    assert verdicts == {False, True}
+
+
 def test_equal_cancellation_edge_cases():
     # the prefix and the suffix may not overlap in the shorter word: (1, 1)
     # against (1, 1, 1) has prefix 2 and would have suffix 2 as well

@@ -11,8 +11,9 @@ list.
 
 Integers stay small on purpose, so mutants stay cheap to replay. Sizes are
 bounded on the wire: a word has at most MAX_WIRE_STRANDS strands and
-MAX_WIRE_LETTERS letters, and a certificate at most MAX_WIRE_STEPS steps.
-Files padded to each cap are read, and one past it exits 2 unread.
+MAX_WIRE_LETTERS letters, a certificate at most MAX_WIRE_STEPS steps, and a
+link at most MAX_WIRE_CLOSURES closures and MAX_WIRE_ASSERTIONS asserted
+summands. Files padded to each cap are read, and one past it exits 2 unread.
 """
 
 import contextlib
@@ -32,7 +33,12 @@ from braidcob.certificates import (
     TCube,
 )
 from braidcob.cli import main
-from braidcob.links import AssertedSummand, FormalLink
+from braidcob.links import (
+    MAX_WIRE_ASSERTIONS,
+    MAX_WIRE_CLOSURES,
+    AssertedSummand,
+    FormalLink,
+)
 from braidcob.replication import (
     coxeter_certificate,
     fourstrand_certificate,
@@ -170,6 +176,21 @@ def test_certificate_padded_to_the_step_cap(tmp_dir, cert, extra):
     # the steps repeated: read at the cap (replay then fails), unread past it
     doc = json.loads(json.dumps(cert))
     doc["steps"] = _cycled(doc["steps"], MAX_WIRE_STEPS + extra)
+    code = _exit_code(tmp_dir, doc, ["cert", "verify"])
+    assert code == (2 if extra else 1)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["cap", "past"])
+@pytest.mark.parametrize("side", ["start", "end"])
+@pytest.mark.parametrize("key, cap", [("closures", MAX_WIRE_CLOSURES),
+                                      ("asserted", MAX_WIRE_ASSERTIONS)],
+                         ids=["closures", "asserted"])
+def test_link_padded_to_its_caps(tmp_dir, key, cap, side, extra):
+    # one link's closures or summands repeated: read at the cap (the end
+    # then differs from the replayed state), unread past it
+    doc = json.loads(json.dumps(CERTIFICATES[-1]))
+    items = doc["start"][key] + doc["end"][key]
+    doc[side][key] = _cycled(items, cap + extra)
     code = _exit_code(tmp_dir, doc, ["cert", "verify"])
     assert code == (2 if extra else 1)
 

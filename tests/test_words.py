@@ -88,6 +88,21 @@ def test_wire_letter_count_is_bounded():
         BraidWord.from_json({"n": 3, "w": at_cap + [1]})
 
 
+@pytest.mark.parametrize("letters, shown", [
+    ([1, True, 2.0], "True"),
+    ([1, -2, 2.0, "1"], "2.0"),
+    (["2", 1], "'2'"),
+    ([1, 2, float("inf")], "inf"),
+    ([None], "None"),
+])
+def test_wire_letters_name_the_first_that_is_not_an_integer(letters, shown):
+    # the letter types are checked in bulk; the error names the first
+    # offender, as a check letter by letter would
+    with pytest.raises(TypeError) as info:
+        BraidWord.from_json({"n": 3, "w": letters})
+    assert str(info.value) == f"w: expected an integer, got {shown}"
+
+
 def test_compose_requires_same_strands():
     with pytest.raises(WordError, match="mismatch"):
         compose(make_word(3, [1]), make_word(4, [1]))
