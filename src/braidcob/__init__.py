@@ -24,8 +24,6 @@ from .certificates import (
     SumSplit,
     TCube,
     apply_step,
-    compose_certificates,
-    step_cost,
     verify,
 )
 from .garside import CanonicalBraid, equal, normal_form
@@ -58,18 +56,14 @@ from .words import (
     BraidWord,
     Permutation,
     WordError,
-    cable2,
     components,
     compose,
     conjugate,
-    connected_sum_word,
     exponent_sum,
-    free_reduce,
     invert,
     make_word,
     markov_destabilize,
     markov_stabilize,
-    mirror,
     permutation,
     power,
     shift,

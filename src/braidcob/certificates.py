@@ -369,10 +369,6 @@ _STEP_TYPES = typing.get_args(Step)
 _STEPS = {cls.OP: (cls, _decoding_plan(cls)) for cls in _STEP_TYPES}
 
 
-def step_cost(step: Step) -> int:
-    return step.COST
-
-
 def _apply(state: ReplayState, step: Step) -> None:
     """
     Apply one step to the replay state in place, checking its validity
@@ -406,7 +402,7 @@ class CobordismCertificate:
     metadata: str = ""
 
     def total_cost(self) -> int:
-        return sum(step_cost(s) for s in self.steps)
+        return sum(s.COST for s in self.steps)
 
     def to_json(self) -> dict:
         return {
@@ -525,8 +521,8 @@ def verify(cert: CobordismCertificate) -> CertificateReport:
             _apply(replay, step)
         except StepError as exc:
             raise StepError(exc.reason, idx) from exc
-        total += step_cost(step)
-        log.append(StepRecord(idx, step.OP, step_cost(step), note))
+        total += step.COST
+        log.append(StepRecord(idx, step.OP, step.COST, note))
 
     state = replay.freeze()
     if not same_link(state, cert.end):
@@ -572,28 +568,3 @@ def _assertion_note(state: ReplayState, step: ConcordanceAssertion) -> str:
             f"target {target}"
         )
     return f"sigma6 agrees across assertion ({source})"
-
-
-def compose_certificates(
-    c1: CobordismCertificate, c2: CobordismCertificate
-) -> CobordismCertificate:
-    """Chain two certificates; c1.end must equal c2.start as formal links."""
-    if not same_link(c1.end, c2.start):
-        raise CertificateError(
-            "certificate endpoints do not match: first ends at "
-            f"{c1.end.to_json()}, second starts at {c2.start.to_json()}"
-        )
-    # Bridge literal spelling differences with free equivalence steps so the
-    # replay of c2's position-addressed steps starts from its exact words.
-    pairs = zip(c1.end.closures, c2.start.closures)
-    bridge = tuple(
-        Equivalence(i, want)
-        for i, (got, want) in enumerate(pairs) if got != want
-    )
-    meta = "; ".join(x for x in (c1.metadata, c2.metadata) if x)
-    return CobordismCertificate(
-        start=c1.start,
-        steps=c1.steps + bridge + c2.steps,
-        end=c2.end,
-        metadata=meta,
-    )

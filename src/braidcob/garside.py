@@ -89,7 +89,6 @@ import dataclasses
 
 from .words import (
     BraidWord,
-    Permutation,
     WordError,
     exponent_sum,
     permutation,
@@ -103,12 +102,6 @@ class CanonicalBraid:
     strands: int
     infimum: int
     factors: tuple[tuple[int, ...], ...]
-
-    def factor_permutations(self) -> tuple[Permutation, ...]:
-        """The factors as 1-based permutations of {1..n}."""
-        return tuple(
-            Permutation(tuple(i + 1 for i in f)) for f in self.factors
-        )
 
     def __repr__(self):
         return (

@@ -4,8 +4,7 @@ Formal links: the states a cobordism certificate transforms.
 A formal link is a multiset of braid closures, two counters of trefoil
 connect-summands (positive and negative), and a list of asserted summands
 standing in for links whose identification is trusted rather than computed.
-Trefoil summands attach to an existing component, so they do not contribute
-to the component count.
+Trefoil summands attach to an existing component, so they add no component.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 
-from .words import BraidWord, _wire_int, components
+from .words import BraidWord, _wire_int
 
 # the most closures and asserted summands one link on the wire may list,
 # since same_link and sigma6 work per closure and per summand; the shipped
@@ -66,11 +65,6 @@ class FormalLink:
         if self.trefoils_pos < 0 or self.trefoils_neg < 0:
             raise ValueError("trefoil counters must be nonnegative")
 
-    def component_count(self) -> int:
-        return sum(components(w) for w in self.closures) + sum(
-            a.components for a in self.assertions
-        )
-
     def to_json(self) -> dict:
         return {
             "closures": [w.to_json() for w in self.closures],
@@ -85,6 +79,9 @@ class FormalLink:
             raise TypeError(f"a formal link must be an object, got {data!r}")
         closures = data.get("closures", [])
         assertions = data.get("asserted", [])
+        for key, value in (("closures", closures), ("asserted", assertions)):
+            if not isinstance(value, list):
+                raise TypeError(f"{key}: expected a list, got {value!r}")
         check_wire_counts(len(closures), len(assertions))
         return FormalLink(
             closures=tuple(BraidWord.from_json(c) for c in closures),

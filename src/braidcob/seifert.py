@@ -36,9 +36,7 @@ class SeifertMatrix:
 
     nonzeros: tuple[tuple[int, int, int], ...]
     size: int
-    components: int
     pieces: int
-    euler_char: int
 
     def rows(self) -> list[list[int]]:
         """The dense matrix."""
@@ -64,8 +62,6 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     entries with the loops that closed before it are known when its second
     band closes it, and the names are renumbered at the end.
     """
-    from .words import components  # local import to keep module deps flat
-
     last: dict[int, int] = {}  # column -> position of its latest band
     # column -> its latest band's position and sign, and the latest bands of
     # the same column and of the columns below and above just before it
@@ -96,9 +92,7 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     return SeifertMatrix(
         nonzeros=tuple((number[i], number[j], v) for i, j, v in found),
         size=len(starts),
-        components=components(w),
         pieces=_surface_pieces(w),
-        euler_char=w.strands - len(w.letters),
     )
 
 

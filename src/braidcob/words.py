@@ -149,22 +149,6 @@ def invert(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(-k for k in reversed(w.letters)))
 
 
-def mirror(w: BraidWord) -> BraidWord:
-    """Sign-flip in place; the closure becomes the mirror image link."""
-    return BraidWord(w.strands, tuple(-k for k in w.letters))
-
-
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Remove adjacent cancelling pairs, iterated to a fixed point."""
-    stack: list[int] = []
-    for k in w.letters:
-        if stack and stack[-1] == -k:
-            stack.pop()
-        else:
-            stack.append(k)
-    return BraidWord(w.strands, tuple(stack))
-
-
 def power(w: BraidWord, e: int) -> BraidWord:
     """w repeated e times (inverted first for negative e)."""
     base = w if e >= 0 else invert(w)
@@ -198,26 +182,6 @@ def components(w: BraidWord) -> int:
 def exponent_sum(w: BraidWord) -> int:
     """Sum of letter signs; the writhe of the closed-braid diagram."""
     return sum(1 if k > 0 else -1 for k in w.letters)
-
-
-_CABLE_IMAGES = {1: (2, 1, 3, 2), 2: (4, 3, 5, 4)}
-
-
-def cable2(w: BraidWord) -> BraidWord:
-    """
-    The 2-cabling homomorphism B_3 -> B_6 sending a to bacb and b to dced
-    (each strand replaced by a parallel pair, no framing inserted).
-    """
-    if w.strands != 3:
-        raise WordError(f"cable2 requires a 3-strand word, got {w.strands}")
-    out: list[int] = []
-    for k in w.letters:
-        image = _CABLE_IMAGES[abs(k)]
-        if k > 0:
-            out.extend(image)
-        else:
-            out.extend(-g for g in reversed(image))
-    return BraidWord(6, tuple(out))
 
 
 def markov_stabilize(w: BraidWord, sign: int = 1) -> BraidWord:
@@ -262,14 +226,3 @@ def shift(w: BraidWord, offset: int, strands: int) -> BraidWord:
     """Re-embed w with its generator indices shifted up by offset."""
     letters = tuple(k + offset if k > 0 else k - offset for k in w.letters)
     return BraidWord(strands, letters)
-
-
-def connected_sum_word(w1: BraidWord, w2: BraidWord) -> BraidWord:
-    """
-    Single word whose closure is the connected sum of the two closures:
-    w2 is re-embedded on strands p..p+q-1, sharing strand p with w1.
-    """
-    n = w1.strands + w2.strands - 1
-    return compose(
-        BraidWord(n, w1.letters), shift(w2, w1.strands - 1, n)
-    )

@@ -8,6 +8,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from word_builders import mirror
+
 import braidcob
 import braidcob.alexander as alex
 from braidcob.alexander import alexander
@@ -17,7 +19,6 @@ from braidcob.words import (
     conjugate,
     make_word,
     markov_stabilize,
-    mirror,
 )
 
 

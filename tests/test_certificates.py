@@ -2,6 +2,7 @@
 Step semantics, replay, the lower-bound report, and the JSON wire format.
 """
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -25,8 +26,6 @@ from braidcob.certificates import (
     SumSplit,
     TCube,
     apply_step,
-    compose_certificates,
-    step_cost,
     verify,
 )
 from braidcob.links import AssertedSummand, FormalLink, same_link
@@ -50,7 +49,7 @@ def test_tcube_on_trefoil():
     out = apply_step(state(tre()), TCube(0, 0, 1, 1))
     assert out.closures[0].letters == ()
     assert out.trefoils_pos == 1
-    assert step_cost(TCube(0, 0, 1, 1)) == 1
+    assert TCube.COST == 1
 
 
 def test_tcube_requires_literal_substring():
@@ -268,34 +267,9 @@ def test_exponent_sum_audit_of_step_costs():
     ) - 2
 
 
-def test_compose_certificates_adds_costs():
-    c1 = CobordismCertificate(
-        start=state(tre()),
-        steps=(TCube(0, 0, 1, 1),),
-        end=state(make_word(2, []), tpos=1),
-    )
-    c2 = CobordismCertificate(
-        start=state(make_word(2, []), tpos=1),
-        steps=(SaddleInsert(0, 0, 1),),
-        end=state(make_word(2, [1]), tpos=1),
-    )
-    both = compose_certificates(c1, c2)
-    assert both.total_cost() == c1.total_cost() + c2.total_cost()
-    rep = verify(both)
-    assert rep.total_cost == 2
-
-
-def test_compose_empty_with_empty():
-    empty = CobordismCertificate(
-        start=state(make_word(1, [])), steps=(), end=state(make_word(1, []))
-    )
-    both = compose_certificates(empty, empty)
-    assert both.steps == ()
-    assert verify(both).total_cost == 0
-
-
 def test_compose_split_fourstrand_reproduces_script():
-    from braidcob.certificates import apply_step
+    # the script cut in two at the state apply_step reaches; each half
+    # verifies on its own and the halves' costs add up to the whole
     from braidcob.replication import fourstrand_certificate
 
     cert = fourstrand_certificate()
@@ -305,10 +279,8 @@ def test_compose_split_fourstrand_reproduces_script():
         mid = apply_step(mid, step)
     first = CobordismCertificate(cert.start, cert.steps[:cut], mid)
     second = CobordismCertificate(mid, cert.steps[cut:], cert.end)
-    whole = compose_certificates(first, second)
-    assert whole.steps == cert.steps
-    rep = verify(whole)
-    assert rep.total_cost == 10
+    halves = verify(first).total_cost + verify(second).total_cost
+    assert halves == verify(cert).total_cost == 10
 
 
 def test_markov_and_conjugation_exponent_behavior():
@@ -326,31 +298,17 @@ def test_markov_and_conjugation_exponent_behavior():
     )
 
 
-def test_compose_rejects_mismatched_endpoints():
-    c1 = CobordismCertificate(
-        start=state(tre()), steps=(), end=state(tre())
-    )
-    c2 = CobordismCertificate(
-        start=state(make_word(2, [1])), steps=(), end=state(make_word(2, [1]))
-    )
-    with pytest.raises(CertificateError, match="do not match"):
-        compose_certificates(c1, c2)
-
-
 def test_compose_bridges_group_equal_spellings():
-    c1 = CobordismCertificate(
+    # a free Equivalence respells aba as bab, so the position-addressed
+    # deletion after it acts on the spelling it was written for
+    cert = CobordismCertificate(
         start=state(make_word(3, [1, 2, 1])),
-        steps=(),
-        end=state(make_word(3, [1, 2, 1])),
-    )
-    c2 = CobordismCertificate(
-        start=state(make_word(3, [2, 1, 2])),
-        steps=(SaddleDelete(0, 0),),
+        steps=(Equivalence(0, make_word(3, [2, 1, 2])), SaddleDelete(0, 0)),
         end=state(make_word(3, [1, 2])),
     )
-    both = compose_certificates(c1, c2)
-    rep = verify(both)
-    assert rep.total_cost == 1
+    assert verify(cert).total_cost == 1
+    with pytest.raises(CertificateError, match="does not match"):
+        verify(dataclasses.replace(cert, steps=cert.steps[1:]))
 
 
 def _all_ops_certificate():
@@ -435,7 +393,6 @@ def test_golden_wire_output(name):
 
 
 def test_step_table_covers_every_field():
-    import dataclasses
     import typing
 
     from braidcob.certificates import Step
@@ -476,6 +433,15 @@ def test_unknown_op_is_hard_error():
     data["steps"] = [{"op": "teleport", "closure": 0}]
     with pytest.raises(StepError, match="unknown step op"):
         CobordismCertificate.from_json(data)
+
+
+@pytest.mark.parametrize("key", ["closures", "asserted"])
+@pytest.mark.parametrize("value", ["", {}, "ab", {"n": 2, "w": [1]}],
+                         ids=["empty-string", "empty-object", "string",
+                              "word-object"])
+def test_link_lists_must_be_lists(key, value):
+    with pytest.raises(TypeError, match=f"{key}: expected a list"):
+        FormalLink.from_json({key: value})
 
 
 def test_same_link_is_group_level():

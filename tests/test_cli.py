@@ -238,6 +238,7 @@ def test_cert_verify_rejects_steps_that_are_not_objects(
     ('"x"', "{}"),
     ("{}", "[1]"),
     ('{"asserted": [1]}', "{}"),
+    ('{"closures": ""}', '{"closures": {}}'),
 ])
 def test_cert_verify_rejects_links_that_are_not_objects(
         tmp_path, capsys, start, end):

@@ -388,13 +388,6 @@ def test_normal_form_full_twist():
     assert nf.infimum == 2 and nf.factors == ()
 
 
-def test_normal_form_factor_permutations():
-    nf = normal_form(make_word(3, [1, 1]))
-    perms = nf.factor_permutations()
-    assert len(perms) == 2
-    assert all(sorted(p.images) == [1, 2, 3] for p in perms)
-
-
 def test_normal_form_invariant_under_rewrites():
     rng = random.Random(20240)
     for _ in range(80):
@@ -683,7 +676,7 @@ def test_invariants_preserved_by_rewrites():
 
 
 def test_cable2_respects_braid_relation():
-    from braidcob.words import cable2
+    from word_builders import cable2
 
     assert equal(cable2(make_word(3, [1, 2, 1])),
                  cable2(make_word(3, [2, 1, 2])))

@@ -41,16 +41,13 @@ def test_trefoil_matrix():
     V = seifert_matrix(make_word(2, [1, 1, 1]))
     assert V.size == 2
     assert V.rows() == [[-1, 1], [0, -1]]
-    assert V.components == 1
-    assert V.euler_char == -1
 
 
 def test_empty_word_matrix():
     V = seifert_matrix(make_word(1, []))
     assert V.size == 0
-    assert V.components == 1
     V4 = seifert_matrix(make_word(4, []))
-    assert V4.size == 0 and V4.pieces == 4 and V4.components == 4
+    assert V4.size == 0 and V4.pieces == 4
 
 
 def test_figure_eight_matrix():
@@ -74,7 +71,6 @@ def test_size_formula():
         )
         V = seifert_matrix(w)
         assert V.size == len(w.letters) - w.strands + V.pieces
-        assert V.euler_char == w.strands - len(w.letters)
 
 
 def test_intersection_form_unimodular_for_knots():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from word_builders import mirror
 
 from braidcob.links import AssertedSummand, FormalLink
 from braidcob.seifert import seifert_matrix
@@ -23,7 +24,6 @@ from braidcob.words import (
     conjugate,
     make_word,
     markov_stabilize,
-    mirror,
 )
 
 
@@ -613,16 +613,6 @@ def test_no_environment_variable_changes_a_result(monkeypatch, capsys):
             code = main(["link", "sigma", "--strands", "2", "--word",
                          "1,1,1", "--theta", theta])
             assert (code, capsys.readouterr()) == (0, (out, "")), value
-
-
-def test_component_count_of_formal_links():
-    link = FormalLink(
-        closures=(make_word(2, [1, 1, 1]), make_word(4, [])),
-        trefoils_pos=5,
-        assertions=(AssertedSummand("trivial-3", 3, 0, ""),),
-    )
-    assert link.component_count() == 1 + 4 + 3
-    assert components(make_word(2, [1, 1, 1])) == 1
 
 
 def _exact_path_cases(seed):
