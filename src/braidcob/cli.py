@@ -6,7 +6,8 @@ Braid words come from --strands/--word (comma-separated signed letters) or
 from a JSON file {"n": <int>, "w": [<letters>]}; --word and --word2 take a
 word whose first letter is negative as written, --word -1,2. Machine-readable
 output via --json, given before the command or after it. Exit codes: 0
-success, 1 validation or verification failure, 2 malformed input file.
+success, 1 validation or verification failure, 2 malformed input file or a
+braid nf request past NF_MAX_WORK.
 """
 
 from __future__ import annotations
@@ -55,6 +56,19 @@ _THETA_MAX_CHARS = 2 * len(str(1 << THETA_MAX_BITS)) + 1
 # 1,...,256 with offset 0 takes about 2 s on a 2-vCPU machine, and gg-table
 # at 256 x 256 about 0.2 s
 THEOREM_TABLE_MAX_ROWS = 65_536
+# the most work braid nf takes on, in units of letters * strands *
+# (strands + NF_WORK_SPREAD), refused (exit 2) before any combing. On
+# random mixed-sign words the normal form costs about 1.3e-8 s a unit on a
+# 2-vCPU machine, from 1.1 us a letter at 2 strands to 15 ms at 1024: a
+# per-strand term for reading and combing each letter, and a per-crossing
+# term for the near-Delta factor that an unabsorbed inverse letter makes.
+# The largest requests accepted, 101 letters on 1024 strands, 1220 on 256
+# or 20325 on 36, take about 2 s; up to 12 strands every word within
+# MAX_WIRE_LETTERS is accepted. The units bound the cost of each letter,
+# not how far the comb runs: from 4 strands up, some words made of long
+# periodic blocks comb quadratically in the letters.
+NF_MAX_WORK = 120_000_000
+NF_WORK_SPREAD = 128
 
 
 # the options that take a word; argparse reads a value such as -1,2 as an
@@ -106,6 +120,11 @@ def _emit(args, human: str, payload: dict):
 
 def _cmd_braid_nf(args):
     w = _load_word(args)
+    n, length = w.strands, len(w.letters)
+    work = length * n * (n + NF_WORK_SPREAD)
+    if work > NF_MAX_WORK:
+        raise CliError(f"{length} letters on {n} strands is {work} units of "
+                       f"work, past NF_MAX_WORK = {NF_MAX_WORK}", 2)
     nf = normal_form(w)
     perms = [[i + 1 for i in f] for f in nf.factors]
     _emit(

@@ -11,6 +11,7 @@ call raised and that uninstall() puts back every binding it replaced.
 import importlib
 import importlib.util
 import inspect
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,3 +91,16 @@ def test_traced_calls_raise_nothing(traced, tmp_path, capsys):
     assert escalations and all(n == {"escalated": False}
                                for n in escalations), escalations
 
+
+def test_one_traced_call_per_normal_form(traced):
+    # normal_form splits long words into pieces; the pieces must not go
+    # back through the public name, or garside.normal_form.calls and
+    # .letters would count pieces instead of normal forms
+    garside = importlib.import_module("braidcob.garside")
+    rng = random.Random(300)
+    w = make_word(36, [rng.choice((1, -1)) * rng.randrange(1, 36)
+                       for _ in range(300)])
+    garside.normal_form(w)
+    spans = [s for s in traced.spans if s[0] == "garside.normal_form"]
+    assert len(spans) == 1
+    assert spans[0][-1] == {"letters": 300}

@@ -15,7 +15,8 @@ from test_sigma6 import _row_count
 
 import braidcob.cli as cli
 from braidcob.certificates import MAX_WIRE_STEPS
-from braidcob.cli import THEOREM_TABLE_MAX_ROWS, main
+from braidcob.cli import (NF_MAX_WORK, NF_WORK_SPREAD,
+                          THEOREM_TABLE_MAX_ROWS, main)
 from braidcob.links import (MAX_WIRE_ASSERTIONS, MAX_WIRE_CLOSURES,
                             AssertedSummand)
 from braidcob.words import MAX_WIRE_LETTERS, MAX_WIRE_STRANDS
@@ -95,6 +96,54 @@ def test_braid_nf(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["infimum"] == 0 and len(data["factors"]) == 2
+
+
+def _nf_budget_letters(n):
+    """The most letters braid nf accepts on n strands."""
+    return NF_MAX_WORK // (n * (n + NF_WORK_SPREAD))
+
+
+@pytest.mark.parametrize("n", [MAX_WIRE_STRANDS, 36])
+def test_braid_nf_at_the_work_budget_is_bounded(capsys, n):
+    # a random mixed-sign word with the most letters the budget allows
+    rng = random.Random(n)
+    letters = [rng.choice((1, -1)) * rng.randrange(1, n)
+               for _ in range(_nf_budget_letters(n))]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--json", "braid", "nf", "--strands", str(n),
+                         "--word", ",".join(map(str, letters)))
+    assert time.perf_counter() - start < 20
+    assert code == 0, err
+    assert json.loads(out)["n"] == n
+
+
+@pytest.mark.parametrize("source", ["word", "file"])
+def test_braid_nf_past_the_work_budget_is_refused_unread(
+        capsys, monkeypatch, tmp_path, source):
+    def forbidden(w):
+        raise AssertionError("normal_form called past the budget")
+
+    monkeypatch.setattr(cli, "normal_form", forbidden)
+    n = MAX_WIRE_STRANDS
+    length = _nf_budget_letters(n) + 1
+    assert length * n * (n + NF_WORK_SPREAD) > NF_MAX_WORK
+    if source == "word":
+        argv = ["--strands", str(n), "--word", ",".join(["1"] * length)]
+    else:
+        path = tmp_path / "word.json"
+        path.write_text(json.dumps({"n": n, "w": [1] * length}))
+        argv = ["--file", str(path)]
+    code, out, err = run(capsys, "braid", "nf", *argv)
+    assert code == 2 and out == ""
+    assert (f"{length} letters on {n} strands is "
+            f"{length * n * (n + NF_WORK_SPREAD)} units of work, past "
+            f"NF_MAX_WORK = {NF_MAX_WORK}") in err
+
+
+def test_braid_nf_takes_every_capped_word_on_few_strands():
+    # up to 12 strands the budget refuses no word that the caps let in
+    assert _nf_budget_letters(12) >= MAX_WIRE_LETTERS
+    assert _nf_budget_letters(13) < MAX_WIRE_LETTERS
 
 
 def test_link_sigma6_trefoil(capsys):

@@ -226,6 +226,19 @@ def _check_against_reference(w):
     assert _structure_errors(nf, w) is None, (w, _structure_errors(nf, w))
 
 
+def _leaf(n):
+    """The piece size below which normal_form reads a word left to right."""
+    if n > garside.NARROW_STRANDS:
+        return garside.LEAF_LETTERS
+    return garside.NARROW_LEAF_LETTERS
+
+
+def _delta_letters(n, e):
+    """Delta^e as (sigma_1 ... sigma_{n-1})(sigma_1 ... sigma_{n-2}) ..."""
+    delta = [i for top in range(n - 1, 0, -1) for i in range(1, top + 1)]
+    return delta * e if e >= 0 else [-k for k in delta[::-1]] * -e
+
+
 def test_normal_form_matches_reference_on_seeded_words():
     rng = random.Random(4242)
     strands = list(range(1, 14))
@@ -236,6 +249,34 @@ def test_normal_form_matches_reference_on_seeded_words():
         _check_against_reference(
             _skewed_word(rng, n, rng.randrange(0, 41), skew)
         )
+    # lengths around the leaf size reach the merge of normalised halves;
+    # skew 1 makes every half a Delta^{-1} power times its factors
+    for n in range(2, 14):
+        leaf = _leaf(n)
+        for length in (leaf - 1, leaf, leaf + 1, 2 * leaf):
+            for skew in (0, 0.5, 1):
+                _check_against_reference(_skewed_word(rng, n, length, skew))
+    # right halves that are exactly Delta^{+-m}, m odd and even, so the
+    # merge twists the left half or leaves it
+    for n in (2, 3, 4, 5, 8):
+        size = n * (n - 1) // 2
+        m = -(-(_leaf(n) + 1) // (2 * size))
+        for e in (m, m + 1, -m, -m - 1):
+            u = _skewed_word(rng, n, abs(e) * size, 0.5).letters
+            _check_against_reference(make_word(n, u + tuple(
+                _delta_letters(n, e))))
+    # long words on few strands, where a pushed factor soon leaves its
+    # neighbour untouched and the rest of the right half is appended
+    for n in (3, 4):
+        for skew in (0, 0.5, 1):
+            _check_against_reference(_skewed_word(rng, n, 1500, skew))
+    # u * u^{-1}: the halves cancel to the identity
+    for n in range(2, 14):
+        for length in (_leaf(n), _leaf(n) + 1, 2 * _leaf(n) + 3):
+            u = _skewed_word(rng, n, length, 0.5)
+            w = compose(u, invert(u))
+            _check_against_reference(w)
+            assert normal_form(w) == CanonicalBraid(n, 0, ())
 
 
 def test_normal_form_matches_reference_on_wide_words():
@@ -243,8 +284,10 @@ def test_normal_form_matches_reference_on_wide_words():
     # reach 36, where a comb step moves dozens of letters
     rng = random.Random(1636)
     for n in (16, 24, 36):
+        leaf = _leaf(n)
         for skew in (0, 0.5, 1):
-            for length in (60, 90, 120, 150):
+            for length in (60, 90, 120, 150,
+                           leaf - 1, leaf, leaf + 1, 2 * leaf):
                 _check_against_reference(_skewed_word(rng, n, length, skew))
 
 
@@ -300,12 +343,14 @@ def test_fix_pair_matches_sweep():
 def test_normal_form_matches_reference_on_two_strands():
     # in B_2, sigma_1 is Delta and Delta*sigma_1^{-1} is the identity
     rng = random.Random(2)
-    for length in range(9):
-        for _ in range(40):
-            w = _skewed_word(rng, 2, length, rng.choice((0, 0.5, 1)))
-            _check_against_reference(w)
-            nf = normal_form(w)
-            assert nf.factors == () and nf.infimum == exponent_sum(w)
+    leaf = _leaf(2)
+    lengths = [length for length in range(9) for _ in range(40)]
+    lengths += [leaf - 1, leaf, leaf + 1, 2 * leaf, 2000] * 3
+    for length in lengths:
+        w = _skewed_word(rng, 2, length, rng.choice((0, 0.5, 1)))
+        _check_against_reference(w)
+        nf = normal_form(w)
+        assert nf.factors == () and nf.infimum == exponent_sum(w)
 
 
 def test_normal_form_matches_reference_on_the_large_word():
