@@ -401,9 +401,6 @@ class CobordismCertificate:
     end: FormalLink
     metadata: str = ""
 
-    def total_cost(self) -> int:
-        return sum(s.COST for s in self.steps)
-
     def to_json(self) -> dict:
         return {
             "start": self.start.to_json(),

@@ -369,8 +369,6 @@ def _halves(n: int, letters: tuple[int, ...], leaf: int) -> _Form:
 def normal_form(w: BraidWord) -> CanonicalBraid:
     """Left greedy normal form; a complete invariant of the group element."""
     n = w.strands
-    if n == 1:
-        return CanonicalBraid(1, 0, ())
     leaf = LEAF_LETTERS if n > NARROW_STRANDS else NARROW_LEAF_LETTERS
     form = _halves(n, w.letters, leaf)
     factors = tuple(

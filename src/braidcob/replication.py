@@ -48,7 +48,6 @@ _Q = _DCED + (-2, -3, -1, -2)  # dced (bacb)^-1
 _D5 = _DCED + _BACB * 5
 _D5_A3C3 = _D5 + (1, 1, 1, 3, 3, 3)
 _GAMMA_PERIOD = (1, 1, 3, 2, 1, 1, 1, 3, 2)  # a^2 c b a^3 c b
-_ALPHA_TAIL_KEEP = (4, -2, -3)  # letters of Q kept by the five tail saddles
 
 
 def torus_word(m: int, n: int) -> BraidWord:

@@ -78,16 +78,22 @@ because Delta(w) != 0, so F(x) != 0 at the point asked for.
 
 sigma6 takes the limit at theta = 1/6 block by block. Phi6 = t^2 - t + 1 is
 t(x - 1), so x - 1 is divided out of F as often as it divides it, once at
-most in F_sf; then F(1) != 0. The candidates are u =
-_point_past_sixth(delta) = tan(pi*theta*), theta* in (1/6, 1/6 + delta),
-for delta = 1/2, 1/32, ..., and the first u with F root-free on [x(u), 1]
-is the point: the block's signature is constant on (1/6, theta*], as Phi6
-has its other root at 5/6, so its value there, that of H at v = 1/u, is the
-one-sided limit. The walk ends because F(1) != 0. sigma6 uses no floating
-point at all.
+most in F_sf; then F(1) != 0. For delta = 1/(2*16^j), j = 0, 1, ..., the
+candidate u is the simplest fraction in (a, a + 4*delta), where a =
+(isqrt(4^k // 3) + 1)/2^k, k = 16j + 40, is the rational end just above
+1/sqrt3 = tan(pi/6), so u = tan(pi*theta*) with theta* > 1/6. As 1/sqrt3
+has partial quotients at most 2, |1/sqrt3 - p/q| > 1/(4q^2), so no
+fraction of denominator at most 1/(4*delta) + 1, a bound on u's, lies
+within 2^-k of 1/sqrt3 or of 1/sqrt3 + 4*delta: u is also the simplest
+fraction in (1/sqrt3, 1/sqrt3 + 4*delta), and since tan(pi*theta) has
+slope more than 4 past 1/6, theta* < 1/6 + delta. The first u
+with F root-free on [x(1/u), 1] is the point: the block's signature is
+constant on (1/6, theta*], as Phi6 has its other root at 5/6, so its value
+there, that of H at v = 1/u, is the one-sided limit. The walk ends because
+F(1) != 0. sigma6 uses no floating point at all.
 
-Both walks pick their fractions by one walk down the Stern-Brocot tree,
-which takes each run of turns the same way in one binary search.
+Both walks pick the simplest fraction of an interval with rational ends by
+its continued fraction (_simplest_in).
 
 Block records. What does not depend on theta is kept per distinct block: a
 _Block holds V = seifert_matrix(block), the coefficients of Delta =
@@ -125,12 +131,13 @@ safe to call from several threads at once.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import dataclasses
 import functools
 from fractions import Fraction
 from itertools import accumulate, count
-from math import gcd, lcm
+from math import gcd, isqrt
 from operator import add, mul, sub
 
 from mpmath import mp
@@ -720,16 +727,13 @@ def torus_signature_oracle(p: int, q: int, theta: Fraction) -> int:
         return [_clamped_sum(c + d, k, q - 1, q * b, step)
                 for d in (-1, 0, span - 1, span)]
 
+    def jumps(k):  # whether rows 1..k hold a jump
+        s = sums(k)
+        return s[0] != s[1] or s[2] != s[3]
+
     below, upto_lo, below_hi, upto_hi = sums(p - 1)
     if below != upto_lo or below_hi != upto_hi:
-        first, last = 1, p - 1  # the first jump row lies in [first, last]
-        while first < last:
-            mid = (first + last) // 2
-            s = sums(mid)
-            if s[0] != s[1] or s[2] != s[3]:
-                last = mid
-            else:
-                first = mid + 1
+        first = 1 + bisect.bisect_left(range(1, p - 1), True, key=jumps)
         x = c - first * q * b
         j = count(x) if count(x - 1) != count(x) else count(x + span)
         raise ValueError(
@@ -739,90 +743,48 @@ def torus_signature_oracle(p: int, q: int, theta: Fraction) -> int:
     return (p - 1) * (q - 1) + 2 * (below - upto_hi)
 
 
-def _run(holds) -> int:
-    """
-    The largest k >= 1 with holds(k), for holds true at 1 and true up to
-    some k, false after it: doubling, then bisection.
-    """
-    hi = 2
-    while holds(hi):
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _simplest_between(below, above) -> Fraction:
-    """
-    The fraction x/y of least denominator in an open interval of positive
-    reals, given as below(x, y), true exactly when x/y lies at or left of
-    it, and above(x, y), true exactly when x/y lies at or right of it. The
-    walk down the Stern-Brocot tree takes each run of turns the same way,
-    (a + kc)/(b + kd) or (c + ka)/(d + kb), in one binary search.
-    """
-    a, b, c, d = 0, 1, 1, 0  # the interval lies strictly between a/b and c/d
-    while True:
-        x, y = a + c, b + d
-        if below(x, y):
-            k = _run(lambda k: below(a + k * c, b + k * d))
-            a, b = a + k * c, b + k * d
-        elif above(x, y):
-            k = _run(lambda k: above(c + k * a, d + k * b))
-            c, d = c + k * a, d + k * b
-        else:
-            return Fraction(x, y)
-
-
 def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction of least denominator in the open interval (lo, hi)."""
+    """
+    The fraction of least denominator in the open interval (lo, hi), by
+    continued fractions: while no integer lies strictly inside, take off the
+    integer part n that both ends share and invert what is left, (lo, hi) ->
+    (1/(hi - n), 1/(lo - n)), an end 1/0 standing for infinity; the
+    smallest integer inside ends the expansion.
+    """
     if lo < 0 < hi:
         return Fraction(0)
     if hi <= 0:
         return -_simplest_in(-hi, -lo)
-    return _simplest_between(
-        lambda x, y: x * lo.denominator <= lo.numerator * y,
-        lambda x, y: x * hi.denominator >= hi.numerator * y,
-    )
-
-
-def _point_past_sixth(delta: Fraction) -> Fraction:
-    """
-    The fraction u* of least denominator in (1/sqrt3, 1/sqrt3 + 4*delta).
-    Since tan(pi*theta) has slope more than 4 on [1/6, 1/2), u* =
-    tan(pi*theta*) for some theta* in (1/6, 1/6 + delta).
-    """
-    n, d = (4 * delta).numerator, (4 * delta).denominator
-
-    def above(x: int, y: int) -> bool:  # x/y - n/d = z/(yd) > 1/sqrt3
-        z = x * d - n * y
-        return z > 0 and 3 * z * z > y * y * d * d
-
-    return _simplest_between(lambda x, y: 3 * x * x < y * y, above)
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0  # the last two convergents
+    while True:
+        n = a // b
+        if (n + 1) * d < c:
+            n += 1
+            return Fraction(n * p1 + p0, n * q1 + q0)
+        p0, q0, p1, q1 = p1, q1, n * p1 + p0, n * q1 + q0
+        a, b, c, d = d, c - n * d, b, a - n * b
 
 
 def _sixth_point(f: list[int]) -> Fraction:
     """
-    The first u = _point_past_sixth(delta), delta = 1/2, 1/32, ..., for
-    which F, with these coefficients, proves Delta free of roots on the arc
-    (1/6, theta*], u = tan(pi*theta*), Phi6 aside (see the module
-    docstring); F is the fold _fold(Delta) of the nonzero Delta or its
-    square-free part. ValueError when Delta = 0, which has no such arc.
+    The first u, the fraction of least denominator in (a, a + 4*delta) for
+    delta = 1/2, 1/32, ... and a rational a just above 1/sqrt3, for which F,
+    with these coefficients, proves Delta free of roots on the arc (1/6,
+    theta*], u = tan(pi*theta*), Phi6 aside (see the module docstring); F is
+    the fold _fold(Delta) of the nonzero Delta or its square-free part.
+    ValueError when Delta = 0, which has no such arc.
     """
     if not any(f):
         raise ValueError("Alexander polynomial 0 vanishes on every arc")
     while not sum(f):  # x - 1, that is Phi6, divides F: once if square-free
         f = _divide(f, [-1, 1])
-    delta = Fraction(1, 2)
-    while True:
-        u = _point_past_sixth(delta)
+    for j in count():  # delta = 1/(2*16^j), a = 1/sqrt3 + O(2^-k)
+        k = 16 * j + 40
+        a = Fraction(isqrt(4 ** k // 3) + 1, 1 << k)
+        u = _simplest_in(a, a + Fraction(2, 16 ** j))
         if _root_free(f, _two_cos(1 / u), Fraction(1)):
             return u
-        delta /= 16
 
 
 def _sigma6_of_word(w: BraidWord) -> int:

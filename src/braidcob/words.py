@@ -113,9 +113,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise WordError(f"not a permutation of 1..{n}: {self.images}")
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def cycle_count(self) -> int:
         seen = [False] * len(self.images)
         cycles = 0

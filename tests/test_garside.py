@@ -425,6 +425,9 @@ def test_cable_square_identity():
 def test_normal_form_of_identity_words():
     nf = normal_form(make_word(5, [2, -2, 3, -3]))
     assert nf.infimum == 0 and nf.factors == ()
+    # the one-strand braid group is trivial: the general path gives the
+    # empty form
+    assert normal_form(make_word(1, [])) == CanonicalBraid(1, 0, ())
 
 
 def test_normal_form_full_twist():

@@ -10,7 +10,11 @@ the reference: the pencil signature at its points must equal the one at
 the points of src. The pairwise lattice count also checks the floor count
 of torus_signature_oracle and the lower bound of theorem_bound at every
 scale, and the row-by-row count that the floor sums replaced is kept here
-as their reference, down to the text of each jump error. The per-block
+as their reference, down to the text of each jump error. The galloping
+Stern-Brocot walk that the continued fractions of _simplest_in replaced,
+with its sigma6 window at the irrational end 1/sqrt3, is kept here as the
+reference for the points of src: the simplest fraction of every interval
+and the sigma6 point of every block must be the walk's. The per-block
 records that signature_at and sigma6 share must give the same values cold
 and warm, build each block once, and keep only the last used.
 """
@@ -57,7 +61,7 @@ from braidcob.signature import (
     signature_at,
     torus_signature_oracle,
 )
-from braidcob.words import make_word
+from braidcob.words import BraidWord, make_word
 
 
 def _ldl_profile(V, theta):
@@ -282,6 +286,99 @@ def _slope_arc_point(coeffs, theta):
                     v = signature._simplest_in(vhi - radius, vlo + radius)
                     return v.denominator, v.numerator
         prec *= 2
+
+
+def _run(holds):
+    """
+    The largest k >= 1 with holds(k), for holds true at 1 and true up to
+    some k, false after it: doubling, then bisection.
+    """
+    hi = 2
+    while holds(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _simplest_between(below, above):
+    """
+    The fraction x/y of least denominator in an open interval of positive
+    reals, given as below(x, y), true exactly when x/y lies at or left of
+    it, and above(x, y), true exactly when x/y lies at or right of it. The
+    walk down the Stern-Brocot tree takes each run of turns the same way,
+    (a + kc)/(b + kd) or (c + ka)/(d + kb), in one binary search.
+    """
+    a, b, c, d = 0, 1, 1, 0  # the interval lies strictly between a/b and c/d
+    while True:
+        x, y = a + c, b + d
+        if below(x, y):
+            k = _run(lambda k: below(a + k * c, b + k * d))
+            a, b = a + k * c, b + k * d
+        elif above(x, y):
+            k = _run(lambda k: above(c + k * a, d + k * b))
+            c, d = c + k * a, d + k * b
+        else:
+            return Fraction(x, y)
+
+
+def _walk_simplest_in(lo, hi):
+    """The fraction of least denominator in (lo, hi), by the walk."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_walk_simplest_in(-hi, -lo)
+    return _simplest_between(
+        lambda x, y: x * lo.denominator <= lo.numerator * y,
+        lambda x, y: x * hi.denominator >= hi.numerator * y,
+    )
+
+
+def _point_past_sixth(delta):
+    """
+    The fraction u* of least denominator in (1/sqrt3, 1/sqrt3 + 4*delta).
+    Since tan(pi*theta) has slope more than 4 on [1/6, 1/2), u* =
+    tan(pi*theta*) for some theta* in (1/6, 1/6 + delta).
+    """
+    n, d = (4 * delta).numerator, (4 * delta).denominator
+
+    def above(x, y):  # x/y - n/d = z/(yd) > 1/sqrt3
+        z = x * d - n * y
+        return z > 0 and 3 * z * z > y * y * d * d
+
+    return _simplest_between(lambda x, y: 3 * x * x < y * y, above)
+
+
+def _walk_sixth_point(f):
+    """
+    The sigma6 point of the fold f by the walk: the first
+    _point_past_sixth(delta), delta = 1/2, 1/32, ..., with f root-free on
+    [x(1/u), 1], once x - 1 is divided out.
+    """
+    while not sum(f):
+        f = signature._divide(f, [-1, 1])
+    delta = Fraction(1, 2)
+    while True:
+        u = _point_past_sixth(delta)
+        if signature._root_free(f, signature._two_cos(1 / u), Fraction(1)):
+            return u
+        delta /= 16
+
+
+def _sixth_window(k):
+    """
+    The window (a, a + 4*delta), delta = 2^-k, that _sixth_point would ask
+    for at this delta, a just above 1/sqrt3: its window of step j when k =
+    4j + 1.
+    """
+    m = 4 * k + 36
+    a = Fraction(isqrt(4 ** m // 3) + 1, 1 << m)
+    return a, a + Fraction(4, 1 << k)
 
 
 def _walk_fold(coeffs):
@@ -537,7 +634,7 @@ def test_exact_kernel_matches_signature_at_oracle():
     words = _zero_pivot_words(2024, 120) + _seeded_words(6161, 60)
     for w in words:
         for block, rho, expected in _offset_signatures(w):
-            u = signature._point_past_sixth(rho)
+            u = _point_past_sixth(rho)
             got, swaps, shears = signature._pencil_signature(
                 seifert_matrix(block), u.numerator, u.denominator)
             assert got == expected, (block, u)
@@ -549,8 +646,11 @@ def test_exact_kernel_matches_signature_at_oracle():
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 11, 20, 60])
 def test_point_past_sixth_is_the_simplest_fraction_on_the_arc(k):
+    # the simplest fraction of src in the rational window is the walk's
+    # point in the window with the end 1/sqrt3
     delta = Fraction(1, 2 ** k)
-    u = signature._point_past_sixth(delta)
+    u = _point_past_sixth(delta)
+    assert signature._simplest_in(*_sixth_window(k)) == u, k
 
     def inside(x):
         z = x - 4 * delta
@@ -563,6 +663,68 @@ def test_point_past_sixth_is_the_simplest_fraction_on_the_arc(k):
         assert not inside(Fraction(p + 1, q)), (q, u)
     if k == 10:
         assert u == Fraction(11, 19)
+
+
+def test_simplest_in_matches_stern_brocot_walk():
+    # seeded intervals: ends of 1 to 300 bits and of 1024, either sign,
+    # straddling 0, touching it and with integer ends
+    rng = random.Random(4242)
+
+    def end():
+        bits = rng.choice((rng.randint(1, 300), 1024))
+        den = 1 if rng.random() < 0.1 else rng.getrandbits(bits) + 1
+        num = rng.getrandbits(rng.choice((bits, rng.randint(1, 300))))
+        return Fraction(rng.choice((1, -1)) * num, den)
+
+    cases = [(Fraction(0), Fraction(1, 3)), (Fraction(-2, 7), Fraction(0)),
+             (Fraction(1), Fraction(2)), (Fraction(3, 2), Fraction(2)),
+             (Fraction(-5), Fraction(-4)), (Fraction(-1, 2), Fraction(1))]
+    while len(cases) < 3000:
+        x, y = end(), end()
+        if x != y:
+            cases.append((min(x, y), max(x, y)))
+    for lo, hi in cases:
+        assert signature._simplest_in(lo, hi) == _walk_simplest_in(lo, hi), \
+            (lo, hi)
+
+
+def _certificate_words():
+    """
+    The start and end closures and the words the steps name of the shipped
+    certificates: fourstrand, coxeter, sixstrand l = 2..5 and the stack of
+    trefoils (2, 6).
+    """
+    from braidcob import replication as r
+
+    certs = [r.fourstrand_certificate(), r.coxeter_certificate(),
+             r.trefoil_stack_certificate(2, 6)]
+    certs += [r.sixstrand_certificate(l) for l in range(2, 6)]
+    for cert in certs:
+        yield from cert.start.closures
+        yield from cert.end.closures
+        for step in cert.steps:
+            for value in vars(step).values():
+                if isinstance(value, BraidWord):
+                    yield value
+
+
+def test_sigma6_points_match_stern_brocot_points():
+    # the sigma6 point of each block record is the walk's, on the seeded
+    # corpora, torus and cabled torus words, and every block of the shipped
+    # certificates
+    words = _seeded_words(77, 120) + _seeded_words(6161, 220)
+    words += _seeded_words(1009, 120) + _zero_pivot_words(2024, 120)
+    words += [torus_word(m, n) for m in range(2, 7) for n in range(1, 14)]
+    words += [cabled_torus_word(l) for l in range(1, 5)]
+    words += list(_certificate_words())
+    seen = set()
+    for w in words:
+        for block, coeffs in _nonzero_blocks(w):
+            if block not in seen:
+                seen.add(block)
+                assert signature._block_record(block).u \
+                    == _walk_sixth_point(_walk_fold(coeffs)), block
+    assert len(seen) >= 400, len(seen)
 
 
 def test_zero_alexander_block_raises_without_evaluating(monkeypatch):
@@ -785,10 +947,36 @@ def test_sigma6_point_of_trefoil_is_one():
     # Delta(3_1) = Phi6 leaves a constant, and Delta(4_1) = -1 + 3t - t^2
     # folds to 3 - x, with its root at x = 3 off [x(1), 1] = [0, 1]: the
     # first candidate, u = tan(pi/4) = 1, not 11/19 as at 1/1024
-    assert signature._point_past_sixth(Fraction(1, 2)) == 1
+    assert _point_past_sixth(Fraction(1, 2)) == 1
+    assert signature._simplest_in(*_sixth_window(1)) == 1
     for coeffs in ((1, -1, 1), (1,), (-1, 3, -1), _turn((1, -1, 1), 6)):
         assert signature._sixth_point(_walk_fold(coeffs)) == 1, coeffs
     assert sigma6(make_word(2, [1, 1, 1])) == 2
+
+
+def test_sixth_point_windows_start_just_above_the_sixth(monkeypatch):
+    # t^601 - 1 has a root at theta = 101/601, 1/6 + 1/3606, so the walk
+    # takes four windows: each has width 4*delta, delta = 1/2, 1/32, ...,
+    # and starts above 1/sqrt3 = tan(pi/6) by less than (2*delta/q)^2, q =
+    # floor(1/(4*delta)) + 1 the largest denominator its simplest fraction
+    # can have: close enough for that fraction to be the one with the end
+    # 1/sqrt3 (see signature's module docstring)
+    windows = []
+    real = signature._simplest_in
+
+    def recording(lo, hi):
+        windows.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(signature, "_simplest_in", recording)
+    u = signature._sixth_point(_walk_fold((-1,) + (0,) * 600 + (1,)))
+    assert len(windows) == 4 and u == real(*windows[-1]), windows
+    for j, (lo, hi) in enumerate(windows):
+        delta = Fraction(1, 2 * 16 ** j)
+        assert hi - lo == 4 * delta
+        below = lo - (2 * delta / (1 // (4 * delta) + 1)) ** 2
+        assert 3 * lo * lo > 1 and (below < 0 or 3 * below * below < 1), j
+        assert real(lo, hi) == _point_past_sixth(delta), j
 
 
 def test_sigma6_point_avoids_a_root_at_the_closed_end():
@@ -989,8 +1177,7 @@ def test_certified_offset_is_no_narrower_than_power_of_two_offset():
             rho, delta = (_certified_offset(coeffs),
                           _power_of_two_offset(coeffs))
             assert rho >= delta, (block, rho, delta)
-            u, old = (signature._point_past_sixth(rho),
-                      signature._point_past_sixth(delta))
+            u, old = _point_past_sixth(rho), _point_past_sixth(delta)
             assert u.denominator <= old.denominator, (block, u, old)
             V = seifert_matrix(block)
             assert (signature._pencil_signature(V, u.numerator,
@@ -1017,7 +1204,7 @@ def test_root_test_points_match_slope_bound_points():
         for block, coeffs in _nonzero_blocks(w):
             blocks += 1
             V = seifert_matrix(block)
-            old = signature._point_past_sixth(_certified_offset(coeffs))
+            old = _point_past_sixth(_certified_offset(coeffs))
             new = signature._sixth_point(_walk_fold(coeffs))
             for key, u in (("slope", old), ("root", new)):
                 bits[key] += (u.numerator * u.denominator).bit_length()
