@@ -52,10 +52,18 @@ from .words import (MAX_WIRE_LETTERS, MAX_WIRE_STRANDS, BraidWord,
 THETA_MAX_BITS = 1024
 _THETA_MAX_CHARS = 2 * len(str(1 << THETA_MAX_BITS)) + 1
 # the most rows one paper table computes or prints: theorem-table's
-# len(grid)^2 times len(offsets), and gg-table's mmax times nmax; the grid
-# 1,...,256 with offset 0 takes about 2 s on a 2-vCPU machine, and gg-table
-# at 256 x 256 about 0.2 s
+# len(grid)^2 times len(offsets), and gg-table's mmax times nmax. On a
+# 2-vCPU machine, with --json, the grid 1,...,64 with offsets 0,...,15
+# takes about 0.8 s (4096 lattice counts, one per (m, n)), the grid
+# 1,...,256 with offset 0 about 1.8 s (a count per row), and gg-table at
+# 256 x 256 about 0.2 s
 THEOREM_TABLE_MAX_ROWS = 65_536
+# the most decimal digits an integer argument of a paper table or of paper
+# clover may have, refused (exit 1) before any work: the numbers a row
+# prints are then at most about twice as long, inside the 4300 digits that
+# Python converts from int to str by default
+PAPER_MAX_DIGITS = 2000
+_PAPER_INT_BOUND = 10 ** PAPER_MAX_DIGITS
 # the most work braid nf takes on, in units of letters * strands *
 # (strands + NF_WORK_SPREAD), refused (exit 2) before any combing. On
 # random mixed-sign words the normal form costs about 1.3e-8 s a unit on a
@@ -244,6 +252,12 @@ def _cmd_cert_verify(args):
         raise CliError("signature lower bound exceeds realized cost", 1)
 
 
+def _check_digits(option: str, values: list[int]) -> None:
+    if any(abs(v) >= _PAPER_INT_BOUND for v in values):
+        raise CliError(f"{option} takes values of at most PAPER_MAX_DIGITS "
+                       f"= {PAPER_MAX_DIGITS} digits", 1)
+
+
 def _check_table_rows(rows: int) -> None:
     if rows > THEOREM_TABLE_MAX_ROWS:
         raise CliError(
@@ -252,6 +266,8 @@ def _check_table_rows(rows: int) -> None:
 
 
 def _cmd_paper_gg_table(args):
+    _check_digits("--mmax", [args.mmax])
+    _check_digits("--nmax", [args.nmax])
     _check_table_rows(max(0, args.mmax) * max(0, args.nmax))
     rows = [(m, n, *gg_estimate(m, n)) for m in range(1, args.mmax + 1)
             for n in range(1, args.nmax + 1)]
@@ -268,8 +284,20 @@ def _cmd_paper_gg_table(args):
 def _cmd_paper_theorem_table(args):
     try:
         grid = [int(x) for x in args.grid.split(",")]
+    except ValueError as exc:
+        raise CliError(f"bad grid: {exc}", 1)
+    try:
         offsets = [int(x) for x in args.offsets.split(",")]
-        _check_table_rows(len(grid) ** 2 * len(offsets))
+    except ValueError as exc:
+        raise CliError(f"bad --offsets: {exc}", 1)
+    _check_digits("--grid", grid)
+    _check_digits("--offsets", offsets)
+    _check_table_rows(len(grid) ** 2 * len(offsets))
+    negative = [off for off in offsets if off < 0]
+    if negative:
+        raise CliError(f"bad --offsets: {negative[0]} is negative, and "
+                       f"theorem_bound needs N >= ceil(7mn/24)", 1)
+    try:
         reports = theorem_table(grid, grid, offsets)
     except ValueError as exc:
         raise CliError(f"bad grid: {exc}", 1)
@@ -287,6 +315,8 @@ def _cmd_paper_theorem_table(args):
 
 
 def _cmd_paper_clover(args):
+    _check_digits("--m", [args.m])
+    _check_digits("--n", [args.n])
     try:
         value = clover_bound(args.m, args.n)
     except ValueError as exc:

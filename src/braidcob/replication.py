@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
 from .certificates import (
     CobordismCertificate,
@@ -354,49 +354,73 @@ def theorem_bound(m: int, n: int, N: int) -> BoundReport:
     Chained upper bound for d_chi(T(m,n), 3_1^N): the twisting step to
     T(6,6kl) # 3_1^t plus the 6-strand cost formula, against the signature
     lower bound 2N - sigma6(T(m,n)), counted exactly at every (m, n).
-    Requires N >= ceil(7mn/24).
+    ValueError unless m, n >= 1 and N >= ceil(7mn/24). One lattice count;
+    everything else is integer arithmetic (see _bound_rows).
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"theorem_bound needs m, n >= 1, got {m},{n}")
-    if N < ceil(Fraction(7 * m * n, 24)):
-        raise ValueError(
-            f"theorem_bound needs N >= 7mn/24 = {Fraction(7 * m * n, 24)}, "
-            f"got N={N}"
-        )
-    k = max(1, round(Fraction(m, 6)))  # a float m / 6 is inexact past 2^53
-    lq = max(1, round(Fraction(n, 6)))
-    adjust = 0 if (m == 6 * k and n == 6 * lq) else 3 * (m + n)
-    nongeneric = 36 * k if gcd(k, lq) != 1 else 0
-    t = -(-(k * lq) // 2)  # ceil(kl/2) >= (k-1)(l-1)/2
-    n_tref = N - t
-    upper = (
-        (2 * t + 10)
-        + (2 * n_tref - 10 * k * lq + C)
-        + nongeneric
-        + adjust
-    )
-    # jumps sit on multiples of 1/lcm(m, n), so this point is past 1/6 and
-    # before the next jump, where the lattice count is -sigma6(T(m,n))
-    lower = 2 * N + torus_signature_oracle(
-        m, n, Fraction(1, 6) + Fraction(1, 12 * m * n)
-    )
-    slack = upper - lower
-    window = A * m + B * n + C
-    return BoundReport(
-        m=m, n=n, N=N, upper=upper, sigma_estimate=gg_estimate(m, n)[0],
-        lower=lower, slack=slack, window=window,
-        passed=(lower <= upper) and (0 <= slack <= window),
-    )
+    return _bound_rows(m, n, (N,))[0]
 
 
 def theorem_table(
     ms: list[int], ns: list[int], offsets: list[int] = (0, 5, 10)
 ) -> list[BoundReport]:
-    """BoundReports over a grid, N = ceil(7mn/24) + offset per point."""
+    """
+    BoundReports over a grid, N = ceil(7mn/24) + offset per point, m outer,
+    then n, then offset; a negative offset raises theorem_bound's
+    ValueError. The rows of one (m, n) share its lattice count, so a table
+    makes len(ms) * len(ns) counts whatever the number of offsets.
+    """
     out = []
+    if not offsets:  # no rows, so no (m, n) to check
+        return out
     for m in ms:
         for n in ns:
-            base = ceil(Fraction(7 * m * n, 24))
-            for off in offsets:
-                out.append(theorem_bound(m, n, base + off))
+            base = -(-7 * m * n // 24)
+            out += _bound_rows(m, n, [base + off for off in offsets])
     return out
+
+
+def _round_sixth(x: int) -> int:
+    """round(x / 6), halves to even (9 -> 2, 15 -> 2), in integers."""
+    q, r = divmod(x, 6)
+    return q + (r > 3 or (r == 3 and q % 2 == 1))
+
+
+def _bound_rows(m: int, n: int, Ns) -> list[BoundReport]:
+    """
+    The BoundReport of theorem_bound at (m, n, N) for each N of Ns, after
+    checking every N. Only N moves between rows: the lower bound is 2N
+    minus sigma6(T(m,n)), and the upper bound 2N plus the cost of the
+    construction at (m, n), so the slack and the verdict are the same in
+    each row.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"theorem_bound needs m, n >= 1, got {m},{n}")
+    mn = m * n
+    for N in Ns:
+        if 24 * N < 7 * mn:
+            raise ValueError(
+                f"theorem_bound needs N >= 7mn/24 = {Fraction(7 * mn, 24)}, "
+                f"got N={N}"
+            )
+    k = max(1, _round_sixth(m))
+    lq = max(1, _round_sixth(n))
+    adjust = 0 if (m == 6 * k and n == 6 * lq) else 3 * (m + n)
+    nongeneric = 36 * k if gcd(k, lq) != 1 else 0
+    # the twist to T(6,6kl) # 3_1^t, t = ceil(kl/2) >= (k-1)(l-1)/2, costs
+    # 2t + 10 and the 6-strand script on the N - t trefoils left costs
+    # 2(N - t) - 10kl + C, so the upper bound is 2N + cost and t cancels
+    cost = 10 - 10 * k * lq + C + nongeneric + adjust
+    # jumps sit on multiples of 1/lcm(m, n), so this point is past 1/6 and
+    # before the next jump, where the lattice count is -sigma6(T(m,n))
+    count = torus_signature_oracle(m, n, Fraction(2 * mn + 1, 12 * mn))
+    slack = cost - count
+    window = A * m + B * n + C
+    passed = 0 <= slack <= window  # lower <= upper is slack >= 0
+    estimate = Fraction(5 * mn, 18)  # gg_estimate(m, n) without tolerance
+    return [
+        BoundReport(
+            m=m, n=n, N=N, upper=2 * N + cost, sigma_estimate=estimate,
+            lower=2 * N + count, slack=slack, window=window, passed=passed,
+        )
+        for N in Ns
+    ]

@@ -15,7 +15,7 @@ from test_sigma6 import _row_count
 
 import braidcob.cli as cli
 from braidcob.certificates import MAX_WIRE_STEPS
-from braidcob.cli import (NF_MAX_WORK, NF_WORK_SPREAD,
+from braidcob.cli import (NF_MAX_WORK, NF_WORK_SPREAD, PAPER_MAX_DIGITS,
                           THEOREM_TABLE_MAX_ROWS, main)
 from braidcob.links import (MAX_WIRE_ASSERTIONS, MAX_WIRE_CLOSURES,
                             AssertedSummand)
@@ -416,6 +416,57 @@ def test_paper_theorem_table_refuses_past_the_row_cap(
     assert code == 1 and out == ""
     assert err == (f"error: the table has {rows} rows, which exceeds "
                    f"THEOREM_TABLE_MAX_ROWS = {THEOREM_TABLE_MAX_ROWS}\n")
+
+
+# 2200 digits: a product of two is past the 4300 digits that Python
+# converts from int to str by default, so a row could not be printed
+_PAST_DIGITS = str(10 ** 2199)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("theorem-table", "--grid", f"6,{_PAST_DIGITS}"), "--grid"),
+    (("theorem-table", "--grid", "6", "--offsets", f"0,-{_PAST_DIGITS}"),
+     "--offsets"),
+    (("clover", "--m", _PAST_DIGITS, "--n", _PAST_DIGITS), "--m"),
+    (("clover", "--m", "6", "--n", f"-{_PAST_DIGITS}"), "--n"),
+    (("gg-table", "--mmax", _PAST_DIGITS, "--nmax", _PAST_DIGITS), "--mmax"),
+    (("gg-table", "--mmax", "1", "--nmax", _PAST_DIGITS), "--nmax"),
+], ids=["grid", "offsets", "clover-m", "clover-n", "mmax", "nmax"])
+def test_paper_refuses_values_past_the_digit_cap(capsys, monkeypatch,
+                                                 argv, option):
+    def never(*args):
+        raise AssertionError("a row was computed")
+
+    for name in ("theorem_table", "clover_bound", "gg_estimate"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run(capsys, "paper", *argv)
+    assert code == 1 and out == ""
+    assert err == (f"error: {option} takes values of at most "
+                   f"PAPER_MAX_DIGITS = {PAPER_MAX_DIGITS} digits\n")
+
+
+def test_paper_prints_rows_at_the_digit_cap(capsys):
+    top = str(10 ** PAPER_MAX_DIGITS - 1)
+    code, out, err = run(capsys, "--json", "paper", "theorem-table",
+                         "--grid", f"1,{top}", "--offsets", f"0,{top}")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)) == 8
+    code, out, err = run(capsys, "paper", "clover", "--m", top, "--n", top)
+    assert code == 0 and err == ""
+    assert Fraction(out.strip()) == Fraction(5 * int(top) ** 2, 18) \
+        - 40 * int(top) - 200
+    code, out, err = run(capsys, "paper", "gg-table", "--mmax", top,
+                         "--nmax", top)
+    assert code == 1 and out == ""
+    assert f"the table has {int(top) ** 2} rows" in err
+
+
+def test_paper_theorem_table_names_a_negative_offset(capsys):
+    code, out, err = run(capsys, "paper", "theorem-table", "--grid", "6",
+                         "--offsets", "0,-1,-2")
+    assert code == 1 and out == ""
+    assert err == ("error: bad --offsets: -1 is negative, and theorem_bound "
+                   "needs N >= ceil(7mn/24)\n")
 
 
 @pytest.mark.parametrize("grid, offsets", [

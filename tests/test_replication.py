@@ -3,15 +3,18 @@ The generated words, certificates, and bound formulas: light versions of
 the isotopy audits (the full grid lives in the acceptance suite).
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import braidcob.replication as replication
 from braidcob.alexander import alexander
 from braidcob.certificates import TCube, verify
 from braidcob.garside import equal
 from braidcob.replication import (
+    BoundReport,
     bbl_word,
     cabled_torus_word,
     clover_bound,
@@ -26,7 +29,7 @@ from braidcob.replication import (
     trefoil_stack_certificate,
     trefoil_sum_word,
 )
-from braidcob.signature import signature_at
+from braidcob.signature import signature_at, torus_signature_oracle
 from braidcob.words import components, exponent_sum, make_word
 
 
@@ -183,3 +186,78 @@ def test_theorem_table_grid_small():
     reports = theorem_table([6], [6, 12], [0, 5])
     assert len(reports) == 4
     assert all(r.passed for r in reports)
+
+
+def test_theorem_table_counts_each_torus_link_once(monkeypatch):
+    calls = []
+    real = replication.torus_signature_oracle
+
+    def counting(m, n, theta):
+        calls.append((m, n))
+        return real(m, n, theta)
+
+    monkeypatch.setattr(replication, "torus_signature_oracle", counting)
+    reports = theorem_table([6, 7, 12], [6, 7, 12], [0, 5, 10, 20])
+    assert len(reports) == 36
+    assert sorted(calls) == [(m, n) for m in (6, 7, 12) for n in (6, 7, 12)]
+
+
+def _fraction_theorem_bound(m, n, N):
+    """
+    theorem_bound with ceil, round and the evaluation point taken through
+    Fraction, one lattice count per row and the estimate from gg_estimate:
+    the reference for the integer rows of src.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"theorem_bound needs m, n >= 1, got {m},{n}")
+    if N < math.ceil(Fraction(7 * m * n, 24)):
+        raise ValueError(
+            f"theorem_bound needs N >= 7mn/24 = {Fraction(7 * m * n, 24)}, "
+            f"got N={N}"
+        )
+    k = max(1, round(Fraction(m, 6)))
+    lq = max(1, round(Fraction(n, 6)))
+    adjust = 0 if (m == 6 * k and n == 6 * lq) else 3 * (m + n)
+    nongeneric = 36 * k if math.gcd(k, lq) != 1 else 0
+    t = -(-(k * lq) // 2)
+    upper = (2 * t + 10) + (2 * (N - t) - 10 * k * lq + 200) + nongeneric \
+        + adjust
+    lower = 2 * N + torus_signature_oracle(
+        m, n, Fraction(1, 6) + Fraction(1, 12 * m * n))
+    slack = upper - lower
+    window = 20 * m + 20 * n + 200
+    return BoundReport(
+        m=m, n=n, N=N, upper=upper, sigma_estimate=gg_estimate(m, n)[0],
+        lower=lower, slack=slack, window=window,
+        passed=(lower <= upper) and (0 <= slack <= window),
+    )
+
+
+# round(m / 6) sits on a half at 9, 15, 21, 27 and at 6 * 2^60 + 3 or + 9,
+# where a float m / 6 is no longer exact; 10^400 is past any float
+_EDGE_VALUES = [1, 2, 3, 9, 15, 21, 27, 6 * 2**60 + 3, 6 * 2**60 + 9,
+                10**400]
+
+
+def test_theorem_table_matches_the_fraction_formula():
+    rng = random.Random(2901)
+    ms = _EDGE_VALUES + [rng.randrange(1, 10 ** rng.randrange(1, 40))
+                         for _ in range(8)]
+    ns = rng.sample(ms, len(ms))
+    offsets = [0, 1, 13]
+    want = [_fraction_theorem_bound(m, n, math.ceil(Fraction(7 * m * n, 24))
+                                    + off)
+            for m in ms for n in ns for off in offsets]
+    got = theorem_table(ms, ns, offsets)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    for m, n in [(m, n) for m in _EDGE_VALUES for n in _EDGE_VALUES] + \
+            [(0, 3), (3, 0), (-2, 6)]:
+        N = math.ceil(Fraction(7 * m * n, 24)) - 1
+        with pytest.raises(ValueError) as ref:
+            _fraction_theorem_bound(m, n, N)
+        with pytest.raises(ValueError) as exc:
+            theorem_bound(m, n, N)
+        assert str(exc.value) == str(ref.value)
+        with pytest.raises(ValueError) as exc:
+            theorem_table([m], [n], [0, -1])
+        assert str(exc.value) == str(ref.value)
