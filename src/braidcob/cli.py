@@ -205,6 +205,11 @@ def _cmd_cert_gen(args):
         raise CliError("cert gen sixstrand needs --l", 1)
     if args.kind == "trefoils" and (args.n is None or args.nprime is None):
         raise CliError("cert gen trefoils needs --n and --nprime", 1)
+    # the step and strand caps below format values derived from these
+    for option, value in (("--l", args.l), ("--n", args.n),
+                          ("--nprime", args.nprime)):
+        if value is not None:
+            _check_digits(option, [value])
     # Refuse, before generating, what cert verify would refuse to read. The
     # step cap binds sixstrand first (its longest word has 60l + 30 letters)
     # and the strand cap binds trefoils (3n' letters, 3(n' - n) steps). The

@@ -65,16 +65,28 @@ divides none of them. So Phi_b divides Delta exactly when t^b - 1 divides R
 times the t^(b/p) - 1 over the primes p | b, for R = Delta mod t^b - 1 (the
 exponents of Delta folded mod b): R times each factor mod t^b - 1 is one
 pass over b coefficients, and Phi_b | Delta when the last product is zero.
-A block with Delta(w) != 0 is counted at v = 0 when
-theta = 1/2, and at v = 1 when F is root-free on all of [-2, 2], the
-bracket (0, infinity). Otherwise mpmath's interval arithmetic (the libmpi
-functions under mpmath.iv, which round outwards) encloses cot(pi*theta) in
-[vlo, vhi], and the simplest fractions lo in (vlo - r, vlo), taken as 0
-when it is negative, and hi in (vhi, vhi + r) bracket it, for windows r =
-1, 1/16, 1/256, ...; the interval precision doubles from 64 bits while the
-enclosure is not narrower than r. The first bracket with F root-free on
-[x(lo), x(hi)] gives v, the simplest fraction in (lo, hi). The walk ends
-because Delta(w) != 0, so F(x) != 0 at the point asked for.
+A block with Delta(w) != 0 is counted at v = 0 when theta = 1/2, and
+otherwise at the point of the kept arc of its record that holds
+cot(pi*theta) (Block records, below). On a miss, the walk (_arc) certifies
+a new arc. mpmath's interval arithmetic (the libmpi functions under
+mpmath.iv, which round outwards) encloses cot(pi*theta) in [vlo, vhi], and
+for a radius r = 16^-j the simplest fractions lo in (vlo - r, vlo), taken
+as 0 when it is negative, and hi in (vhi, vhi + r) bracket it; the interval
+precision doubles from 64 bits while the enclosure is not narrower than r.
+The bracket passes the root test on [x(lo), x(hi)] for every j past some
+j0, because Delta(w) != 0, so F(x) != 0 at the point asked for. j is found
+by galloping, j = 0, 1, 2, 4, ... up to the first pass, then bisection
+between it and the last failure (_gallop). So a theta within 2^-1023 of a
+root costs a few dozen root tests, where trying each j in turn cost one per
+j, 258 on a 6-strand block at 1/3. Each side of the passing bracket is then
+widened in turn: its end moves to the simplest fraction of the window of
+radius r*2^m, for the m that _gallop finds while the test on the widened
+bracket passes, up to the m at which the window reaches 0 (left) or holds
+an integer (right), past which no other end comes. Both bisections stop
+within an eighth of the edge past 8, so a search costs about twice the
+logarithm of what it finds. The widened [lo, hi] is the new arc, and its
+point is its simplest fraction: the wider the arc, the smaller the point,
+and the cheaper the pencil there (by about the square of its bits).
 
 sigma6 takes the limit at theta = 1/6 block by block. Phi6 = t^2 - t + 1 is
 t(x - 1), so x - 1 is divided out of F as often as it divides it, once at
@@ -99,21 +111,41 @@ Block records. What does not depend on theta is kept per distinct block: a
 _Block holds V = seifert_matrix(block), the coefficients of Delta =
 alexander(block) and, once first asked for, the square-free fold F_sf =
 _square_free(_fold(Delta)) that both walks test, with one gcd per record,
-and the point u = _sixth_point(F_sf) of sigma6. The last _RECORDS = 64
-records used are kept, keyed by the block's BraidWord; a block of more than
-_RECORD_LETTERS = 256 letters is evaluated but not kept. A block has fewer
-Seifert rows than letters, and a record, key included, takes at most about
-280 bytes a row, F_sf at most about 22 more, and less than F where F has a
-repeated factor: 8 bytes a row on T(6, 51), where F has 126 coefficients
-and F_sf 53 (measured on torus, two-strand and random mixed-sign blocks of
-256 letters), so the kept records take at most about 5 MB. The records pay
-off when one process evaluates the same block again: sigma6 and
-signature_at of one word, signature_at at several theta, the start, end and
-assertions of certificates that share words, or summands repeated across
-words. Everything that depends on theta (the cyclotomic test, the arc
-point, the pencil and the LDL^T) runs on every call: the records hold no
-signature values, since keeping one per arc or per block grew the resident
-set of a benchmark run past its bound.
+the point u = _sixth_point(F_sf) of sigma6, and the arcs that signature_at
+has certified (_Arcs). The last _RECORDS = 64 records used are kept, keyed
+by the block's BraidWord; a block of more than _RECORD_LETTERS = 256
+letters is evaluated but not kept. A block has fewer Seifert rows than
+letters, and a record, key included, takes at most about 280 bytes a row,
+F_sf at most about 22 more, and less than F where F has a repeated factor:
+8 bytes a row on T(6, 51), where F has 126 coefficients and F_sf 53
+(measured on torus, two-strand and random mixed-sign blocks of 256
+letters), so the kept records take at most about 5 MB. The records pay off
+when one process evaluates the same block again: sigma6 and signature_at of
+one word, signature_at at several theta, the start, end and assertions of
+certificates that share words, or summands repeated across words.
+
+The arcs of a record are a sorted tuple of disjoint closed intervals [lo,
+hi] of v on which the root test proved F_sf free of roots, each with one
+point, its simplest fraction. When F_sf is root-free on all of [-2, 2] the
+tuple is the single arc (0, infinity), with the point v = 1, from one test
+per record; otherwise it starts empty. signature_at looks up among the
+intervals an enclosure of cot(pi*theta) at 64 + 2b bits, for a denominator
+of b bits, so that a theta near a root, which its walk brackets at a radius
+of about 2^-b, finds the arc that walk kept; it runs the pencil at the
+point of the interval that holds the enclosure. Two theta in one interval
+have the same signature, so every value is the one the walk would give.
+Only a miss runs the walk, and its arc is merged with every kept interval
+it meets, then with the nearest one on either side when the root test
+passes on the gap between them, so each arc is kept as one interval. A
+record keeps at most deg F_sf + 1 intervals, the number of arcs between
+the real roots of F_sf, three fractions each; a merge that would make more
+is not kept. Readers take the tuple as it is, and a writer replaces it
+whole under the record's lock, so no reader sees a half-merged tuple (two
+threads that make one record's arcs at once may each keep into their own,
+which costs a later miss, never a value). The records hold no signature
+value, which would spare the pencil too: keeping one per block grew the
+resident set of a benchmark run past its bound, whose reading grows with
+the operations a run completes.
 
 Only a block with Delta(w) = 0 (Delta = 0 included) reaches the mpmath
 LDL^T. There the form is built at a working precision of prec bits and the
@@ -135,10 +167,12 @@ import bisect
 import collections
 import dataclasses
 import functools
+import math
+import threading
 from fractions import Fraction
 from itertools import accumulate, count
 from math import gcd, isqrt
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from mpmath import mp
 from mpmath.libmp import from_int, to_rational
@@ -555,34 +589,158 @@ def _two_cos(v: Fraction) -> Fraction:
     return 2 * (v * v - 1) / (v * v + 1)
 
 
-def _arc_point(f: list[int], theta: Fraction) -> tuple[int, int]:
+def _enclosure(theta: Fraction, r: Fraction, prec: int
+               ) -> tuple[Fraction, Fraction, int]:
     """
-    (p, q), p > 0 and q >= 0, with v = q/p on the arc of cot(pi*theta), 0 <
-    theta <= 1/2, that F = _fold(Delta), or its square-free part, for the
-    nonzero Delta, proves free of jumps, for Delta(w) != 0: v = 0 at theta
-    = 1/2, else the simplest fraction inside the first bracket of
-    cot(pi*theta) that _root_free certifies (see the module docstring).
+    (vlo, vhi, bits): an interval enclosure [vlo, vhi] of cot(pi*theta), 0 <
+    theta < 1/2, narrower than r, from mpmath's interval functions at the
+    first of prec, 2*prec, 4*prec, ... bits that gives one.
     """
-    if theta == Fraction(1, 2):
-        return 1, 0
-    if _root_free(f, Fraction(-2), Fraction(2)):  # the bracket (0, infinity)
-        return 1, 1
     a, b = from_int(theta.numerator), from_int(theta.denominator)
-    prec, r = 64, Fraction(1)
     while True:
         # intervals at prec bits: pi*theta, then its cosine and sine
         half = mpi_div(mpi_mul(mpi_pi(prec), (a, a), prec), (b, b), prec)
         c, s = mpi_cos_sin(half, prec)
         if _ends(s)[0] > 0:
             vlo, vhi = _ends(mpi_div(c, s, prec))
-            while vhi - vlo < r:
-                lo = max(Fraction(0), _simplest_in(vlo - r, vlo))
-                hi = _simplest_in(vhi, vhi + r)
-                if _root_free(f, _two_cos(lo), _two_cos(hi)):
-                    v = _simplest_in(lo, hi)
-                    return v.denominator, v.numerator
-                r /= 16
+            if vhi - vlo < r:
+                return vlo, vhi, prec
         prec *= 2
+
+
+def _gallop(holds) -> tuple[int, int]:
+    """
+    (t, n), 0 <= t < n, with holds(t) true, or t = 0, taken as true and not
+    asked, and holds(n) false: holds(1), holds(2), holds(4), ... up to the
+    first false n, then bisection between n and the last true t while n - t
+    > 1 + t/8: below 8 the edge is found exactly, past it within an eighth.
+    """
+    t, n = 0, 1
+    while holds(n):
+        t, n = n, 2 * n
+    while n - t > 1 + t // 8:
+        mid = (t + n) // 2
+        if holds(mid):
+            t = mid
+        else:
+            n = mid
+    return t, n
+
+
+def _arc(f: list[int], theta: Fraction) -> tuple[Fraction, Fraction]:
+    """
+    A closed interval [lo, hi], 0 <= lo < hi, that holds cot(pi*theta), 0 <
+    theta < 1/2, and on whose image [x(lo), x(hi)] _root_free proves F free
+    of roots, for F = _fold(Delta), or its square-free part, with Delta(w)
+    != 0: the bracket of an enclosure at the radius 16^-j for the j that
+    _gallop finds, each side then widened to the radius 16^-j * 2^m for the
+    m that _gallop finds (see the module docstring).
+    """
+    vlo, vhi, prec = _enclosure(theta, Fraction(1), 64)
+
+    @functools.cache
+    def bracket(j):
+        nonlocal vlo, vhi, prec
+        r = Fraction(1, 16 ** j)
+        if vhi - vlo >= r:
+            vlo, vhi, prec = _enclosure(theta, r, 2 * prec)
+        lo = max(Fraction(0), _simplest_in(vlo - r, vlo))
+        hi = _simplest_in(vhi, vhi + r)
+        return _root_free(f, _two_cos(lo), _two_cos(hi)) and (lo, hi, r)
+
+    # the bracket passes from some j on, since F is nonzero at the point
+    lo, hi, r = bracket(0) or bracket(_gallop(lambda j: not bracket(j))[1])
+
+    @functools.cache
+    def free(a, b):
+        return (a, b) == (lo, hi) or _root_free(f, _two_cos(a), _two_cos(b))
+
+    def left(m):
+        return max(Fraction(0), _simplest_in(vlo - r * 2 ** m, vlo))
+
+    def right(m):
+        return _simplest_in(vhi, vhi + r * 2 ** m)
+
+    # past these m the window reaches 0, or holds an integer, and gives
+    # the end of the last one again
+    reach = int(vlo / r).bit_length()
+    m = _gallop(lambda m: m <= reach and free(left(m), hi))[0]
+    lo = left(m) if m else lo
+    reach = int(1 / r).bit_length()
+    m = _gallop(lambda m: m <= reach and free(lo, right(m)))[0]
+    hi = right(m) if m else hi
+    return lo, hi
+
+
+class _Arcs:
+    """
+    The jump-free arcs certified so far for F, the square-free fold of one
+    block: kept is a sorted tuple of disjoint closed intervals (lo, hi, v)
+    of v = cot(pi*theta) on which _root_free proved F free of roots in x,
+    each with v the simplest fraction inside. It starts as the one arc (0,
+    infinity), with v = 1, when F is root-free on all of [-2, 2], and empty
+    otherwise. Readers take kept as it is; a writer replaces it whole, under
+    lock, so no reader sees a half-merged tuple.
+    """
+
+    __slots__ = ("f", "kept", "lock")
+
+    def __init__(self, f: list[int]):
+        self.f = f
+        self.lock = threading.Lock()
+        whole = _root_free(f, Fraction(-2), Fraction(2))
+        self.kept = ((Fraction(0), math.inf, Fraction(1)),) if whole else ()
+
+    def keep(self, lo: Fraction, hi: Fraction) -> Fraction:
+        """
+        The point of [lo, hi] once merged into kept: with each kept interval
+        it meets, then with the nearest one on either side when F is
+        root-free on the gap between them. The merged tuple is kept while it
+        has at most deg F + 1 intervals.
+        """
+        with self.lock:
+            kept = self.kept
+            i = bisect.bisect_left(kept, lo, key=itemgetter(1))
+            j = bisect.bisect_right(kept, hi, key=itemgetter(0))
+            if i < j:
+                lo, hi = min(lo, kept[i][0]), max(hi, kept[j - 1][1])
+            if i and _root_free(self.f, _two_cos(kept[i - 1][1]),
+                                _two_cos(lo)):
+                i -= 1
+                lo = kept[i][0]
+            if j < len(kept) and _root_free(self.f, _two_cos(hi),
+                                            _two_cos(kept[j][0])):
+                hi = kept[j][1]
+                j += 1
+            v = _simplest_in(lo, hi)
+            merged = kept[:i] + ((lo, hi, v),) + kept[j:]
+            if len(merged) <= len(self.f):
+                self.kept = merged
+        return v
+
+
+def _arc_point(arcs: _Arcs, theta: Fraction) -> tuple[int, int]:
+    """
+    (p, q), p > 0 and q >= 0, with v = q/p on the arc of cot(pi*theta), 0 <
+    theta <= 1/2, that arcs.f proves free of jumps, for Delta(w) != 0: v = 0
+    at theta = 1/2, else the point of the kept interval that holds an
+    enclosure of cot(pi*theta) at 64 + 2b bits, for a denominator of b bits,
+    or on a miss of the one that the new arc of _arc is merged into.
+    """
+    if theta == Fraction(1, 2):
+        return 1, 0
+    kept = arcs.kept
+    if kept and kept[0][1] == math.inf:
+        v = kept[0][2]
+    else:
+        bits = 64 + 2 * theta.denominator.bit_length()
+        vlo, vhi, _ = _enclosure(theta, Fraction(1), bits)
+        i = bisect.bisect_right(kept, vlo, key=itemgetter(0))
+        if i and vhi <= kept[i - 1][1]:
+            v = kept[i - 1][2]
+        else:
+            v = arcs.keep(*_arc(arcs.f, theta))
+    return v.denominator, v.numerator
 
 
 # the block records kept: the last _RECORDS used, each of a block of at most
@@ -596,8 +754,8 @@ class _Block:
     """
     What a Seifert block's evaluations share at every theta: its Seifert
     matrix V, the coefficients of its Alexander polynomial, the square-free
-    part f of its fold that both root-test walks run on, and its sigma6
-    point u, each computed on first use.
+    part f of its fold that both root-test walks run on, its sigma6 point u
+    and the jump-free arcs of signature_at, each made on first use.
     """
 
     V: SeifertMatrix
@@ -610,6 +768,10 @@ class _Block:
     @functools.cached_property
     def u(self) -> Fraction:
         return _sixth_point(self.f)
+
+    @functools.cached_property
+    def arcs(self) -> _Arcs:
+        return _Arcs(self.f)
 
 
 def _new_record(block: BraidWord) -> _Block:
@@ -632,7 +794,8 @@ def signature_at(w: BraidWord, theta: Fraction) -> SignatureProfile:
     0 < theta < 1. Each distinct Seifert block is evaluated once, from its V
     and Delta in the block records, and counted with its multiplicity. A
     block whose Alexander polynomial does not vanish at omega is counted
-    exactly (precision_bits 0 in the profile); a block where it vanishes
+    exactly (precision_bits 0 in the profile), at the point of the kept
+    jump-free arc that holds theta, or of a new one; a block where it vanishes
     goes to the mpmath LDL^T, whose counts must reproduce identically when
     the working precision is doubled; otherwise the precision escalates up
     to a cap.
@@ -648,7 +811,7 @@ def signature_at(w: BraidWord, theta: Fraction) -> SignatureProfile:
             zeros += copies * zero
             used = max(used, bits)
         else:
-            point = _arc_point(rec.f, min(theta, 1 - theta))
+            point = _arc_point(rec.arcs, min(theta, 1 - theta))
             sig = _pencil_signature(rec.V, *point)[0]
         total += copies * sig
     return SignatureProfile(theta, total, zeros + _surface_pieces(w) - 1, used)

@@ -677,6 +677,15 @@ def test_out_of_range_arguments_exit_1(capsys, argv):
      f"MAX_WIRE_STRANDS = {MAX_WIRE_STRANDS}"),
     (("trefoils", "--n", "0", "--nprime", str(MAX_WIRE_STRANDS)),
      f"MAX_WIRE_STRANDS = {MAX_WIRE_STRANDS}"),
+    # 4299 digits: 28L + 152 and N' + 1 pass the 4300 digits that Python
+    # converts from int to str, so a cap message could not be formatted
+    (("sixstrand", "--l", "9" * 4299),
+     f"--l takes values of at most PAPER_MAX_DIGITS = {PAPER_MAX_DIGITS}"),
+    (("trefoils", "--n", "9" * 4299, "--nprime", "1"),
+     f"--n takes values of at most PAPER_MAX_DIGITS = {PAPER_MAX_DIGITS}"),
+    (("trefoils", "--n", "0", "--nprime", "9" * 4299),
+     f"--nprime takes values of at most PAPER_MAX_DIGITS = "
+     f"{PAPER_MAX_DIGITS}"),
 ])
 def test_cert_gen_refuses_what_verify_would_refuse(capsys, argv, cap):
     # refused before anything is generated, so at once

@@ -16,7 +16,11 @@ with its sigma6 window at the irrational end 1/sqrt3, is kept here as the
 reference for the points of src: the simplest fraction of every interval
 and the sigma6 point of every block must be the walk's. The per-block
 records that signature_at and sigma6 share must give the same values cold
-and warm, build each block once, and keep only the last used.
+and warm, build each block once, and keep only the last used. The arc walk
+that divided its radius by 16 after each failed root test, which galloping
+and the kept arcs replaced, is kept here as the reference: at seeded theta
+the point of the kept arcs must give its signature, on the same arc. A
+theta in a kept arc runs no root test, from one thread or six.
 """
 
 import functools
@@ -44,6 +48,7 @@ from mpmath.libmp.libmpi import (
 import braidcob.inertia as inertia
 import braidcob.signature as signature
 from braidcob.alexander import alexander
+from braidcob.certificates import Equivalence
 from braidcob.cli import main
 from braidcob.replication import (
     cabled_torus_word,
@@ -368,6 +373,43 @@ def _walk_sixth_point(f):
         if signature._root_free(f, signature._two_cos(1 / u), Fraction(1)):
             return u
         delta /= 16
+
+
+def _sixteenth_arc_point(f, theta):
+    """
+    The arc point of the fold f at theta, 0 < theta <= 1/2, by the walk
+    that the galloping search and the kept arcs replaced: v = 0 at theta =
+    1/2, v = 1 when f is root-free on [-2, 2], else the simplest fraction
+    inside the first bracket (lo, hi) of an interval enclosure [vlo, vhi]
+    of cot(pi*theta) that _root_free certifies, lo in (vlo - r, vlo) and hi
+    in (vhi, vhi + r) the simplest fractions there, for r = 1, 1/16,
+    1/256, ... and the enclosure narrower than r.
+    """
+    if theta == Fraction(1, 2):
+        return 1, 0
+    if signature._root_free(f, Fraction(-2), Fraction(2)):
+        return 1, 1
+    a, b = from_int(theta.numerator), from_int(theta.denominator)
+    prec, r = 64, Fraction(1)
+    while True:
+        half = mpi_div(mpi_mul(mpi_pi(prec), (a, a), prec), (b, b), prec)
+        c, s = mpi_cos_sin(half, prec)
+        if signature._ends(s)[0] > 0:
+            vlo, vhi = signature._ends(mpi_div(c, s, prec))
+            while vhi - vlo < r:
+                lo = max(Fraction(0), signature._simplest_in(vlo - r, vlo))
+                hi = signature._simplest_in(vhi, vhi + r)
+                if signature._root_free(f, signature._two_cos(lo),
+                                        signature._two_cos(hi)):
+                    v = signature._simplest_in(lo, hi)
+                    return v.denominator, v.numerator
+                r /= 16
+        prec *= 2
+
+
+def _cold_point(f, theta):
+    """The arc point of src at theta for the fold f, with no arc kept."""
+    return signature._arc_point(signature._Arcs(f), theta)
 
 
 def _sixth_window(k):
@@ -758,7 +800,7 @@ def test_singular_pencil_is_an_internal_error(monkeypatch):
         with pytest.raises(Sigma6Error, match="internal error"):
             sigma6(w)
     # signature_at at theta = 1/3, off the roots, sent to the same point
-    monkeypatch.setattr(signature, "_arc_point", lambda f, theta: (1, 1))
+    monkeypatch.setattr(signature, "_arc_point", lambda arcs, theta: (1, 1))
     with pytest.raises(ArithmeticError, match="internal error") as got:
         signature_at(w, Fraction(1, 3))
     assert not isinstance(got.value, Sigma6Error)
@@ -908,6 +950,156 @@ def test_long_block_is_evaluated_not_kept(monkeypatch):
     assert signature._kept_record.cache_info().currsize == 1
 
 
+def _counting_root_tests(monkeypatch):
+    """Count the _root_free calls from here on; returns their (lo, hi)."""
+    calls = []
+    real = signature._root_free
+    monkeypatch.setattr(signature, "_root_free",
+                        lambda f, lo, hi: calls.append((lo, hi))
+                        or real(f, lo, hi))
+    return calls
+
+
+def _kept_arc(w, theta):
+    """The kept interval (lo, hi, v) of w's one block that holds theta."""
+    (block,) = set(seifert_blocks(w))
+    v = Fraction(1 / math.tan(math.pi * theta))
+    (arc,) = [arc for arc in signature._block_record(block).arcs.kept
+              if arc[0] < v < arc[1]]
+    return arc
+
+
+def test_kept_arc_points_match_sixteenth_walk(monkeypatch):
+    # on each block, at seeded theta: the point of the kept arcs and the
+    # point of the divide-by-16 walk give the same pencil signature, and
+    # the root test passes on the span between them (the same arc); later
+    # theta of a block often hit an arc kept for an earlier one
+    rng = random.Random(3301)
+    walks = []
+    real = signature._arc
+    monkeypatch.setattr(signature, "_arc",
+                        lambda f, theta: walks.append(theta)
+                        or real(f, theta))
+    words = _seeded_words(77, 120) + _seeded_words(6161, 220)
+    words += _seeded_words(1009, 120) + _zero_pivot_words(2024, 120)
+    words += [torus_word(m, n) for m in range(2, 7) for n in range(1, 14)]
+    words += [cabled_torus_word(l) for l in range(1, 3)]
+    words += list(_certificate_words())
+    seen = set()
+    looked = spans = 0
+    for w in words:
+        for block, coeffs in _nonzero_blocks(w):
+            if block in seen:
+                continue
+            seen.add(block)
+            rec = signature._block_record(block)
+            for k in rng.sample(range(1, 997), 4):
+                theta = Fraction(min(k, 997 - k), 997)
+                if signature._vanishes_at(coeffs, theta.denominator):
+                    continue
+                got = signature._arc_point(rec.arcs, theta)
+                want = _sixteenth_arc_point(rec.f, theta)
+                assert (signature._pencil_signature(rec.V, *got)[0]
+                        == signature._pencil_signature(rec.V, *want)[0]
+                        ), (block, theta, got, want)
+                a, b = sorted(Fraction(q, p) for p, q in (got, want))
+                if a != b:
+                    assert signature._root_free(
+                        rec.f, signature._two_cos(a), signature._two_cos(b)
+                    ), (block, theta, got, want)
+                    spans += 1
+                looked += 1
+    assert len(seen) >= 400 and spans >= 200, (len(seen), spans)
+    assert looked - len(walks) >= 300, (looked, len(walks))
+
+
+def test_second_theta_in_a_kept_arc_makes_no_root_test(monkeypatch):
+    w, first = torus_word(6, 7), Fraction(389, 1009)
+    assert signature_at(w, first).signature \
+        == torus_signature_oracle(6, 7, first)
+    lo, hi, _ = _kept_arc(w, first)
+    # a simple theta well inside the arc's theta-interval, other than first
+    ends = sorted(Fraction(math.atan2(1, v) / math.pi) for v in (lo, hi))
+    pad = (ends[1] - ends[0]) / 8
+    second = signature._simplest_in(ends[0] + pad, ends[1] - pad)
+    assert second != first
+    calls = _counting_root_tests(monkeypatch)
+    assert signature_at(w, second).signature \
+        == torus_signature_oracle(6, 7, second)
+    assert calls == []
+
+
+def test_clearing_the_records_drops_the_arcs(monkeypatch):
+    w, theta = torus_word(6, 7), Fraction(389, 1009)
+    want = signature_at(w, theta)
+    arc = _kept_arc(w, theta)
+    calls = _counting_root_tests(monkeypatch)
+    assert signature_at(w, theta) == want and calls == []
+    signature._kept_record.cache_clear()
+    assert signature_at(w, theta) == want and calls
+    assert _kept_arc(w, theta) == arc  # walked to again
+
+
+def test_near_root_theta_takes_few_root_tests(monkeypatch):
+    # theta within 2^-1023 of 1/3, a root of the block's Delta (Phi3 |
+    # Delta): the divide-by-16 walk took 258 root tests here, one per
+    # radius down to 16^-256; galloping and bisection take at most 40, and
+    # the kept arc then holds theta
+    cert = sixstrand_certificate(3)
+    (w,) = [step.target for step in cert.steps
+            if isinstance(step, Equivalence) and len(step.target) == 120]
+    theta = Fraction(2 ** 1023 // 3 + 1, 2 ** 1023)
+    (block,) = set(seifert_blocks(w))
+    assert signature._vanishes_at(signature._block_record(block).delta, 3)
+    calls = _counting_root_tests(monkeypatch)
+    assert signature_at(w, theta).signature == -65
+    assert len(calls) <= 40, len(calls)
+    del calls[:]
+    assert signature_at(w, theta).signature == -65 and calls == []
+
+
+def test_kept_arcs_are_thread_safe(monkeypatch):
+    """
+    Six threads, switching every microsecond, evaluate one word at twelve
+    theta in different orders, merging arcs into the same kept tuple, and
+    get the single-thread profiles. Afterwards the kept tuple is sorted and
+    disjoint, and holds every theta, which a lost merge would break.
+    """
+    w = cabled_torus_word(1)
+    thetas = [Fraction(k, 1009) for k in range(37, 505, 39)]
+    want = [signature_at(w, theta) for theta in thetas]
+    signature._kept_record.cache_clear()
+    (block,) = set(seifert_blocks(w))
+    arcs = signature._block_record(block).arcs  # shared by the threads
+    assert arcs.kept == ()
+    got = [None] * 6
+
+    def run(t):
+        order = thetas[2 * t:] + thetas[:2 * t]
+        got[t] = dict(zip(order, (signature_at(w, theta) for theta in order)))
+
+    threads = [threading.Thread(target=run, args=(t,), daemon=True)
+               for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all([profiles[theta] for theta in thetas] == want
+               for profiles in got)
+    kept = arcs.kept
+    assert all(lo < v < hi for lo, hi, v in kept)
+    assert all(a[1] < b[0] for a, b in zip(kept, kept[1:]))
+    calls = _counting_root_tests(monkeypatch)
+    assert [signature_at(w, theta) for theta in thetas] == want
+    assert calls == []
+
+
 def _turn(coeffs, b):
     """coeffs times the cyclotomic polynomial Phi_b, b in (1, 2, 6)."""
     phi = {1: (-1, 1), 2: (1, 1), 6: (1, -1, 1)}[b]
@@ -937,7 +1129,7 @@ def test_certified_offset_avoids_roots_of_unity(n, phi6_power):
     for k in (first, n // 3, (n - 1) // 2) if n <= 1200 else ():
         theta = Fraction(2 * k + 1, 2 * n)
         assert not signature._vanishes_at(coeffs, theta.denominator)
-        p, q = signature._arc_point(f, theta)
+        p, q = _cold_point(f, theta)
         with mp.workprec(128):
             at = mp.acot(mpf(q) / p) / mp.pi
             assert mpf(k) / n < at < mpf(k + 1) / n, (n, k, p, q)
@@ -1086,8 +1278,8 @@ def test_square_free_fold_keeps_every_point():
             for k in rng.sample(range(1, 997), 3):
                 theta = Fraction(min(k, 997 - k), 997)
                 if not signature._vanishes_at(coeffs, theta.denominator):
-                    assert signature._arc_point(part, theta) \
-                        == signature._arc_point(f, theta), (block, theta)
+                    assert _cold_point(part, theta) \
+                        == _cold_point(f, theta), (block, theta)
     assert blocks >= 300 and repeated >= 15, (blocks, repeated)
 
 
@@ -1213,8 +1405,8 @@ def test_root_test_points_match_slope_bound_points():
             for k in rng.sample(range(1, 997), 3):
                 theta = Fraction(k, 997)
                 pairs.append((_slope_arc_point(coeffs, theta),
-                              signature._arc_point(_walk_fold(coeffs),
-                                                   min(theta, 1 - theta))))
+                              _cold_point(_walk_fold(coeffs),
+                                          min(theta, 1 - theta))))
             for (p, q), (p2, q2) in pairs:
                 assert (signature._pencil_signature(V, p, q)[0]
                         == signature._pencil_signature(V, p2, q2)[0]
@@ -1383,7 +1575,7 @@ def _kernel_points(w, seed, count):
         for _ in range(count):
             theta = Fraction(rng.randrange(1, 997), 997)
             if not signature._vanishes_at(coeffs, theta.denominator):
-                yield (block, V) + signature._arc_point(
+                yield (block, V) + _cold_point(
                     _walk_fold(coeffs), min(theta, 1 - theta))
 
 
