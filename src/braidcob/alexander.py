@@ -244,6 +244,28 @@ def _det(a: list[list[int]]) -> int:
     return pivots[n]
 
 
+def _strip(rows: list[list[int]], K: int) -> None:
+    """
+    Divide each row of packed entries, then each column, by the largest
+    power of t that divides all its entries, in place. The determinant
+    changes only by a unit t^k, and its integers get K*k bits shorter.
+    """
+    def valuation(xs) -> int:
+        # the lowest set bit of P(2^K) lies in the digit of P's lowest term
+        return min(((x & -x).bit_length() - 1 for x in xs if x),
+                   default=0) // K
+
+    for i, row in enumerate(rows):
+        v = K * valuation(row)
+        if v:
+            rows[i] = [x >> v for x in row]
+    for c, col in enumerate(zip(*rows)):
+        v = K * valuation(col)
+        if v:
+            for row in rows:
+                row[c] >>= v
+
+
 def alexander(w: BraidWord) -> AlexanderPolynomial:
     """Alexander polynomial of the closure of w, normalized."""
     cols, s = _burau_columns(w)
@@ -260,6 +282,7 @@ def alexander(w: BraidWord) -> AlexanderPolynomial:
     rows = [[-_pack(y, K) for y in row] for row in zip(*cols)]
     for i, row in enumerate(rows):
         row[i] += 1 << (K * s)
+    _strip(rows, K)
     quotient, rest = divmod(_det(rows),
                             sum(1 << (K * i) for i in range(w.strands)))
     if rest:

@@ -7,7 +7,7 @@ from a JSON file {"n": <int>, "w": [<letters>]}; --word and --word2 take a
 word whose first letter is negative as written, --word -1,2. Machine-readable
 output via --json, given before the command or after it. Exit codes: 0
 success, 1 validation or verification failure, 2 malformed input file or a
-braid nf request past NF_MAX_WORK.
+braid nf request past its work budget (NF_MAX_WORK).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .certificates import (
     StepError,
     verify,
 )
-from .garside import equal, normal_form
+from .garside import CombBudgetError, equal, normal_form
 from .links import check_wire_counts
 from .replication import (
     clover_bound,
@@ -65,16 +65,20 @@ THEOREM_TABLE_MAX_ROWS = 65_536
 PAPER_MAX_DIGITS = 2000
 _PAPER_INT_BOUND = 10 ** PAPER_MAX_DIGITS
 # the most work braid nf takes on, in units of letters * strands *
-# (strands + NF_WORK_SPREAD), refused (exit 2) before any combing. On
-# random mixed-sign words the normal form costs about 1.3e-8 s a unit on a
-# 2-vCPU machine, from 1.1 us a letter at 2 strands to 15 ms at 1024: a
-# per-strand term for reading and combing each letter, and a per-crossing
-# term for the near-Delta factor that an unabsorbed inverse letter makes.
-# The largest requests accepted, 101 letters on 1024 strands, 1220 on 256
-# or 20325 on 36, take about 2 s; up to 12 strands every word within
-# MAX_WIRE_LETTERS is accepted. The units bound the cost of each letter,
-# not how far the comb runs: from 4 strands up, some words made of long
-# periodic blocks comb quadratically in the letters.
+# (strands + NF_WORK_SPREAD), refused (exit 2) before any combing, and
+# again while it combs: each pair the comb fixes costs strands +
+# NF_WORK_SPREAD units, and the comb stops (exit 2) past
+# NF_MAX_WORK / (strands + NF_WORK_SPREAD) fixes. The letters bound the
+# cost of reading the word; the fixes bound how far the comb runs, which
+# the letters alone do not: from 4 strands up, words made of long periodic
+# blocks comb quadratically in the letters. Measured on a 2-vCPU machine,
+# random mixed-sign words make at most 2.9 fixes a letter, so the largest
+# requests the letters allow stay far inside the fixes: 65536 letters on
+# 12 strands make 176,740 of the 857,142 allowed (1.1 s); 20325 on 36,
+# 57,918 (1.1 s); 101 on 1024, 110 (0.05 s). The periodic word
+# (sigma_2 sigma_4)^m (sigma_5 sigma_3^{-1})^m on 6 strands makes 0.094
+# fixes per squared letter, at about 2.3 us a fix, so its 65536-letter
+# form (about 4e8 fixes, 17 minutes) stops at 895,522 fixes, in about 3 s.
 NF_MAX_WORK = 120_000_000
 NF_WORK_SPREAD = 128
 
@@ -133,7 +137,13 @@ def _cmd_braid_nf(args):
     if work > NF_MAX_WORK:
         raise CliError(f"{length} letters on {n} strands is {work} units of "
                        f"work, past NF_MAX_WORK = {NF_MAX_WORK}", 2)
-    nf = normal_form(w)
+    fixes = NF_MAX_WORK // (n + NF_WORK_SPREAD)
+    try:
+        nf = normal_form(w, max_fixes=fixes)
+    except CombBudgetError:
+        raise CliError(f"{length} letters on {n} strands: the comb passed "
+                       f"{fixes} pair fixes, NF_MAX_WORK / (strands + "
+                       f"NF_WORK_SPREAD)", 2)
     perms = [[i + 1 for i in f] for f in nf.factors]
     _emit(
         args,

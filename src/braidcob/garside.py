@@ -46,6 +46,33 @@ time, and none is left to strip at the end (El-Rifai and Morton,
 Algorithms for positive braids, 1994; Epstein et al., Word Processing in
 Groups, ch. 9).
 
+Near-Delta pairs. The factor Delta*sigma_i^{-1} that an inverse letter
+leaves has n(n-1)/2 - 1 crossings, and the comb carries it back through
+the prefix. For a pair (A, B) with B = Delta c^{-1}, where the complement
+c = B^{-1} Delta is small, the insertion pass would move almost all of B
+into A, one letter per swap. Instead, AB = Delta tau(A) c^{-1}; let J be
+the least common left multiple of tau(A) and c, J = y tau(A) = z c. Then
+tau(A) c^{-1} = y^{-1} z, and (Delta y^{-1}, J c^{-1}) is the
+left-weighted pair with product AB: as J is least, Delta y^{-1} is the
+greatest simple left divisor of AB. On permutations, the inversion set of
+J^{-1} (pairs of end positions) is the transitive closure of the union of
+those of tau(A)^{-1} and c^{-1}. _fix_near builds it by adding the
+crossings of c one at a time to the arrangement of A, each a short run of
+the list moved in one slice, at the cost of a few list products of length
+n. When y = 1 the new left factor is Delta and is popped as above;
+otherwise Delta y^{-1} is again near Delta, with complement y, and the
+comb hands it on: the pair to its left takes the same route. The comb
+tries the route only where the right factor was made near Delta, that is
+on the pending factor after an inverse letter, on the left factor the
+route has just left, and on the factors a merge pushes; the first and
+last values of b refuse most others in constant time. It takes the route
+from NEAR_STRANDS = 16 strands up, for complements of at most n^2/64
+crossings; every other pair takes the insertion pass, which skips the
+positions where no swap can start. On the 36-strand word_problem shapes
+the route fixes 44 to 46 % of the pairs, at 14 to 16 us a pair where the
+insertion pass takes 46 to 52 us on the same pairs; at 16 and 24 strands
+the two break even near 4 and 10 crossings of c, at 36 near 20.
+
 normal_form does not read the whole word that way. It splits the letters
 in halves, recursively, down to pieces of at most LEAF_LETTERS letters,
 reads each piece left to right as above, and merges two normalised halves
@@ -70,32 +97,38 @@ and what crosses the left half at a merge is the right half's normal form.
 The leaf rule: LEAF_LETTERS = 32, or NARROW_LEAF_LETTERS = 256 on
 NARROW_STRANDS = 4 strands or fewer. Measured on the word_problem
 benchmark shapes, strands x letters, ms per normal form (8 words a shape,
-median of 9 interleaved runs, 2-vCPU machine), unsplit / pieces of 16 /
-32 / 64 / 256:
+median of 9 interleaved runs, 2-vCPU machine shared with other work),
+unsplit / pieces of 16 / 32 / 64 / 256:
 
-    3 x 800   1.43 / 2.06 / 1.78 / 1.61 / 1.47
-    4 x 600   2.53 / 2.93 / 2.69 / 2.64 / 2.53
-    6 x 450   3.55 / 3.04 / 3.10 / 3.30 / 3.51
-    8 x 420   5.09 / 3.76 / 3.68 / 4.08 / 4.74
-    12 x 330  8.36 / 4.45 / 4.38 / 4.66 / 6.50
-    16 x 270  8.21 / 4.71 / 4.58 / 4.72 / 6.80
-    24 x 200  9.26 / 5.43 / 5.41 / 6.58 / 9.30
-    36 x 140  9.24 / 6.17 / 5.82 / 6.29 / 8.69
-    36 x 300  27.40 / 15.18 / 14.71 / 15.15 / 20.16
+    3 x 800   1.81 / 2.92 / 2.28 / 1.85 / 1.85
+    4 x 600   2.95 / 4.02 / 3.53 / 3.11 / 3.01
+    6 x 450   3.37 / 3.22 / 3.48 / 3.44 / 3.41
+    8 x 420   5.34 / 3.87 / 3.89 / 4.40 / 5.40
+    12 x 330  7.24 / 4.75 / 4.53 / 4.60 / 5.85
+    16 x 270  6.95 / 5.93 / 4.53 / 5.74 / 6.08
+    24 x 200  5.80 / 4.26 / 4.00 / 4.35 / 4.83
+    36 x 140  4.19 / 3.74 / 3.69 / 3.61 / 4.07
+    36 x 300  10.75 / 9.54 / 8.28 / 8.78 / 10.05
 
 On 3 and 4 strands a near-Delta factor has at most 5 crossings and the
 pending factor absorbs most letters, so a split saves no combing and only
-adds seams (each piece pushes its pending factor at its end); at 256
-letters the seams cost at most 3 %. On 5 strands (5 x 500) pieces of 32 and
-the unsplit read are within 2 %; from 6 strands up, pieces of 16 to 32
-letters are best. Single larger words: 36 x 4800 takes 1.63 s unsplit and
-0.49 s in pieces of 32, 256 x 1000 4.49 s and 1.06 s, 1024 x 250 6.90 s
-and 4.50 s (3.78 s in pieces of 64).
+adds seams (each piece pushes its pending factor at its end). From 6
+strands up, pieces of 16 to 64 letters are best, 32 on most shapes. The
+near-Delta route more than halves the 36-strand shapes: interleaved with
+the insertion pass alone, without its trims, in pieces of 32, they took
+3.36 and 8.16 ms against 7.90 and 17.42 ms (24 x 200: 4.42 against 7.11 ms; 3 to 16
+strands within 12 %). Single larger words: 36 x 4800 takes
+0.88 s unsplit and 0.24 s in pieces of 32 (1.58 s and 0.43 s with the
+insertion pass alone), 256 x 1000 0.19 s and 0.13 s (3.13 s and 1.22 s),
+1024 x 250 0.11 s and 0.14 s (7.62 s and 5.22 s).
 
 A merge can still push every factor of B through all of A. From 4 strands
 up, words made of long periodic blocks, such as (sigma_2 sigma_4)^m
 (sigma_5 sigma_3^{-1})^m on 6 strands, keep every factor of the left block
-changing: split or not, their cost grows with the square of the letters.
+changing: split or not, their cost grows with the square of the letters
+(95,874 / 379,498 / 1,509,496 pair fixes at 1000 / 2000 / 4000 letters).
+normal_form(w, max_fixes) counts the pairs the comb fixes and raises
+CombBudgetError past max_fixes; braid nf sets it from NF_MAX_WORK.
 
 equal first cancels the longest common prefix and suffix of the two
 letter sequences: P*X*S = P*Y*S in the group B_n exactly when X = Y, so an
@@ -138,6 +171,7 @@ convention of words.py: factor products apply the left factor first.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .words import (
     BraidWord,
@@ -152,8 +186,15 @@ from .words import (
 LEAF_LETTERS = 32
 NARROW_LEAF_LETTERS = 256  # on NARROW_STRANDS strands or fewer
 NARROW_STRANDS = 4
+# the near-Delta route: from NEAR_STRANDS strands up, for complements of at
+# most n^2/64 crossings (see the module docstring for the measurements)
+NEAR_STRANDS = 16
 
 _FLIP = bytes([1, 0]) + bytes(254)  # stamps.translate(_FLIP) flips each
+
+
+class CombBudgetError(Exception):
+    """normal_form fixed more pairs than its max_fixes allowed."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,7 +222,7 @@ def _w0(n: int) -> list[int]:
 
 def _tau(p: list[int], n: int) -> list[int]:
     """Conjugation by Delta: tau(p)(i) = n-1-p(n-1-i)."""
-    return [n - 1 - p[n - 1 - i] for i in range(n)]
+    return [n - 1 - x for x in reversed(p)]
 
 
 def _invert_perm(p: list[int]) -> list[int]:
@@ -210,20 +251,106 @@ def _fix_pair(a, ainv, b, binv) -> bool:
     n = len(a)
     lo = n
     for s in range(1, n):
-        x, y = b[s], ainv[s]
-        j = s
+        # no legal swap starts at s unless b descends and ainv ascends there
+        x = b[s]
+        if b[s - 1] < x:
+            continue
+        y = ainv[s]
+        if ainv[s - 1] > y:
+            continue
+        j = s - 1
+        b[s] = b[j]
+        ainv[s] = ainv[j]
         while j and b[j - 1] > x and ainv[j - 1] < y:
             b[j] = b[j - 1]
             ainv[j] = ainv[j - 1]
             j -= 1
-        if j < s:
-            b[j], ainv[j] = x, y
-            if j < lo:
-                lo = j
+        b[j], ainv[j] = x, y
+        if j < lo:
+            lo = j
     for s in range(lo, n):
         a[ainv[s]] = s
         binv[b[s]] = s
     return lo < n
+
+
+def _fix_near(a, ainv, b, binv, cap: int) -> bool | None:
+    """
+    _fix_pair for a right factor b = Delta c^{-1} whose complement c has at
+    most cap crossings, by the lcm of tau(a) and c (see the module
+    docstring); returns None, having changed nothing, when c has more.
+
+    The items are the middle positions s. Read right to left, the order
+    _fix_pair leaves them in is the join, in the weak order, of the
+    arrangement a (item x at place ainv[x]) and of Y = binv reversed,
+    whose inversions are the pairs where b ascends, one per crossing of c.
+    An insertion sort of Y's window lists those inversions; read
+    backwards, the list climbs from the identity to Y one cover at a time.
+    Adding an inversion x < y to the join arr built so far: if x comes
+    first, the run of arr from x to y holds only items at most x and items
+    at least y (arr stays a join), and the second kind moves, in order,
+    ahead of the first. The runs are short, so the cost is a few list
+    products of length n instead of about n^2/2 transfers.
+    """
+    n = len(a)
+    n1 = n - 1
+    # b[0] = n-1-k, or b[n-1] = k, puts at least k crossings in c
+    if b[0] < n1 - cap or b[n1] > cap:
+        return None
+    rev = binv[::-1]
+    pairs = []
+    first = 0
+    while first < n and rev[first] == first:
+        first += 1
+    if first < n:
+        last = n1
+        while rev[last] == last:
+            last -= 1
+        w = rev[first:last + 1]
+        for s in range(1, len(w)):
+            v = w[s]
+            if w[s - 1] < v:
+                continue
+            j = s
+            while j and w[j - 1] > v:
+                pairs.append((v, w[j - 1]))
+                w[j] = w[j - 1]
+                j -= 1
+            w[j] = v
+            if len(pairs) > cap:
+                return None
+    arr = a[:]
+    lo, hi = n, -1  # arr differs from a only in arr[lo:hi + 1]
+    for x, y in reversed(pairs):
+        px = arr.index(x)
+        py = arr.index(y)
+        if py < px:
+            continue
+        if py == px + 1:
+            arr[px] = y
+            arr[py] = x
+        else:
+            arr[px:py + 1] = sorted(arr[px:py + 1], key=x.__ge__)
+        if px < lo:
+            lo = px
+        if py > hi:
+            hi = py
+    if arr[0] == n1 and arr == _w0(n):
+        return False  # the join is Delta: the pair is left-weighted
+    # the new pair reads the items in reversed arr; an item x outside
+    # arr[lo:hi + 1] keeps its place ainv[x], so there a maps v to n-1-v
+    # and b^{-1} maps v to n-1-ainv[binv[v]]
+    na = _w0(n)
+    nbinv = [n1 - ainv[x] for x in binv]
+    for k in range(lo, hi + 1):
+        x = arr[k]
+        na[ainv[x]] = nbinv[b[x]] = n1 - k
+    arr.reverse()
+    b[:] = [b[x] for x in arr]
+    ainv[:] = [ainv[x] for x in arr]
+    a[:] = na
+    binv[:] = nbinv
+    return True
 
 
 class _Form:
@@ -231,12 +358,16 @@ class _Form:
     Delta^power * A_1 ... A_k with A_1 ... A_k a normal form (left-weighted,
     none the identity or Delta) up to the lazy twist: A_i is perms[i] when
     stamps[i] == parity and tau(perms[i]) otherwise; invs[i] is the
-    inverse of perms[i].
+    inverse of perms[i]. cap is the most crossings a complement may have
+    for the near-Delta route (-1 below NEAR_STRANDS strands: never), and
+    budget[0] is how many more pair fixes the comb may make, shared by
+    every form of one normal_form call.
     """
 
-    __slots__ = ("ident", "w0", "power", "parity", "perms", "invs", "stamps")
+    __slots__ = ("ident", "w0", "power", "parity", "perms", "invs", "stamps",
+                 "cap", "budget")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, budget: list):
         self.ident = _identity(n)
         self.w0 = _w0(n)
         self.power = 0
@@ -244,12 +375,17 @@ class _Form:
         self.perms: list[list[int]] = []
         self.invs: list[list[int]] = []
         self.stamps = bytearray()  # 0 or 1 each
+        self.cap = n * n // 64 if n >= NEAR_STRANDS else -1
+        self.budget = budget
 
-    def push(self, f: list[int], finv: list[int]) -> bool:
+    def push(self, f: list[int], finv: list[int], near: bool = False) -> bool:
         """
         Right-multiply by the simple factor f and comb it backwards. Returns
         False when f is appended unchanged (no left neighbour, or a pair
         with its neighbour that is already left-weighted), True otherwise.
+        near says that f may be Delta c^{-1} with a small complement c:
+        its pair then tries the near-Delta route, and so does each pair to
+        its left while the route leaves such a left factor.
         """
         n = len(f)
         ident, w0 = self.ident, self.w0
@@ -262,19 +398,28 @@ class _Form:
             return True
         perms, invs, stamps = self.perms, self.invs, self.stamps
         parity = self.parity
+        cap = self.cap if near else -1
         perms.append(f)
         invs.append(finv)
         stamps.append(parity)
         j = len(perms) - 2
         moved = False
+        fixes = 0
         while 0 <= j < len(perms) - 1:
+            fixes += 1
             if stamps[j] != parity:
                 perms[j] = _tau(perms[j], n)
                 invs[j] = _tau(invs[j], n)
                 stamps[j] = parity
             # A pair the comb leaves untouched ends it: the factors to its
             # left have not changed, so their pairs are still left-weighted.
-            if not _fix_pair(perms[j], invs[j], perms[j + 1], invs[j + 1]):
+            fixed = None if cap < 0 else _fix_near(
+                perms[j], invs[j], perms[j + 1], invs[j + 1], cap)
+            if fixed is None:
+                cap = -1
+                fixed = _fix_pair(perms[j], invs[j], perms[j + 1],
+                                  invs[j + 1])
+            if not fixed:
                 break
             moved = True
             emptied = perms[j + 1] == ident
@@ -295,18 +440,25 @@ class _Form:
                 parity ^= 1
                 self.parity = parity
                 stamps[j:] = stamps[j:].translate(_FLIP)
+                cap = -1  # the factor now at j is not near Delta
             elif emptied and j < len(perms) - 1:
+                cap = -1  # nor is the factor now at j + 1
                 continue  # re-examine the new adjacency at this j
             j -= 1
+        budget = self.budget
+        budget[0] -= fixes
+        if budget[0] < 0:
+            raise CombBudgetError("the comb passed its budget of pair fixes")
         return moved
 
 
-def _read(n: int, letters) -> _Form:
+def _read(n: int, letters, budget: list) -> _Form:
     """The normal form of the letters, read left to right."""
-    form = _Form(n)
+    form = _Form(n, budget)
     push = form.push
     w0 = form.w0
     f, finv = _identity(n), _identity(n)
+    near = False  # f was made Delta sigma_s^{-1}
     for k in letters:
         s = abs(k) - 1
         # f absorbs sigma_s when f*sigma_s is simple (the strands ending at
@@ -317,7 +469,8 @@ def _read(n: int, letters) -> _Form:
             f[pa], f[pb] = s + 1, s
             finv[s], finv[s + 1] = pb, pa
             continue
-        push(f, finv)
+        push(f, finv, near)
+        near = k < 0
         if k > 0:
             f = _identity(n)
             f[s], f[s + 1] = s + 1, s
@@ -329,7 +482,7 @@ def _read(n: int, letters) -> _Form:
             f = w0[:]
             f[n - 1 - s], f[n - 2 - s] = s + 1, s
         finv = _invert_perm(f)
-    push(f, finv)
+    push(f, finv, near)
     return form
 
 
@@ -346,7 +499,7 @@ def _merge(left: _Form, right: _Form) -> _Form:
     for i, (p, q) in enumerate(zip(perms, invs)):
         if stamps[i] != right.parity:
             p, q = _tau(p, len(p)), _tau(q, len(q))
-        if not left.push(p, q):
+        if not left.push(p, q, True):
             rest = stamps[i + 1:]
             if left.parity != right.parity:
                 rest = rest.translate(_FLIP)
@@ -357,20 +510,26 @@ def _merge(left: _Form, right: _Form) -> _Form:
     return left
 
 
-def _halves(n: int, letters: tuple[int, ...], leaf: int) -> _Form:
+def _halves(n: int, letters: tuple[int, ...], leaf: int,
+            budget: list) -> _Form:
     """The normal form of the letters, split in halves down to leaf size."""
     if len(letters) <= leaf:
-        return _read(n, letters)
+        return _read(n, letters, budget)
     mid = len(letters) // 2
-    return _merge(_halves(n, letters[:mid], leaf),
-                  _halves(n, letters[mid:], leaf))
+    return _merge(_halves(n, letters[:mid], leaf, budget),
+                  _halves(n, letters[mid:], leaf, budget))
 
 
-def normal_form(w: BraidWord) -> CanonicalBraid:
-    """Left greedy normal form; a complete invariant of the group element."""
+def normal_form(w: BraidWord, max_fixes: int | None = None) -> CanonicalBraid:
+    """
+    Left greedy normal form; a complete invariant of the group element.
+    Raises CombBudgetError once the comb has fixed more than max_fixes
+    pairs (no limit by default).
+    """
     n = w.strands
     leaf = LEAF_LETTERS if n > NARROW_STRANDS else NARROW_LEAF_LETTERS
-    form = _halves(n, w.letters, leaf)
+    budget = [math.inf if max_fixes is None else max_fixes]
+    form = _halves(n, w.letters, leaf, budget)
     factors = tuple(
         tuple(p) if st == form.parity else tuple(_tau(p, n))
         for p, st in zip(form.perms, form.stamps)

@@ -557,23 +557,35 @@ def _shift(f: list[int], a: int) -> list[int]:
     return f
 
 
+def _sign_at(f: list[int], x: Fraction) -> int:
+    """The sign of F(x), by Horner's rule on q^d F(p/q) for x = p/q."""
+    p, q = x.numerator, x.denominator
+    acc, qk = 0, 1
+    for c in reversed(f):
+        acc = acc * p + c * qk
+        qk *= q
+    return (acc > 0) - (acc < 0)
+
+
 def _root_free(f: list[int], lo: Fraction, hi: Fraction) -> bool:
     """
     True only when the polynomial F with these coefficients, lowest first,
-    has no root on [lo, hi], lo < hi: F is nonzero at both ends and (1 +
-    y)^d F((lo + hi*y)/(1 + y)) has no sign variation (Descartes' rule; see
-    the module docstring). The first Taylor shift is by the end x0 of the
-    smaller denominator e, on e^d F(X/e), whose coefficients are short.
+    has no root on [lo, hi], lo < hi: F is nonzero and of one sign at both
+    ends, which Horner's rule checks in O(d) products, and (1 + y)^d F((lo
+    + hi*y)/(1 + y)) has no sign variation (Descartes' rule; see the module
+    docstring). The first Taylor shift is by the end x0 of the smaller
+    denominator e, on e^d F(X/e), whose coefficients are short.
     """
+    sign = _sign_at(f, lo)
+    if not sign or _sign_at(f, hi) != sign:
+        return False
     x0, x1 = (hi, lo) if hi.denominator <= lo.denominator else (lo, hi)
     e, step = x0.denominator, x0.denominator * (x1 - x0)
     # g(X) = e^d F(x0 + X/e), then h(z) = Q^d g((P/Q)z) for step = P/Q, so
     # that h(0) and h(1) are positive multiples of F(x0) and F(x1)
     g = _shift(_scaled(f, 1, e), x0.numerator)
     h = _scaled(g, step.numerator, step.denominator)
-    positive = h[0] > 0
-    if not h[0] or not sum(h) or (sum(h) > 0) != positive:
-        return False
+    positive = sign > 0
     # the Taylor shift of the reversal of h by 1, (1 + y)^d h(1/(1 + y)),
     # which fixes coefficient i in pass i and stops at a sign variation
     h.reverse()

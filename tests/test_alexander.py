@@ -469,6 +469,31 @@ def test_packed_determinant_matches_list_bareiss():
     assert zero >= 15 and big >= 1, (zero, big)
 
 
+def test_t_power_strip_matches_list_bareiss_on_a_long_word(monkeypatch):
+    # a seeded 250-letter mixed-sign 6-strand word: its inverse letters
+    # put a power of t into t^s I - M, which _strip divides out of every
+    # row and column before the determinant
+    rng = random.Random(99)
+    w = make_word(6, [rng.choice((1, -1)) * rng.randrange(1, 6)
+                      for _ in range(250)])
+    seen = []
+    strip = alex._strip
+
+    def recording_strip(rows, K):
+        before = sum(x.bit_length() for row in rows for x in row)
+        strip(rows, K)
+        seen.append(([row[:] for row in rows], K, before))  # _det eats rows
+
+    monkeypatch.setattr(alex, "_strip", recording_strip)
+    assert alexander(w).coefficients == _reference_alexander(w)
+    ((rows, K, before),) = seen
+    assert sum(x.bit_length() for row in rows for x in row) < before
+    # a packed entry's lowest base-2^K digit is its constant term, and some
+    # entry of each row and of each column keeps a nonzero one
+    for line in rows + [list(col) for col in zip(*rows)]:
+        assert any(x % (1 << K) for x in line)
+
+
 def test_unpack_reads_balanced_digits():
     for K in (8, 16, 64, 128):
         top = 2 ** (K - 1) - 1

@@ -103,12 +103,13 @@ def _nf_budget_letters(n):
     return NF_MAX_WORK // (n * (n + NF_WORK_SPREAD))
 
 
-@pytest.mark.parametrize("n", [MAX_WIRE_STRANDS, 36])
+@pytest.mark.parametrize("n", [MAX_WIRE_STRANDS, 36, 12])
 def test_braid_nf_at_the_work_budget_is_bounded(capsys, n):
-    # a random mixed-sign word with the most letters the budget allows
+    # a random mixed-sign word with the most letters the budget and the
+    # cap allow; on 12 strands it makes the most pair fixes of any n
     rng = random.Random(n)
     letters = [rng.choice((1, -1)) * rng.randrange(1, n)
-               for _ in range(_nf_budget_letters(n))]
+               for _ in range(min(_nf_budget_letters(n), MAX_WIRE_LETTERS))]
     start = time.perf_counter()
     code, out, err = run(capsys, "--json", "braid", "nf", "--strands", str(n),
                          "--word", ",".join(map(str, letters)))
@@ -138,6 +139,27 @@ def test_braid_nf_past_the_work_budget_is_refused_unread(
     assert (f"{length} letters on {n} strands is "
             f"{length * n * (n + NF_WORK_SPREAD)} units of work, past "
             f"NF_MAX_WORK = {NF_MAX_WORK}") in err
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (6, [(2, 4), (5, -3)]),  # (sigma_2 sigma_4)^m (sigma_5 sigma_3^-1)^m
+    (4, [(3, 3), (2, 2), (3, 2)]),
+])
+def test_braid_nf_stops_a_quadratic_comb(capsys, tmp_path, n, blocks):
+    # periodic block words of about MAX_WIRE_LETTERS letters pass the
+    # letter budget, but their comb would run for minutes: it stops at the
+    # budget of pair fixes
+    m = MAX_WIRE_LETTERS // (2 * len(blocks))
+    letters = [k for block in blocks for k in block * m]
+    assert len(letters) * n * (n + NF_WORK_SPREAD) <= NF_MAX_WORK
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps({"n": n, "w": letters}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "braid", "nf", "--file", str(path))
+    assert time.perf_counter() - start < 20
+    assert code == 2 and out == ""
+    fixes = NF_MAX_WORK // (n + NF_WORK_SPREAD)
+    assert f"the comb passed {fixes} pair fixes" in err
 
 
 def test_braid_nf_takes_every_capped_word_on_few_strands():

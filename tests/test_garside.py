@@ -340,6 +340,100 @@ def test_fix_pair_matches_sweep():
         assert garside._fix_pair(*got) is False
 
 
+def _crossings(p):
+    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
+               if p[i] > p[j])
+
+
+def _near_pair(rng, n, pops):
+    """
+    A pair (a, b) with b = Delta c^{-1} for a small c. a is random simple,
+    or, when pops, tau(J) for a left multiple J of c, so that the lcm of
+    tau(a) and c is tau(a) itself (y = 1) and the pair becomes (Delta, z).
+    """
+    c, cinv = list(range(n)), list(range(n))
+    _grow(rng, [(c, cinv)], rng.randrange(0, n + 1))
+    if pops:
+        j = c[:]
+        for _ in range(rng.randrange(0, n * n)):
+            room = [i for i in range(n - 1) if j[i] < j[i + 1]]
+            if not room:
+                break
+            i = rng.choice(room)
+            j[i], j[i + 1] = j[i + 1], j[i]  # sigma_{i+1} * j, still simple
+        a = garside._tau(j, n)
+    elif rng.random() < 0.5:
+        a = list(range(n))
+        rng.shuffle(a)
+    else:
+        a, ainv = list(range(n)), list(range(n))
+        _grow(rng, [(a, ainv)], rng.randrange(0, 3 * n))
+    return a, [cinv[n - 1 - i] for i in range(n)]
+
+
+def test_fix_near_matches_fix_pair():
+    # the insertion pass is the oracle for the near-Delta route: the same
+    # four arrays and the same answer, or None with nothing changed when
+    # the complement has more crossings than the cap
+    rng = random.Random(3141)
+    pops = refused = 0
+    for trial in range(3000):
+        n = 2 + trial % 63
+        a, b = _near_pair(rng, n, trial % 3 == 0)
+        want = [a[:], garside._invert_perm(a), b[:], garside._invert_perm(b)]
+        moved = garside._fix_pair(*want)
+        got = [a[:], garside._invert_perm(a), b[:], garside._invert_perm(b)]
+        cap = rng.choice((n, n * n // 64, 2))
+        fixed = garside._fix_near(*got, cap)
+        if fixed is None:
+            assert n * (n - 1) // 2 - _crossings(b) > cap, (a, b, cap)
+            assert got == [a, garside._invert_perm(a), b,
+                           garside._invert_perm(b)]
+            refused += 1
+            continue
+        assert fixed == moved and got == want, (a, b, cap)
+        pops += want[0] == garside._w0(n)
+    assert pops >= 500 and refused >= 300, (pops, refused)
+
+
+def test_near_route_keeps_normal_forms_on_wide_words(monkeypatch):
+    def by_insertion(w):
+        # normal_form with the near-Delta route refused on every pair
+        with monkeypatch.context() as m:
+            m.setattr(garside, "_fix_near", lambda *args: None)
+            return normal_form(w)
+
+    rng = random.Random(2236)
+    for n, length in ((16, 800), (24, 600), (36, 600), (64, 500),
+                      (128, 400), (256, 300)):
+        for skew in (0.5, 0.9):
+            w = _skewed_word(rng, n, length, skew)
+            nf = normal_form(w)
+            assert nf == by_insertion(w), (n, skew)
+            assert _structure_errors(nf, w) is None
+    # periodic blocks, the words on which the comb runs longest, on 6
+    # strands (below NEAR_STRANDS: the insertion pass alone, against the
+    # letter-by-letter reference) and spread over 36 strands, where the
+    # route carries the comb
+    m = 150
+    _check_against_reference(make_word(6, [2, 4] * m + [5, -3] * m))
+    evens, odds = list(range(2, 36, 2)), list(range(3, 36, 2))
+    w = make_word(36, evens * (m // 8) + [k if i % 2 else -k for i, k in
+                                          enumerate(odds)] * (m // 8))
+    nf = normal_form(w)
+    assert nf == by_insertion(w)
+    assert _structure_errors(nf, w) is None
+
+
+def test_normal_form_stops_past_max_fixes():
+    m = 250
+    w = make_word(6, [2, 4] * m + [5, -3] * m)
+    with pytest.raises(garside.CombBudgetError):
+        normal_form(w, max_fixes=1000)
+    nf = normal_form(w, max_fixes=10 ** 6)
+    assert nf == normal_form(w)
+
+
 def test_normal_form_matches_reference_on_two_strands():
     # in B_2, sigma_1 is Delta and Delta*sigma_1^{-1} is the identity
     rng = random.Random(2)
