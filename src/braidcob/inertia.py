@@ -37,17 +37,36 @@ one pass. The rows left, D times the Schur complement on the boundary of S
 for D the product of all pivots taken, go up to the next seam.
 
 When a piece splits: a piece of at most LEAF_ROWS = 48 rows is eliminated
-whole, and so is one whose boundary is no wider than its separator (one
-side kept, like the halves of the whole form) up to ONE_SIDED_LEAF_ROWS =
-128 rows; a piece whose separator and boundary together exceed a quarter
-of it is never split, so that a wide form is not cut into dense seams. The
-two sizes were measured on T(6, n) at its sigma6 point (band width 5), best
-of 25 interleaved runs on a 2-vCPU machine. A piece that keeps rows on both
-sides costs about three times as much per row as one that keeps them on one
-side, since the near ones join every pivot row (64 / 128 rows: 126 / 224
-against 43 / 79 us per row), and splitting a one-sided piece makes one
-such half. So h = 145 / 205 took 9.0 / 21.3 ms whole, 6.5 / 9.4 ms cut once
-and 7.4 / 13.1 ms cut again; below 48 rows one cut saved at most 9 %.
+whole, and so is a one-sided piece up to ONE_SIDED_LEAF_ROWS = 128 rows. A
+piece is one-sided when the rows of it that its boundary touches all lie in
+one half of it, as for the halves of the whole form: the separator touches
+only the end of L and the start of R. The whole form, with no boundary, is
+not. A piece whose separator and boundary together exceed a quarter of it
+is never split, so that a wide form is not cut into dense seams. The two
+sizes were measured on T(6, n) at its sigma6 point (band width 5), best of
+25 interleaved runs on a 2-vCPU machine: h = 145 / 205 took 9.0 / 21.3 ms
+whole, 6.5 / 9.4 ms cut once and 7.4 / 13.1 ms cut again, and below 48 rows
+one cut saved at most 9 %. Under the one-sided rule, leaves of 64 rows, or
+one-sided leaves of 96, 160, 192 or 256 rows, were 7 to 64 % slower at some
+h (192 rows: 13 % faster at h = 265, 11 % slower at h = 385), and 40 rows
+moved none by more than 5 %. A piece that keeps rows on both sides costs
+about 2.7 times as much per row as a one-sided one, since the near ones
+join every pivot row (64 / 128 rows of T(6, 100): 85 / 137 against 31 / 51
+us per row, best of 25), and splitting a one-sided piece makes one such
+half. When a piece was taken as one-sided only if its boundary was no wider
+than its separator, the 67-row left half of h = 145 (5 boundary rows, a
+4-row separator) was cut again, into 29 rows, 34 rows kept on both sides
+and a seam. That rule against this one, median ms of 25 interleaved pairs
+(11 at h = 2035) at the sigma6 point:
+
+    h      form                      by width   by attachment
+    85     T(6, 18)                    3.38        3.40
+    145    sixstrand start, l = 2      7.84        6.01
+    205    sixstrand start, l = 3      9.19        9.23
+    265    sixstrand start, l = 4     24.59       24.57
+    325    sixstrand start, l = 5     34.31       32.81
+    505    sixstrand start, l = 8     64.85       65.45
+    2035   T(6, 408)                 478.30      478.69
 
 A zero pivot is removed by a congruence inside its piece, which keeps the
 inertia: a symmetric swap with the nearest later row of the piece whose
@@ -166,14 +185,15 @@ def _eliminate(rows: dict[int, Row], order: list[int], scale: int
     return neg, swaps, shears, pivots[k]
 
 
-def _splits(size: int, cut: int, kept: int) -> bool:
+def _splits(size: int, cut: int, kept: int, one_sided: bool) -> bool:
     """
     Whether a piece of size rows, cut at its middle by cut separator rows,
-    with kept boundary rows, is split (see the module docstring).
+    with kept boundary rows that attach to one half of it only when
+    one_sided, is split (see the module docstring).
     """
     if 4 * (cut + kept) > size:
         return False
-    return size > (ONE_SIDED_LEAF_ROWS if 0 < kept <= cut else LEAF_ROWS)
+    return size > (ONE_SIDED_LEAF_ROWS if one_sided else LEAF_ROWS)
 
 
 def _dissect(H: list[Row], S: list[int], B: set[int], reverse: bool
@@ -189,7 +209,10 @@ def _dissect(H: list[Row], S: list[int], B: set[int], reverse: bool
         half = len(S) // 2
         later = set(S[half:])
         F = {r for r in S[:half] if not later.isdisjoint(H[r])}
-        if _splits(len(S), len(F), len(B)):
+        near = {j for b in B for j in H[b]}  # the rows B attaches to
+        one_sided = bool(B) and (near.isdisjoint(S[:half])
+                                 or near.isdisjoint(later))
+        if _splits(len(S), len(F), len(B), one_sided):
             inner = [r for r in S[:half] if r not in F]
             FB = F | B
             X1, D1, c1 = _dissect(

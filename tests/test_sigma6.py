@@ -1579,28 +1579,58 @@ def _kernel_points(w, seed, count):
                     _walk_fold(coeffs), min(theta, 1 - theta))
 
 
-def test_split_kernel_matches_reference_on_seeded_corpora(monkeypatch):
-    # every piece of more than 2 rows splits, so the small forms of these
-    # corpora reach zero pivots inside pieces and at seams
-    recorder = _KernelRecorder(monkeypatch)
-    monkeypatch.setattr(inertia, "_splits", lambda size, cut, kept: size > 2)
+def _match_reference_on_seeded_corpora():
     words = _zero_pivot_words(2024, 120) + _seeded_words(6161, 60)
     for w in words:
         for block, V, p, q in _kernel_points(w, 31, 2):
             assert (signature._pencil_signature(V, p, q)[0]
                     == _reference_pencil_signature(V, p, q)[0]), (block, p, q)
+
+
+def test_split_kernel_matches_reference_on_seeded_corpora(monkeypatch):
+    # every piece of more than 2 rows splits, so the small forms of these
+    # corpora reach zero pivots inside pieces and at seams
+    recorder = _KernelRecorder(monkeypatch)
+    monkeypatch.setattr(inertia, "_splits",
+                        lambda size, cut, kept, one_sided: size > 2)
+    _match_reference_on_seeded_corpora()
     seen = recorder.seen
     assert min(seen[k] for k in ("piece", "seam", "fixed piece",
                                  "fixed seam", "deferred")) >= 15, seen
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_forced_one_sided_flag_matches_reference(monkeypatch, forced):
+    # the split rule with leaves of 2 and 6 rows, so the small forms of the
+    # corpora split, and with its one-sided flag forced: a piece taken for
+    # either kind must give the signature of the single pass
+    recorder = _KernelRecorder(monkeypatch)
+    splits, flags = inertia._splits, {False: 0, True: 0}
+
+    def forced_splits(size, cut, kept, one_sided):
+        flags[one_sided] += 1
+        return splits(size, cut, kept, forced)
+
+    monkeypatch.setattr(inertia, "LEAF_ROWS", 2)
+    monkeypatch.setattr(inertia, "ONE_SIDED_LEAF_ROWS", 6)
+    monkeypatch.setattr(inertia, "_splits", forced_splits)
+    _match_reference_on_seeded_corpora()
+    # both kinds of piece occur, and the forced flag still splits many
+    assert min(flags.values()) >= 15, flags
+    assert min(recorder.seen[k] for k in ("seam", "fixed piece")) >= 15, \
+        recorder.seen
 
 
 @pytest.mark.parametrize("w", [torus_word(6, 18), torus_word(6, 42),
                                torus_word(6, 100), cabled_torus_word(1),
                                cabled_torus_word(2),
                                sixstrand_certificate(2).start.closures[0],
-                               sixstrand_certificate(3).start.closures[0]],
+                               sixstrand_certificate(3).start.closures[0],
+                               sixstrand_certificate(4).start.closures[0],
+                               sixstrand_certificate(5).start.closures[0]],
                          ids=["T(6,18)", "T(6,42)", "T(6,100)", "cable 1",
-                              "cable 2", "sixstrand 2", "sixstrand 3"])
+                              "cable 2", "sixstrand 2", "sixstrand 3",
+                              "sixstrand 4", "sixstrand 5"])
 def test_split_kernel_matches_reference_on_large_forms(monkeypatch, w):
     recorder = _KernelRecorder(monkeypatch)
     for block, V, p, q in _kernel_points(w, len(w.letters), 2):
@@ -1611,13 +1641,26 @@ def test_split_kernel_matches_reference_on_large_forms(monkeypatch, w):
         recorder.seen
 
 
+@pytest.mark.parametrize("l", [2, 3])
+def test_sixstrand_start_is_cut_once(monkeypatch, l):
+    # the start block, h = 145 or 205, is cut at its middle; each half keeps
+    # the separator rows at one end only, so it is eliminated whole
+    (block, V, p, q), = _kernel_points(
+        sixstrand_certificate(l).start.closures[0], 0, 0)
+    assert V.size == 60 * l + 25
+    recorder = _KernelRecorder(monkeypatch)
+    signature._pencil_signature(V, p, q)
+    seen = recorder.seen
+    assert (seen["whole"], seen["piece"], seen["seam"]) == (0, 2, 1), seen
+
+
 @pytest.mark.parametrize("forced", [False, True])
 def test_singular_split_pencil_is_an_internal_error(monkeypatch, forced):
     # Delta(T(2,200)) has the factor 1 + t^2, which vanishes at theta =
     # 1/4, u = 1, so the pencil at (1, 1) is singular; h = 199 splits
     if forced:
         monkeypatch.setattr(inertia, "_splits",
-                            lambda size, cut, kept: size > 2)
+                            lambda size, cut, kept, one_sided: size > 2)
     V = seifert_matrix(torus_word(2, 200))
     with pytest.raises(ArithmeticError, match="internal error"):
         _reference_pencil_signature(V, 1, 1)
